@@ -4,9 +4,6 @@
 //	experiments fig6           # scheme comparison (both platforms)
 //	experiments fig7           # MnasNet solution walk-through
 //	experiments all            # everything, in paper order
-//	experiments sweep -server http://localhost:8080
-//	                           # model×seed grid served by a running
-//	                           # digammad, one batch per platform
 //
 // Flags scale the run: -budget matches the paper's 40K-sample protocol
 // when you have the minutes to spare; the default regenerates the same
@@ -36,8 +33,6 @@ func main() {
 		migrate  = flag.Int("migrate-every", 0, "island elite-migration period in generations (0 = engine default)")
 		profs    = flag.String("island-profile", "", "comma-separated per-island operator profiles, rotated across islands: "+strings.Join(digamma.IslandProfiles(), ", "))
 		models   = flag.String("models", "", "comma-separated model subset (default: all 7)")
-		server   = flag.String("server", "", "sweep: base URL of a running digammad; the model×seed grid goes up as one batch per platform")
-		seeds    = flag.Int("seeds", 3, "sweep: seeds per model cell")
 		platform = flag.String("platform", "", "restrict to edge or cloud (default: both)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		verbose  = flag.Bool("v", false, "log every individual run")
@@ -49,7 +44,7 @@ func main() {
 	var rest []string
 	for _, a := range os.Args[1:] {
 		switch a {
-		case "fig5", "fig6", "fig7", "ablation", "convergence", "multiseed", "islands", "sweep", "all":
+		case "fig5", "fig6", "fig7", "ablation", "convergence", "multiseed", "islands", "all":
 			which = a
 		default:
 			rest = append(rest, a)
@@ -86,13 +81,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if which == "sweep" {
-		if err := runSweep(os.Stdout, *server, platforms, opts, *seeds, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(os.Stdout, which, platforms, opts, *csv); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
@@ -178,7 +166,7 @@ func run(w io.Writer, which string, platforms []arch.Platform, opts figures.Opti
 			}
 		}
 	default:
-		return fmt.Errorf("unknown experiment %q (want fig5, fig6, fig7, ablation, convergence, multiseed, islands, sweep or all)", which)
+		return fmt.Errorf("unknown experiment %q (want fig5, fig6, fig7, ablation, convergence, multiseed, islands or all)", which)
 	}
 	return nil
 }

@@ -132,18 +132,6 @@ type IslandState struct {
 	// Pop is the population in install order (the order beginGeneration's
 	// sort sees, so tie-breaking behaves identically after resume).
 	Pop []IndividualState `json:"pop"`
-
-	// Gen and the per-island evaluation-split counters below are recorded
-	// by the distributed shard runner for island re-homing after a worker
-	// loss (the engine-level resume path books these at the run level and
-	// does not consult them). Absent — zero — in pre-dist checkpoints.
-	Gen         int `json:"gen,omitempty"`
-	FullEvals   int `json:"full_evals,omitempty"`
-	PrunedEvals int `json:"pruned_evals,omitempty"`
-	ScoutEvals  int `json:"scout_evals,omitempty"`
-	// Reused carries the island's cumulative rescore-recovered analysis
-	// count (scout islands only) across a re-homing.
-	Reused int `json:"reused,omitempty"`
 }
 
 // IndividualState is one population member: its genome and how it was
@@ -229,9 +217,7 @@ func (e *Engine) snapshot(res *Result, budget int, islands []*island) *Checkpoin
 }
 
 // snapshotState captures one island at the generation boundary — the
-// per-island slice of Engine.snapshot, shared with the distributed shard
-// runner (whose boundary snapshots and re-homing restores must be
-// indistinguishable from checkpoint/resume).
+// per-island slice of Engine.snapshot.
 func (is *island) snapshotState() IslandState {
 	gets, reuses := is.pool.Stats()
 	return IslandState{
@@ -252,8 +238,7 @@ func (is *island) snapshotState() IslandState {
 // restoreState rebuilds one island from a boundary snapshot: RNG stream
 // fast-forwarded to its recorded position, population re-evaluated into
 // the pool (pure evaluation ⇒ identical fitness, verified), counters and
-// pool biases restored — the per-island slice of Engine.restore, shared
-// with the distributed shard runner's re-homing path.
+// pool biases restored — the per-island slice of Engine.restore.
 func (is *island) restoreState(st *IslandState) error {
 	if len(st.Pop) == 0 {
 		return fmt.Errorf("core: checkpoint island %d has an empty population", is.id)

@@ -143,8 +143,9 @@ type MigrantBatch struct {
 
 // ShardReport is a worker's per-island round result: the per-body history
 // contributions (non-scout islands only — scouts never report the global
-// best), cumulative counters, the boundary elite exports, and — at round
-// completion — the island's re-homing snapshot.
+// best), cumulative counters and the boundary elite exports. It carries
+// no island snapshot: a coordinator that loses a worker rebuilds the
+// island elsewhere by replaying the rounds it already drove.
 type ShardReport struct {
 	Island  int `json:"island"`
 	Gen     int `json:"gen"`     // completed bodies so far
@@ -152,7 +153,6 @@ type ShardReport struct {
 
 	Hist    []float64         `json:"hist,omitempty"`
 	Exports []IndividualState `json:"exports,omitempty"`
-	State   *IslandState      `json:"state,omitempty"`
 }
 
 // ShardFinal is a worker's per-island finalize result: the sorted
@@ -191,7 +191,9 @@ type shardState struct {
 // builds ALL of the run's islands — buildIslands draws the per-island
 // seeds from the master stream, so every worker derives identical island
 // configurations from the run seed alone — but only owned islands are
-// ever initialized or stepped.
+// ever initialized or stepped. Every island starts fresh: stepping is a
+// pure function of the seed and the migrants delivered, so an island
+// re-homed after a worker loss is rebuilt by replaying its rounds.
 type ShardRunner struct {
 	e       *Engine
 	budget  int
@@ -243,10 +245,9 @@ func (r *ShardRunner) Scouts() []bool {
 
 // Own adopts one island: seed is cross-checked against the locally
 // derived stream seed (catching divergent builds at assignment time
-// instead of as silently different results), then the island is either
-// initialized fresh — the engine's initial batch, drawn and evaluated
-// here — or restored from a re-homing snapshot.
-func (r *ShardRunner) Own(id int, seed int64, st *IslandState) error {
+// instead of as silently different results), then the island is
+// initialized — the engine's initial batch, drawn and evaluated here.
+func (r *ShardRunner) Own(id int, seed int64) error {
 	if id < 0 || id >= len(r.islands) {
 		return fmt.Errorf("core: island %d out of range [0,%d)", id, len(r.islands))
 	}
@@ -258,21 +259,13 @@ func (r *ShardRunner) Own(id int, seed int64, st *IslandState) error {
 		return fmt.Errorf("core: island %d seed mismatch: assigned %d, derived %d (divergent spec?)", id, seed, is.seed)
 	}
 	sh.owned = true
-	if st == nil {
-		initial := is.initialGenomes()
-		evs, err := is.evaluateBatch(initial, nil, nil, r.workers)
-		if err != nil {
-			return err
-		}
-		r.bookBatch(id, evs)
-		is.install(0, initial, evs)
-		return nil
-	}
-	if err := is.restoreState(st); err != nil {
+	initial := is.initialGenomes()
+	evs, err := is.evaluateBatch(initial, nil, nil, r.workers)
+	if err != nil {
 		return err
 	}
-	sh.gen = st.Gen
-	sh.full, sh.pruned, sh.scoutN, sh.reused = st.FullEvals, st.PrunedEvals, st.ScoutEvals, st.Reused
+	r.bookBatch(id, evs)
+	is.install(0, initial, evs)
 	return nil
 }
 
@@ -315,8 +308,7 @@ func (r *ShardRunner) breedBody(id int) error {
 // boundary is set, the LAST body stops at the migration exchange: it runs
 // beginGeneration, records the history contribution, re-scores a scout's
 // elites and returns the encoded exports — leaving the island mid-body
-// until CompleteBoundary delivers the incoming migrants. Plain rounds
-// return the island's re-homing snapshot in the report.
+// until CompleteBoundary delivers the incoming migrants.
 func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, error) {
 	is, sh := r.islands[id], &r.st[id]
 	if !sh.owned {
@@ -354,9 +346,6 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 			return nil, err
 		}
 		sh.gen++
-	}
-	if !boundary {
-		rep.State = r.snapshotShard(id)
 	}
 	rep.Gen, rep.Samples = sh.gen, is.samples
 	return rep, nil
@@ -404,8 +393,7 @@ func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardRe
 	}
 	sh.gen++
 	sh.midBoundary = false
-	rep := &ShardReport{Island: id, Gen: sh.gen, Samples: is.samples, State: r.snapshotShard(id)}
-	return rep, nil
+	return &ShardReport{Island: id, Gen: sh.gen, Samples: is.samples}, nil
 }
 
 // Finalize sorts an owned island one last time (the engine's finalize
@@ -437,15 +425,4 @@ func (r *ShardRunner) Finalize(id int) (*ShardFinal, error) {
 		fin.Best = &b[0]
 	}
 	return fin, nil
-}
-
-// snapshotShard is the island's checkpoint-format snapshot extended with
-// the runner's own counters, so a re-homed island resumes with exact
-// run-level accounting.
-func (r *ShardRunner) snapshotShard(id int) *IslandState {
-	sh := &r.st[id]
-	st := r.islands[id].snapshotState()
-	st.Gen = sh.gen
-	st.FullEvals, st.PrunedEvals, st.ScoutEvals, st.Reused = sh.full, sh.pruned, sh.scoutN, sh.reused
-	return &st
 }

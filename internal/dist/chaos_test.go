@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +75,116 @@ func TestSlowPeerBitIdentical(t *testing.T) {
 	sameResult(t, "slow-peer", got, ref)
 	if _, fired := inj.Counts(FaultSlow); fired == 0 {
 		t.Fatal("slow fault never fired")
+	}
+}
+
+// segmentsOf lists the spec's run shape at this budget, simulated on a
+// throwaway engine.
+func segmentsOf(t *testing.T, spec Spec, budget int) []*core.Segment {
+	t.Helper()
+	eng, err := spec.Engine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.PlanRun(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := core.NewSchedule(plan)
+	var segs []*core.Segment
+	for seg := sched.Next(); seg != nil; seg = sched.Next() {
+		segs = append(segs, seg)
+	}
+	return segs
+}
+
+// workerOps counts the frame reads and writes of a worker that owns an
+// island in every wave, through the first n segments: hello and adopt,
+// then one request and one ack per round and per migrant delivery.
+func workerOps(segs []*core.Segment, n int) int {
+	ops := 4
+	for _, seg := range segs[:n] {
+		ops += 2
+		if seg.Boundary {
+			ops += 2
+		}
+	}
+	return ops
+}
+
+// dropAt runs the chaos spec over two workers, the first of which drops
+// its connection on frame operation op, and returns the result and the
+// coordinator log.
+func dropAt(t *testing.T, spec Spec, budget, op int, c *Coordinator) (*core.Result, string, error) {
+	t.Helper()
+	inj := faults.New(1)
+	inj.Set(FaultConn, faults.Knob{Every: op})
+	c.Workers = []string{startWorker(t, WorkerOptions{Workers: 1, Faults: inj}), startWorker(t, WorkerOptions{Workers: 1})}
+	res, logs, err := runCoord(t, spec, budget, c)
+	if _, fired := inj.Counts(FaultConn); fired != 1 {
+		t.Fatalf("conn fault fired %d times at op %d, want once", fired, op)
+	}
+	return res, logs, err
+}
+
+// TestFinalizeDropRecoveredBitIdentical drops a worker on its finalize
+// request: its islands are rebuilt on the survivor by replaying every
+// logged segment, then finalized there, bit-identical to the in-process
+// run.
+func TestFinalizeDropRecoveredBitIdentical(t *testing.T) {
+	spec := chaosSpec(t, 7)
+	ref := runLocal(t, spec, 480)
+	segs := segmentsOf(t, spec, 480)
+	got, logs, err := dropAt(t, spec, 480, workerOps(segs, len(segs))+1, &Coordinator{})
+	if err != nil {
+		t.Fatalf("dist run: %v (log: %s)", err, logs)
+	}
+	sameResult(t, "finalize-drop", got, ref)
+	if want := fmt.Sprintf("replaying %d segments", len(segs)); !strings.Contains(logs, want) {
+		t.Errorf("log lacks %q: %s", want, logs)
+	}
+}
+
+// TestLateDropRecoveredBitIdentical drops a worker after a dozen
+// completed segments, so the re-homed islands replay a long log.
+func TestLateDropRecoveredBitIdentical(t *testing.T) {
+	const budget, done = 1200, 12
+	spec := chaosSpec(t, 7)
+	ref := runLocal(t, spec, budget)
+	segs := segmentsOf(t, spec, budget)
+	if len(segs) <= done {
+		t.Fatalf("run has %d segments, want > %d", len(segs), done)
+	}
+	got, logs, err := dropAt(t, spec, budget, workerOps(segs, done)+1, &Coordinator{})
+	if err != nil {
+		t.Fatalf("dist run: %v (log: %s)", err, logs)
+	}
+	sameResult(t, "late-drop", got, ref)
+	if want := fmt.Sprintf("replaying %d segments", done); !strings.Contains(logs, want) {
+		t.Errorf("log lacks %q: %s", want, logs)
+	}
+}
+
+// TestCorruptLogReplayDiverges flips one byte of a logged export of an
+// island on the worker that later drops: the replay's byte-for-byte
+// check must fail the run instead of returning a result.
+func TestCorruptLogReplayDiverges(t *testing.T) {
+	spec := chaosSpec(t, 7)
+	segs := segmentsOf(t, spec, 480)
+	flipped := false
+	c := &Coordinator{logged: func(exports []json.RawMessage) {
+		if flipped {
+			return
+		}
+		if len(exports[0]) == 0 {
+			t.Fatal("island 0 exported nothing")
+		}
+		exports[0][len(exports[0])/2] ^= 1
+		flipped = true
+	}}
+	res, logs, err := dropAt(t, spec, 480, workerOps(segs, 3)+1, c)
+	if err == nil || !strings.Contains(err.Error(), "replay diverged") {
+		t.Fatalf("run returned %v, err %v; want a replay divergence (log: %s)", res != nil, err, logs)
 	}
 }
 

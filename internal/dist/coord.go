@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"time"
 
 	"digamma/internal/core"
@@ -22,9 +25,12 @@ import (
 // deterministic ring.
 //
 // Failure model: a connection error marks the worker dead and its
-// islands are re-homed onto survivors from their last round-boundary
-// snapshots, replaying the interrupted round bit-identically (the replay
-// is the same pure computation). Worker-reported errors are fatal — they
+// islands are re-homed onto survivors: adopted fresh and replayed through
+// the coordinator's log of completed segments, with the logged migrants
+// delivered again and every replayed export checked byte-for-byte against
+// the log (the replay is the same pure computation, so it is
+// bit-identical). Workers never ship island snapshots; the log costs only
+// the run's export bytes. Worker-reported errors are fatal — they
 // are deterministic (divergent cost model, protocol misuse) and would
 // replay identically anywhere. Losing every worker is fatal too: by then
 // the engine's RNG has advanced, so an in-process restart could not be
@@ -45,6 +51,10 @@ type Coordinator struct {
 	Faults *faults.Injector
 	// Log receives re-homing and decline diagnostics; nil silences them.
 	Log *log.Logger
+
+	// logged, when set, observes each boundary's exports as they join the
+	// replay log; tests use it to corrupt the log.
+	logged func(exports []json.RawMessage)
 }
 
 var _ core.Placement = (*Coordinator)(nil)
@@ -69,9 +79,9 @@ type run struct {
 	owner    []int // island → index into peers
 	rehomeAt int   // rotating cursor balancing re-homed islands
 
-	// lastSnap[i] is island i's state at the last completed round
-	// boundary (nil = not initialized yet → fresh adoption).
-	lastSnap []*core.IslandState
+	// log holds every completed segment in order: the script that
+	// rebuilds a lost island on a survivor.
+	log []logEntry
 
 	hist []float64
 	seq  int
@@ -86,6 +96,13 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.Log != nil {
 		c.Log.Printf(format, args...)
 	}
+}
+
+// logEntry is one completed segment and, at a migration boundary, every
+// island's encoded phase-A exports (nil where an island exported none).
+type logEntry struct {
+	seg     *core.Segment
+	exports []json.RawMessage
 }
 
 // Run implements core.Placement.
@@ -116,12 +133,11 @@ func (c *Coordinator) Run(ctx context.Context, e *core.Engine, budget int) (*cor
 	}
 	r := &run{
 		c: c, e: e, budget: budget,
-		plan:     plan,
-		scouts:   scouts,
-		route:    core.MigrationRoute(scouts),
-		peers:    peers,
-		owner:    make([]int, len(plan.Islands)),
-		lastSnap: make([]*core.IslandState, len(plan.Islands)),
+		plan:   plan,
+		scouts: scouts,
+		route:  core.MigrationRoute(scouts),
+		peers:  peers,
+		owner:  make([]int, len(plan.Islands)),
 	}
 	for _, ip := range plan.Islands {
 		r.prevTotal += ip.Pop
@@ -241,9 +257,9 @@ func closeAll(peers []*peer) {
 // execute drives the committed run: initial adoption, the segment loop,
 // finalization and result assembly.
 func (r *run) execute(ctx context.Context) (*core.Result, error) {
-	// Initial placement: island i on worker i mod W, adopted fresh
-	// (lastSnap is nil everywhere). Adoption failures are handled by the
-	// same re-homing path as later losses.
+	// Initial placement: island i on worker i mod W, adopted fresh.
+	// Adoption failures are handled by the same re-homing path as later
+	// losses.
 	for i := range r.owner {
 		r.owner[i] = i % len(r.peers)
 	}
@@ -299,38 +315,43 @@ func (r *run) liveCount() int {
 	return n
 }
 
-// rehome reassigns every listed island whose owner is dead to a live
-// peer, rotating across survivors, and adopts them there from their last
-// round-boundary snapshots. Returns the islands that actually moved.
+// rehome moves every listed island whose owner is dead onto a live peer,
+// rotating across survivors, adopts it there fresh and replays it through
+// the log, so it stands at the end of the last completed segment exactly
+// as it did before the loss. Losses during the replay re-home again.
+// Returns every listed island that was rebuilt; on return all listed
+// islands have live owners.
 func (r *run) rehome(ids []int) ([]int, error) {
 	var moved []int
-	for _, id := range ids {
-		if r.peers[r.owner[id]].alive {
-			continue
+	for {
+		var lost []int
+		for _, id := range ids {
+			if !r.peers[r.owner[id]].alive {
+				lost = append(lost, id)
+			}
 		}
-		w, err := r.pickLive()
-		if err != nil {
+		if len(lost) == 0 {
+			return moved, nil
+		}
+		for _, id := range lost {
+			w, err := r.pickLive()
+			if err != nil {
+				return nil, err
+			}
+			r.c.logf("dist: re-homing island %d: %s → %s, replaying %d segments",
+				id, r.peers[r.owner[id]].addr, r.peers[w].addr, len(r.log))
+			r.owner[id] = w
+			if !slices.Contains(moved, id) {
+				moved = append(moved, id)
+			}
+		}
+		if err := r.adopt(lost); err != nil {
 			return nil, err
 		}
-		r.c.logf("dist: re-homing island %d: %s → %s", id, r.peers[r.owner[id]].addr, r.peers[w].addr)
-		r.owner[id] = w
-		moved = append(moved, id)
-	}
-	if len(moved) == 0 {
-		return nil, nil
-	}
-	if err := r.adopt(moved); err != nil {
-		return nil, err
-	}
-	// adopt may itself lose workers; islands whose new owner died are
-	// picked up again by the caller's retry loop.
-	out := moved[:0]
-	for _, id := range moved {
-		if r.peers[r.owner[id]].alive {
-			out = append(out, id)
+		if err := r.replay(lost); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
 }
 
 func (r *run) pickLive() (int, error) {
@@ -345,9 +366,8 @@ func (r *run) pickLive() (int, error) {
 	return 0, fmt.Errorf("dist: all workers lost")
 }
 
-// adopt sends the islands' assignments to their owners — fresh when the
-// island has no snapshot yet, a re-homing restore otherwise. Send to all
-// owners first, then collect acks, so adoption (like every phase) runs
+// adopt assigns the islands to their owners, fresh. Send to all owners
+// first, then collect acks, so adoption (like every phase) runs
 // worker-concurrent.
 func (r *run) adopt(ids []int) error {
 	byOwner := r.groupByOwner(ids)
@@ -356,7 +376,7 @@ func (r *run) adopt(ids []int) error {
 		p := r.peers[w]
 		msg := adoptMsg{}
 		for _, id := range byOwner[w] {
-			msg.Islands = append(msg.Islands, assignment{ID: id, Seed: r.plan.Islands[id].Seed, State: r.lastSnap[id]})
+			msg.Islands = append(msg.Islands, assignment{ID: id, Seed: r.plan.Islands[id].Seed})
 		}
 		p.fc.setDeadline(r.c.ioTimeout())
 		if err := p.fc.writeMsg(mtAdopt, msg); err != nil {
@@ -379,6 +399,63 @@ func (r *run) adopt(ids []int) error {
 		return fmt.Errorf("dist: all workers lost")
 	}
 	return nil
+}
+
+// replay drives freshly adopted islands through every logged segment
+// with the same waves a live run uses, delivering the logged migrants
+// and checking each replayed export byte-for-byte against the log.
+// Islands whose new owner dies mid-replay drop out; rehome moves them
+// again.
+func (r *run) replay(ids []int) error {
+	k := len(r.owner)
+	for _, ent := range r.log {
+		reports := make([]*islandReport, k)
+		if err := r.advanceWave(ids, ent.seg, reports); err != nil {
+			return err
+		}
+		ids = reported(ids, reports)
+		if ent.seg.Boundary {
+			if err := checkReplay(ids, reports, ent.exports); err != nil {
+				return err
+			}
+			reports = make([]*islandReport, k)
+			if err := r.deliverWave(ids, ent.exports, reports); err != nil {
+				return err
+			}
+			ids = reported(ids, reports)
+		}
+		for _, id := range ids {
+			if err := checkSamples(reports[id], ent.seg); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkReplay compares replayed phase-A exports with the logged ones
+// byte for byte. Replay is the same pure computation as the original
+// round, so any difference means nondeterminism: the run fails instead
+// of continuing from a population that never existed.
+func checkReplay(ids []int, reports []*islandReport, logged []json.RawMessage) error {
+	for _, id := range ids {
+		if got := reports[id].Exports; !bytes.Equal(got, logged[id]) {
+			return fmt.Errorf("dist: island %d replay diverged: %d export bytes differ from the %d logged",
+				id, len(got), len(logged[id]))
+		}
+	}
+	return nil
+}
+
+// reported filters ids down to the islands that have a report.
+func reported(ids []int, reports []*islandReport) []int {
+	var out []int
+	for _, id := range ids {
+		if reports[id] != nil {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func (r *run) groupByOwner(ids []int) map[int][]int {
@@ -406,57 +483,97 @@ func sortedKeys(m map[int][]int) []int {
 // every owner, then all acks. Islands on workers that fail stay
 // report-less for the caller's retry loop; worker-reported errors are
 // fatal.
-func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*core.ShardReport) error {
+func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*islandReport) error {
 	r.seq++
-	byOwner := r.groupByOwner(ids)
+	return r.wave(ids, mtRound, mtRoundAck, "round", reports, func(own []int) any {
+		return roundMsg{Seq: r.seq, IDs: own, Bodies: seg.Bodies, Boundary: seg.Boundary}
+	})
+}
+
+// deliverWave runs one phase-B wave: every listed island receives its
+// migrant batches — the source islands' logged export bytes, forwarded
+// verbatim (empty for islands the ring routes nothing to: the boundary's
+// second sort must still run) — and completes its boundary body.
+func (r *run) deliverWave(ids []int, exports []json.RawMessage, final []*islandReport) error {
+	r.seq++
+	err := r.wave(ids, mtMigrants, mtMigrantsAck, "migrants", final, func(own []int) any {
+		msg := migrantsMsg[rawBatch]{Seq: r.seq}
+		for _, id := range own {
+			d := delivery[rawBatch]{ID: id}
+			for src, dst := range r.route {
+				if dst == id {
+					d.Batches = append(d.Batches, rawBatch{From: src, Elites: exports[src]})
+				}
+			}
+			msg.Deliveries = append(msg.Deliveries, d)
+		}
+		return msg
+	})
+	if err != nil {
+		return err
+	}
+	if r.liveCount() == 0 {
+		return fmt.Errorf("dist: all workers lost")
+	}
+	return nil
+}
+
+// wave sends every live owner of the listed islands the request msg
+// builds for its share, then reads all acks into reports by island.
+// Owners already dead (a replay can list islands whose adoption failed)
+// are skipped. Transport failures mark the owner dead and leave its
+// islands report-less; worker-reported errors are fatal.
+func (r *run) wave(ids []int, typ, ackTyp byte, what string, reports []*islandReport, msg func(own []int) any) error {
 	type pending struct {
 		p   *peer
 		ids []int
 	}
+	byOwner := r.groupByOwner(ids)
 	var sent []pending
 	for _, w := range sortedKeys(byOwner) {
 		p := r.peers[w]
+		if !p.alive {
+			continue
+		}
 		p.fc.setDeadline(r.c.ioTimeout())
-		msg := roundMsg{Seq: r.seq, IDs: byOwner[w], Bodies: seg.Bodies, Boundary: seg.Boundary}
-		if err := p.fc.writeMsg(mtRound, msg); err != nil {
+		if err := p.fc.writeMsg(typ, msg(byOwner[w])); err != nil {
 			r.markDead(p, err)
 			continue
 		}
 		sent = append(sent, pending{p, byOwner[w]})
 	}
 	for _, s := range sent {
-		var ack roundAck
-		if err := s.p.fc.expect(mtRoundAck, &ack); err != nil {
+		var ack roundAck[islandReport]
+		if err := s.p.fc.expect(ackTyp, &ack); err != nil {
 			r.markDead(s.p, err)
 			continue
 		}
 		if ack.Err != "" {
-			return fmt.Errorf("dist: worker %s: round %d: %s", s.p.addr, r.seq, ack.Err)
+			return fmt.Errorf("dist: worker %s: %s %d: %s", s.p.addr, what, r.seq, ack.Err)
 		}
 		if len(ack.Reports) != len(s.ids) {
-			return fmt.Errorf("dist: worker %s: round %d: %d reports for %d islands", s.p.addr, r.seq, len(ack.Reports), len(s.ids))
+			return fmt.Errorf("dist: worker %s: %s %d: %d reports for %d islands", s.p.addr, what, r.seq, len(ack.Reports), len(s.ids))
 		}
 		for i := range ack.Reports {
-			rep := ack.Reports[i]
-			reports[rep.Island] = &rep
+			rep := &ack.Reports[i]
+			if rep.Island < 0 || rep.Island >= len(reports) {
+				return fmt.Errorf("dist: worker %s: %s %d: report for island %d", s.p.addr, what, r.seq, rep.Island)
+			}
+			reports[rep.Island] = rep
 		}
 	}
 	return nil
 }
 
 // runSegment executes one coordinator round: phase A (advance all
-// islands through the segment's bodies, re-homing and replaying losses),
-// progress + migration observation, and — at a boundary — phase B
-// (deliver migrants, complete the boundary body). Snapshots from the
-// completing phase become the next re-homing baseline.
+// islands through the segment's bodies, re-homing losses), progress and
+// migration observation, and — at a boundary — phase B (deliver
+// migrants, complete the boundary body). The completed segment then
+// joins the replay log.
 func (r *run) runSegment(seg *core.Segment) error {
 	k := len(r.owner)
-	reports := make([]*core.ShardReport, k)
-	for {
-		missing := missingOf(reports)
-		if len(missing) == 0 {
-			break
-		}
+	reports := make([]*islandReport, k)
+	for missing := missingOf(reports); len(missing) > 0; missing = missingOf(reports) {
 		if _, err := r.rehome(missing); err != nil {
 			return err
 		}
@@ -467,121 +584,73 @@ func (r *run) runSegment(seg *core.Segment) error {
 
 	r.emitSegment(seg, reports)
 
-	if !seg.Boundary {
+	ent := logEntry{seg: seg}
+	if seg.Boundary {
+		ent.exports = make([]json.RawMessage, k)
 		for id, rep := range reports {
-			if err := r.checkSamples(rep, seg.IslandSamples[id]); err != nil {
+			ent.exports[id] = rep.Exports
+		}
+		// Observation first: the engine emits before any replacement lands.
+		if err := r.observeMigration(seg, ent.exports); err != nil {
+			return err
+		}
+		final := make([]*islandReport, k)
+		for missing := missingOf(final); len(missing) > 0; missing = missingOf(final) {
+			// Losses between the two phases: a re-homed island stands at
+			// the segment's start, so its phase A is replayed — checked
+			// against the exports just collected — before its migrants
+			// can be delivered.
+			moved, err := r.rehome(missing)
+			if err != nil {
 				return err
 			}
-			r.lastSnap[id] = rep.State
+			if len(moved) > 0 {
+				replayed := make([]*islandReport, k)
+				if err := r.advanceWave(moved, seg, replayed); err != nil {
+					return err
+				}
+				if err := checkReplay(reported(moved, replayed), replayed, ent.exports); err != nil {
+					return err
+				}
+			}
+			if err := r.deliverWave(missing, ent.exports, final); err != nil {
+				return err
+			}
 		}
+		reports = final
+	}
+	for _, rep := range reports {
+		if err := checkSamples(rep, seg); err != nil {
+			return err
+		}
+	}
+	r.log = append(r.log, ent)
+	if seg.Boundary && r.c.logged != nil {
+		r.c.logged(ent.exports)
+	}
+	return nil
+}
+
+// observeMigration decodes a boundary's exports for Engine.OnMigration;
+// without an observer the coordinator never decodes them.
+func (r *run) observeMigration(seg *core.Segment, raw []json.RawMessage) error {
+	if r.e.OnMigration == nil {
 		return nil
 	}
-
-	// Migration boundary. Observation first (the engine emits before any
-	// replacement lands), then route the exports into deliveries.
-	if r.e.OnMigration != nil {
-		exports := make([][]core.IndividualState, k)
-		for id, rep := range reports {
-			exports[id] = rep.Exports
+	exports := make([][]core.IndividualState, len(raw))
+	for id, b := range raw {
+		if len(b) == 0 {
+			continue
 		}
-		r.e.OnMigration(seg.StartGen+seg.Bodies-1, exports)
-	}
-	final := make([]*core.ShardReport, k)
-	for {
-		missing := missingOf(final)
-		if len(missing) == 0 {
-			break
-		}
-		// Losses between the two phases: the re-homed island restarts at
-		// the segment's opening snapshot, so phase A is replayed for it —
-		// bit-identically, verified against the recorded exports — before
-		// its migrants can be delivered.
-		moved, err := r.rehome(missing)
-		if err != nil {
-			return err
-		}
-		if len(moved) > 0 {
-			replayed := make([]*core.ShardReport, k)
-			if err := r.advanceWave(moved, seg, replayed); err != nil {
-				return err
-			}
-			for _, id := range moved {
-				if replayed[id] == nil {
-					continue // owner died again; next iteration retries
-				}
-				if err := sameExports(reports[id].Exports, replayed[id].Exports); err != nil {
-					return fmt.Errorf("dist: island %d replay diverged: %w", id, err)
-				}
-			}
-		}
-		if err := r.deliverWave(missing, reports, final); err != nil {
-			return err
+		if err := json.Unmarshal(b, &exports[id]); err != nil {
+			return fmt.Errorf("dist: island %d exports: %w", id, err)
 		}
 	}
-	for id, rep := range final {
-		if err := r.checkSamples(rep, seg.IslandSamples[id]); err != nil {
-			return err
-		}
-		r.lastSnap[id] = rep.State
-	}
+	r.e.OnMigration(seg.StartGen+seg.Bodies-1, exports)
 	return nil
 }
 
-// deliverWave runs one phase-B wave: every listed island receives its
-// migrant batches (empty for islands the ring routes nothing to — the
-// boundary's second sort must still run) and completes its boundary
-// body.
-func (r *run) deliverWave(ids []int, reports, final []*core.ShardReport) error {
-	r.seq++
-	byOwner := r.groupByOwner(ids)
-	type pending struct {
-		p   *peer
-		ids []int
-	}
-	var sent []pending
-	for _, w := range sortedKeys(byOwner) {
-		p := r.peers[w]
-		msg := migrantsMsg{Seq: r.seq}
-		for _, id := range byOwner[w] {
-			d := delivery{ID: id}
-			for src, dst := range r.route {
-				if dst == id {
-					d.Batches = append(d.Batches, core.MigrantBatch{From: src, Elites: reports[src].Exports})
-				}
-			}
-			msg.Deliveries = append(msg.Deliveries, d)
-		}
-		p.fc.setDeadline(r.c.ioTimeout())
-		if err := p.fc.writeMsg(mtMigrants, msg); err != nil {
-			r.markDead(p, err)
-			continue
-		}
-		sent = append(sent, pending{p, byOwner[w]})
-	}
-	for _, s := range sent {
-		var ack roundAck
-		if err := s.p.fc.expect(mtMigrantsAck, &ack); err != nil {
-			r.markDead(s.p, err)
-			continue
-		}
-		if ack.Err != "" {
-			return fmt.Errorf("dist: worker %s: migrants %d: %s", s.p.addr, r.seq, ack.Err)
-		}
-		if len(ack.Reports) != len(s.ids) {
-			return fmt.Errorf("dist: worker %s: migrants %d: %d reports for %d islands", s.p.addr, r.seq, len(ack.Reports), len(s.ids))
-		}
-		for i := range ack.Reports {
-			rep := ack.Reports[i]
-			final[rep.Island] = &rep
-		}
-	}
-	if r.liveCount() == 0 {
-		return fmt.Errorf("dist: all workers lost")
-	}
-	return nil
-}
-
-func missingOf(reports []*core.ShardReport) []int {
+func missingOf(reports []*islandReport) []int {
 	var out []int
 	for id, rep := range reports {
 		if rep == nil {
@@ -591,25 +660,13 @@ func missingOf(reports []*core.ShardReport) []int {
 	return out
 }
 
-func (r *run) checkSamples(rep *core.ShardReport, want int) error {
-	if rep.Samples != want {
+// checkSamples cross-checks a completed island against the schedule.
+func checkSamples(rep *islandReport, seg *core.Segment) error {
+	if want := seg.IslandSamples[rep.Island]; rep.Samples != want {
 		return fmt.Errorf("dist: island %d spent %d samples, schedule says %d", rep.Island, rep.Samples, want)
 	}
-	if rep.State == nil {
-		return fmt.Errorf("dist: island %d report carries no snapshot", rep.Island)
-	}
-	return nil
-}
-
-func sameExports(orig, replay []core.IndividualState) error {
-	if len(orig) != len(replay) {
-		return fmt.Errorf("%d elites, replay produced %d", len(orig), len(replay))
-	}
-	for i := range orig {
-		if orig[i].Fitness != replay[i].Fitness || orig[i].Pruned != replay[i].Pruned {
-			return fmt.Errorf("elite %d: fitness %g/pruned %v, replay %g/%v",
-				i, orig[i].Fitness, orig[i].Pruned, replay[i].Fitness, replay[i].Pruned)
-		}
+	if want := seg.StartGen + seg.Bodies - 1; rep.Gen != want {
+		return fmt.Errorf("dist: island %d completed %d generations, schedule says %d", rep.Island, rep.Gen, want)
 	}
 	return nil
 }
@@ -620,7 +677,7 @@ func sameExports(orig, replay []core.IndividualState) error {
 // BestFitness, ScoutEvals); the telemetry fields the coordinator cannot
 // see mid-run (cache/pool/delta counters, the full/pruned split under
 // Config.Prune) read as zero until the exact final snapshot.
-func (r *run) emitSegment(seg *core.Segment, reports []*core.ShardReport) {
+func (r *run) emitSegment(seg *core.Segment, reports []*islandReport) {
 	for b := 0; b < seg.Bodies; b++ {
 		best := 0.0
 		found := false
@@ -767,8 +824,11 @@ func (r *run) finalizeWave(ids []int, finals []*core.ShardFinal) error {
 			return fmt.Errorf("dist: worker %s: finalize: %d reports for %d islands", s.p.addr, len(ack.Finals), len(s.ids))
 		}
 		for i := range ack.Finals {
-			fin := ack.Finals[i]
-			finals[fin.Island] = &fin
+			fin := &ack.Finals[i]
+			if fin.Island < 0 || fin.Island >= len(finals) {
+				return fmt.Errorf("dist: worker %s: finalize: report for island %d", s.p.addr, fin.Island)
+			}
+			finals[fin.Island] = fin
 		}
 	}
 	if r.liveCount() == 0 {

@@ -74,25 +74,31 @@ func runLocal(t testing.TB, spec Spec, budget int) *core.Result {
 // every comparison pass vacuously).
 func runDist(t testing.TB, spec Spec, budget int, workers []string, inj *faults.Injector) *core.Result {
 	t.Helper()
+	res, logs, err := runCoord(t, spec, budget, &Coordinator{Workers: workers, Faults: inj})
+	if err != nil {
+		t.Fatalf("dist run: %v (log: %s)", err, logs)
+	}
+	return res
+}
+
+// runCoord runs the spec through c (Spec and Log filled in here) and
+// returns the result, the coordinator's log and the run error. A decline
+// fails the test.
+func runCoord(t testing.TB, spec Spec, budget int, c *Coordinator) (*core.Result, string, error) {
+	t.Helper()
 	var logBuf bytes.Buffer
 	eng, err := spec.Engine(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Placement = &Coordinator{
-		Spec:    spec,
-		Workers: workers,
-		Faults:  inj,
-		Log:     log.New(&logBuf, "", 0),
-	}
+	c.Spec = spec
+	c.Log = log.New(&logBuf, "", 0)
+	eng.Placement = c
 	res, err := eng.RunContext(context.Background(), budget)
-	if err != nil {
-		t.Fatalf("dist run: %v (log: %s)", err, logBuf.String())
-	}
 	if strings.Contains(logBuf.String(), "declining") {
 		t.Fatalf("coordinator declined instead of committing: %s", logBuf.String())
 	}
-	return res
+	return res, logBuf.String(), err
 }
 
 // sameResult asserts the fields of the determinism contract: everything

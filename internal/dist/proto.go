@@ -13,12 +13,13 @@
 // A short read or CRC mismatch is a torn frame: the connection is
 // poisoned and the peer is treated as lost. Determinism does not depend
 // on any of this machinery — the protocol only moves checkpoint-encoded
-// state between processes, and every payload's content is a pure
-// function of (Seed, Islands, MigrateEvery, Profiles); see
-// docs/dist-protocol.md for the full argument.
+// elites between processes, never island snapshots, and every payload's
+// content is a pure function of (Seed, Islands, MigrateEvery, Profiles);
+// see docs/dist-protocol.md for the full argument.
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -32,13 +33,19 @@ import (
 )
 
 // ProtoVersion is the wire protocol version; hellos carrying any other
-// version are refused at handshake time.
-const ProtoVersion = 1
+// version are refused at handshake time. Version 2 acks carry no island
+// snapshots: lost islands are rebuilt by replaying the coordinator's log.
+const ProtoVersion = 2
 
-// maxFrame bounds a frame payload: large enough for any population
-// snapshot the engine produces, small enough to refuse a corrupt length
-// prefix before allocating.
+// maxFrame bounds a frame payload: far above any round of elite exports
+// the engine produces, small enough to refuse a corrupt length prefix
+// outright. Bodies below it are still read incrementally, so a lying
+// prefix costs memory only for the bytes that actually arrive.
 const maxFrame = 64 << 20
+
+// frameChunk is the initial body buffer of a frame read; larger bodies
+// grow it as their bytes arrive.
+const frameChunk = 64 << 10
 
 // Message types. Every request from the coordinator is answered by
 // exactly one ack from the worker.
@@ -48,9 +55,9 @@ const (
 	mtAdopt                       // coordinator → worker: own islands (fresh or re-homed)
 	mtAdoptAck                    //
 	mtRound                       // coordinator → worker: advance islands N bodies
-	mtRoundAck                    // worker → coordinator: hist + exports/snapshots
+	mtRoundAck                    // worker → coordinator: hist, counters, exports
 	mtMigrants                    // coordinator → worker: boundary elite deliveries
-	mtMigrantsAck                 // worker → coordinator: post-boundary snapshots
+	mtMigrantsAck                 // worker → coordinator: post-boundary counters
 	mtFinalize                    // coordinator → worker: sort + report bests
 	mtFinalizeAck                 //
 )
@@ -86,13 +93,12 @@ type helloAck struct {
 	Err       string `json:"err,omitempty"`
 }
 
-// assignment hands one island to a worker: the expected stream seed (the
-// worker cross-checks it against its own derivation) and, for re-homing
-// after a worker loss, the island's last round-boundary snapshot.
+// assignment hands one island to a worker, always fresh: the expected
+// stream seed, which the worker cross-checks against its own derivation.
+// A re-homed island is adopted the same way and then replayed.
 type assignment struct {
-	ID    int               `json:"id"`
-	Seed  int64             `json:"seed"`
-	State *core.IslandState `json:"state,omitempty"`
+	ID   int   `json:"id"`
+	Seed int64 `json:"seed"`
 }
 
 type adoptMsg struct {
@@ -105,7 +111,7 @@ type adoptAck struct {
 
 // roundMsg advances the listed islands through Bodies generation bodies;
 // when Boundary is set the last body stops at the migration exchange and
-// the ack carries elite exports instead of snapshots.
+// the ack carries the islands' elite exports.
 type roundMsg struct {
 	Seq      int   `json:"seq"`
 	IDs      []int `json:"ids"`
@@ -113,22 +119,46 @@ type roundMsg struct {
 	Boundary bool  `json:"boundary,omitempty"`
 }
 
-type roundAck struct {
-	Seq     int                `json:"seq"`
-	Reports []core.ShardReport `json:"reports,omitempty"`
-	Err     string             `json:"err,omitempty"`
+// roundAck answers a round or migrants request. Workers send it with R =
+// core.ShardReport; the coordinator decodes the same JSON with R =
+// islandReport, which keeps each island's elite exports as raw bytes.
+type roundAck[R any] struct {
+	Seq     int    `json:"seq"`
+	Reports []R    `json:"reports,omitempty"`
+	Err     string `json:"err,omitempty"`
+}
+
+// islandReport is core.ShardReport as the coordinator decodes it: the
+// exports stay encoded, are logged, and are forwarded verbatim as
+// migrant batches; they are decoded only for an Engine.OnMigration
+// observer.
+type islandReport struct {
+	Island  int             `json:"island"`
+	Gen     int             `json:"gen"`
+	Samples int             `json:"samples"`
+	Hist    []float64       `json:"hist,omitempty"`
+	Exports json.RawMessage `json:"exports,omitempty"`
+}
+
+// rawBatch is core.MigrantBatch as the coordinator sends it: one source
+// island's export bytes, exactly as its owner encoded them.
+type rawBatch struct {
+	From   int             `json:"from"`
+	Elites json.RawMessage `json:"elites"`
 }
 
 // delivery routes migrant batches to one destination island; an empty
 // batch list still completes the island's boundary (the second sort).
-type delivery struct {
-	ID      int                 `json:"id"`
-	Batches []core.MigrantBatch `json:"batches,omitempty"`
+// The coordinator sends B = rawBatch, the worker decodes B =
+// core.MigrantBatch.
+type delivery[B any] struct {
+	ID      int `json:"id"`
+	Batches []B `json:"batches,omitempty"`
 }
 
-type migrantsMsg struct {
-	Seq        int        `json:"seq"`
-	Deliveries []delivery `json:"deliveries"`
+type migrantsMsg[B any] struct {
+	Seq        int           `json:"seq"`
+	Deliveries []delivery[B] `json:"deliveries"`
 }
 
 type finalizeMsg struct {
@@ -180,7 +210,9 @@ func (fc *frameConn) writeMsg(typ byte, v any) error {
 }
 
 // readMsg reads and validates one frame, returning its type and JSON
-// body. Length or CRC violations return ErrTorn-wrapped errors.
+// body. Length or CRC violations return ErrTorn-wrapped errors. The body
+// is read incrementally, so allocation tracks the bytes received rather
+// than the length prefix's claim.
 func (fc *frameConn) readMsg() (byte, []byte, error) {
 	fc.inj.Hit(FaultSlow)
 	if err := fc.inj.Hit(FaultConn); err != nil {
@@ -195,10 +227,12 @@ func (fc *frameConn) readMsg() (byte, []byte, error) {
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: payload length %d", ErrTorn, n)
 	}
-	buf := make([]byte, n+4)
-	if _, err := io.ReadFull(fc.rw, buf); err != nil {
+	var bb bytes.Buffer
+	bb.Grow(min(int(n)+4, frameChunk))
+	if _, err := io.CopyN(&bb, fc.rw, int64(n)+4); err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", ErrTorn, err)
 	}
+	buf := bb.Bytes()
 	payload, sum := buf[:n], binary.BigEndian.Uint32(buf[n:])
 	if crc32.ChecksumIEEE(payload) != sum {
 		return 0, nil, fmt.Errorf("%w: CRC mismatch", ErrTorn)

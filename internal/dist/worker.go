@@ -135,7 +135,7 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 		}
 		var ack adoptAck
 		for _, a := range msg.Islands {
-			if err := runner.Own(a.ID, a.Seed, a.State); err != nil {
+			if err := runner.Own(a.ID, a.Seed); err != nil {
 				ack.Err = err.Error()
 				break
 			}
@@ -147,7 +147,7 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 		if err := decode(typ, body, &msg); err != nil {
 			return err
 		}
-		ack := roundAck{Seq: msg.Seq}
+		ack := roundAck[core.ShardReport]{Seq: msg.Seq}
 		// Ascending island order: the per-island step sequence is
 		// independent, but deterministic ordering keeps shared-cache
 		// effects and failure replay reproducible.
@@ -165,12 +165,12 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 		return fc.writeMsg(mtRoundAck, ack)
 
 	case mtMigrants:
-		var msg migrantsMsg
+		var msg migrantsMsg[core.MigrantBatch]
 		if err := decode(typ, body, &msg); err != nil {
 			return err
 		}
-		ack := roundAck{Seq: msg.Seq}
-		dels := append([]delivery(nil), msg.Deliveries...)
+		ack := roundAck[core.ShardReport]{Seq: msg.Seq}
+		dels := msg.Deliveries
 		sort.Slice(dels, func(i, j int) bool { return dels[i].ID < dels[j].ID })
 		for _, d := range dels {
 			rep, err := runner.CompleteBoundary(d.ID, d.Batches)
