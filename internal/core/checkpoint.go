@@ -31,7 +31,6 @@ import (
 	"digamma/internal/coopt"
 	"digamma/internal/mapping"
 	"digamma/internal/obs"
-	"digamma/internal/space"
 )
 
 // CheckpointVersion is the format version stamped into every checkpoint;
@@ -235,34 +234,50 @@ func (is *island) snapshotState() IslandState {
 	}
 }
 
-// restoreState rebuilds one island from a boundary snapshot: RNG stream
-// fast-forwarded to its recorded position, population re-evaluated into
-// the pool (pure evaluation ⇒ identical fitness, verified), counters and
-// pool biases restored — the per-island slice of Engine.restore.
+// maxDrawsPerSample is the documented ceiling on an island's RNG draws per
+// sample it has spent, per (layer, hierarchy level) block of the genomes
+// it breeds, plus one block of slack per sample. Every draw site is
+// bounded per block: a random genome or a re-tiling mutation draws at most
+// a few values per dimension of each level, crossover two or three per
+// layer, and the HW and structural operators a handful per child. The zoo
+// averages 4–14 draws per sample and layer at the default depth, far
+// below it. restoreState refuses a checkpointed stream position beyond
+// the ceiling instead of fast-forwarding toward it: a corrupt count could
+// otherwise spin for hours.
+const maxDrawsPerSample = 64
+
+// restoreState rebuilds one island from a boundary snapshot: shape and
+// counters validated against the island, RNG stream fast-forwarded to its
+// recorded position, population re-evaluated into the pool (pure
+// evaluation ⇒ identical fitness, verified), counters and pool biases
+// restored — the per-island slice of Engine.restore. A malformed snapshot
+// is an error, never a panic.
 func (is *island) restoreState(st *IslandState) error {
-	if len(st.Pop) == 0 {
-		return fmt.Errorf("core: checkpoint island %d has an empty population", is.id)
+	if len(st.Pop) < is.elites || len(st.Pop) > is.pop {
+		return fmt.Errorf("core: checkpoint island %d holds %d individuals, outside [%d,%d]", is.id, len(st.Pop), is.elites, is.pop)
+	}
+	if st.Samples < len(st.Pop) || st.Samples > is.budget {
+		return fmt.Errorf("core: checkpoint island %d spent %d samples, outside [%d,%d]", is.id, st.Samples, len(st.Pop), is.budget)
+	}
+	levels := max(is.cfg.MaxLevels, is.prob.Space.Levels)
+	for _, ind := range st.Pop {
+		levels = max(levels, len(ind.Fanouts))
+	}
+	blocks := uint64(len(is.prob.Space.Layers)*levels + 1)
+	if ceiling := uint64(st.Samples+1) * blocks * maxDrawsPerSample; st.Draws > ceiling {
+		return fmt.Errorf("core: checkpoint island %d RNG position %d exceeds the ceiling %d for %d samples", is.id, st.Draws, ceiling, st.Samples)
+	}
+	is.cur = is.cur[:0]
+	for pi := range st.Pop {
+		ind, err := is.rebuild(&st.Pop[pi])
+		if err != nil {
+			return fmt.Errorf("core: checkpoint island %d individual %d: %w", is.id, pi, err)
+		}
+		is.cur = append(is.cur, ind)
 	}
 	// The island-seed draws were already replayed identically by
 	// buildIslands; what remains is the island's own stream position.
 	is.src.fastForward(st.Draws)
-	is.cur = is.cur[:0]
-	for pi, ind := range st.Pop {
-		g := space.Genome{Fanouts: ind.Fanouts, Maps: ind.Maps}
-		ev := is.pool.Get()
-		if ind.Pruned {
-			coopt.PrunedInto(ev, g, ind.Fitness)
-		} else {
-			if err := is.prob.EvaluateCanonicalInto(ev, g); err != nil {
-				return fmt.Errorf("core: checkpoint island %d individual %d: %w", is.id, pi, err)
-			}
-			if ev.Fitness != ind.Fitness {
-				return fmt.Errorf("core: checkpoint island %d individual %d re-evaluates to %g, checkpoint recorded %g (different cost model?)",
-					is.id, pi, ev.Fitness, ind.Fitness)
-			}
-		}
-		is.cur = append(is.cur, individual{g, ev})
-	}
 	is.best = st.Best
 	is.stall = st.Stall
 	is.samples = st.Samples
@@ -319,6 +334,23 @@ func (e *Engine) restore(ck *Checkpoint, islands []*island, res *Result, budget 
 	}
 	if ck.Generations < 1 {
 		return errors.New("core: checkpoint precedes the first generation")
+	}
+	// The run's counters are sums the engine maintains exactly; a
+	// checkpoint whose books do not balance is corrupt (and a sample count
+	// below the islands' spend would keep the loop running on idle islands).
+	if len(ck.History) != ck.Generations {
+		return fmt.Errorf("core: checkpoint has %d history entries for %d generations", len(ck.History), ck.Generations)
+	}
+	if ck.FullEvals+ck.PrunedEvals+ck.ScoutEvals != ck.Samples {
+		return fmt.Errorf("core: checkpoint evaluation split %d+%d+%d does not sum to %d samples",
+			ck.FullEvals, ck.PrunedEvals, ck.ScoutEvals, ck.Samples)
+	}
+	spent := 0
+	for i := range ck.Islands {
+		spent += ck.Islands[i].Samples
+	}
+	if spent != ck.Samples {
+		return fmt.Errorf("core: checkpoint islands spent %d samples, the run %d", spent, ck.Samples)
 	}
 	for i, is := range islands {
 		if err := is.restoreState(&ck.Islands[i]); err != nil {

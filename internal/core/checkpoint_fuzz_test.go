@@ -1,0 +1,124 @@
+package core
+
+import (
+	"testing"
+
+	"digamma/internal/mapping"
+)
+
+// The resume fuzz target's run: a two-island ncf search over a small
+// population, checkpointed every two generations. Small enough that a
+// checkpoint is a few kilobytes and a resumed run takes a millisecond,
+// deep enough to carry a migration and full broods.
+const (
+	fuzzSeed   = 3
+	fuzzBudget = 96
+)
+
+func fuzzEngine(t *testing.T) *Engine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.PopSize = 12
+	cfg.Workers = 2
+	cfg.Islands = 2
+	cfg.MigrateEvery = 2
+	cfg.CheckpointEvery = 2
+	e, err := NewSeeded(zooProblem(t, "ncf"), cfg, fuzzSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// fuzzCheckpoint returns the JSON of the fuzz run's first checkpoint.
+func fuzzCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	e := fuzzEngine(t)
+	var blob []byte
+	e.OnCheckpoint = func(ck *Checkpoint) {
+		if blob == nil {
+			var err error
+			if blob, err = ck.Marshal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := e.Run(fuzzBudget); err != nil {
+		t.Fatal(err)
+	}
+	if blob == nil {
+		t.Fatal("fuzz run emitted no checkpoint")
+	}
+	return blob
+}
+
+// checkpointCorruptions are hand-made malformations of a valid checkpoint,
+// each of which resume must refuse with an error. They double as the
+// committed seed corpus of FuzzCheckpointResume.
+var checkpointCorruptions = map[string]func(ck *Checkpoint){
+	"short-maps":       func(ck *Checkpoint) { ck.Islands[0].Pop[0].Maps = []mapping.Mapping{} },
+	"no-fanouts":       func(ck *Checkpoint) { ck.Islands[0].Pop[0].Fanouts = nil },
+	"zero-fanout":      func(ck *Checkpoint) { ck.Islands[0].Pop[1].Fanouts[0] = 0 },
+	"ragged-layer":     func(ck *Checkpoint) { m := &ck.Islands[1].Pop[0].Maps[0]; m.Levels = m.Levels[:len(m.Levels)-1] },
+	"zero-tile":        func(ck *Checkpoint) { ck.Islands[0].Pop[0].Maps[0].Levels[0].Tiles[0] = 0 },
+	"bad-spatial":      func(ck *Checkpoint) { ck.Islands[0].Pop[0].Maps[0].Levels[0].Spatial = 99 },
+	"pruned-malformed": func(ck *Checkpoint) { ck.Islands[0].Pop[0].Pruned = true; ck.Islands[0].Pop[0].Maps = nil },
+	"wrong-fitness":    func(ck *Checkpoint) { ck.Islands[0].Pop[0].Fitness++ },
+	"empty-pop":        func(ck *Checkpoint) { ck.Islands[0].Pop = nil },
+	"runaway-draws":    func(ck *Checkpoint) { ck.Islands[0].Draws = 1 << 62 },
+	"negative-samples": func(ck *Checkpoint) { ck.Samples = -1 << 40 },
+	"island-overspent": func(ck *Checkpoint) { ck.Islands[1].Samples += 1 << 20; ck.Samples += 1 << 20; ck.FullEvals += 1 << 20 },
+	"split-mismatch":   func(ck *Checkpoint) { ck.FullEvals++ },
+	"short-history":    func(ck *Checkpoint) { ck.History = ck.History[:0] },
+	"missing-island":   func(ck *Checkpoint) { ck.Islands = ck.Islands[:1] },
+}
+
+// TestResumeMalformedCheckpoint: every corruption of a valid checkpoint is
+// refused with an error — before the fix, a genome shorter than the
+// model's layer list panicked inside restore with an index out of range.
+func TestResumeMalformedCheckpoint(t *testing.T) {
+	blob := fuzzCheckpoint(t)
+	for name, corrupt := range checkpointCorruptions {
+		t.Run(name, func(t *testing.T) {
+			ck, err := UnmarshalCheckpoint(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupt(ck)
+			e := fuzzEngine(t)
+			e.Resume = ck
+			if _, err := e.Run(fuzzBudget); err == nil {
+				t.Error("corrupt checkpoint resumed, want an error")
+			}
+		})
+	}
+	// The uncorrupted checkpoint still resumes.
+	ck, err := UnmarshalCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fuzzEngine(t)
+	e.Resume = ck
+	if _, err := e.Run(fuzzBudget); err != nil {
+		t.Fatalf("valid checkpoint: %v", err)
+	}
+}
+
+// FuzzCheckpointResume: decoding and resuming arbitrary checkpoint bytes
+// returns an error or a result — never a panic, a runaway RNG
+// fast-forward or a loop that cannot finish. The committed corpus holds
+// the valid fuzz-run checkpoint and each hand-made corruption above.
+func FuzzCheckpointResume(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := UnmarshalCheckpoint(data)
+		if err != nil {
+			return
+		}
+		e := fuzzEngine(t)
+		e.Resume = ck
+		res, err := e.Run(fuzzBudget)
+		if err == nil && res.Samples > fuzzBudget {
+			t.Fatalf("resumed run spent %d samples of a %d budget", res.Samples, fuzzBudget)
+		}
+	})
+}

@@ -496,11 +496,16 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 		migrateEvery = DefaultMigrateEvery
 	}
 
-	// The brood-size and output rows are hoisted out of the generation
-	// loop (and each island's breeding/evaluation buffers live on the
-	// island), so a steady-state generation allocates nothing beyond what
-	// the evaluations themselves need.
-	counts := make([]int, len(islands))
+	// Each island with more than one worker gets a run-scoped crew of
+	// share−1 evaluation helpers that score its children while it breeds
+	// (see breedEvaluate); the helpers stay up across generations and stop
+	// on every return path below.
+	crews := make([]*crew, len(islands))
+	for i := range islands {
+		crews[i] = newCrew(e.workerShare(len(islands), i) - 1)
+	}
+	defer stopCrews(crews)
+
 	for res.Samples < budget && !e.reachedTarget(islands) {
 		// Top of the body is the generation boundary: populations
 		// installed, no RNG drawn for the next generation. A cancellation
@@ -537,37 +542,35 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 		}
 
 		// Each island breeds serially on its own RNG stream (which fixes
-		// the children) and evaluates the batch — island-concurrent, and
+		// the children) while its crew scores them — island-concurrent, and
 		// evaluation is pure, so results and sample accounting stay
 		// deterministic at any worker count.
-		err := e.forIslands(islands, func(i, workers int) error {
+		err := e.forIslands(islands, func(i, _ int) error {
 			is := islands[i]
 			// res.Generations is written only on the coordinator between
 			// lockstep phases, so reading it here for span labels is safe.
 			gen := res.Generations
 			t0 := e.Trace.Now()
-			counts[i] = is.breedChildren()
-			if counts[i] == 0 {
-				return nil // budget share spent: the island idles
-			}
-			e.traceSpan(obs.PhaseBreed, is.id, gen, t0)
 			var err error
-			n := counts[i]
-			t1 := e.Trace.Now()
-			evs[i], err = is.evaluateBatch(is.children[:n], is.parents[:n], is.dirt[:n], workers)
-			e.traceEvaluate(obs.PhaseEvaluate, is, gen, t1, n)
-			return err
+			evs[i], err = is.breedEvaluate(crews[i])
+			if err != nil || len(evs[i]) == 0 {
+				return err // an empty brood: budget share spent, the island idles
+			}
+			// The breed span ends at the last child bred; scoring that
+			// overlapped breeding is counted under it.
+			e.traceSpanTo(obs.PhaseBreed, is.id, gen, t0, is.bredAt)
+			e.traceEvaluate(obs.PhaseEvaluate, is, gen, is.bredAt, len(evs[i]))
+			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		for i, is := range islands {
-			if counts[i] == 0 {
-				continue
+			if n := len(evs[i]); n > 0 {
+				e.traceOps(is, n, evs[i])
+				e.account(res, is, evs[i])
+				is.install(is.elites, is.children[:n], evs[i])
 			}
-			e.traceOps(is, counts[i], evs[i])
-			e.account(res, is, evs[i])
-			is.install(is.elites, is.children[:counts[i]], evs[i])
 		}
 		if e.Trace != nil {
 			e.traceIslands(islands)
@@ -737,14 +740,20 @@ func (e *Engine) buildIslands(budget int) ([]*island, error) {
 // exactly the classic engine's shape.
 func (e *Engine) forIslands(islands []*island, fn func(i, workers int) error) error {
 	k := len(islands)
-	workers := max(e.Config.Workers, 1)
-	return par.For(k, min(k, workers), func(i int) error {
-		w := workers / k
-		if i < workers%k {
-			w++
-		}
-		return fn(i, max(w, 1))
+	return par.For(k, min(k, max(e.Config.Workers, 1)), func(i int) error {
+		return fn(i, e.workerShare(k, i))
 	})
+}
+
+// workerShare is island i's slice of the engine's worker budget across k
+// islands: an even split, remainder to the first islands, at least one.
+func (e *Engine) workerShare(k, i int) int {
+	workers := max(e.Config.Workers, 1)
+	w := workers / k
+	if i < workers%k {
+		w++
+	}
+	return max(w, 1)
 }
 
 // account books one island batch against the run: sample counters split
@@ -951,8 +960,7 @@ func (e *Engine) emitProgress(res *Result, budget int, islands []*island) {
 		PoolReuses:   res.PoolReuses,
 	}
 	if e.Problem.Cache != nil {
-		st := e.Problem.Cache.Stats()
-		p.CacheHits, p.CacheMisses = st.Hits, st.Misses
+		p.CacheHits, p.CacheMisses = e.Problem.Cache.Lookups()
 	}
 	e.OnGeneration(p)
 }
@@ -963,10 +971,18 @@ func (e *Engine) traceSpan(name string, island, gen int, t0 time.Duration) {
 	if e.Trace == nil {
 		return
 	}
+	e.traceSpanTo(name, island, gen, t0, e.Trace.Now())
+}
+
+// traceSpanTo records one phase span over [t0, t1]. No-op untraced.
+func (e *Engine) traceSpanTo(name string, island, gen int, t0, t1 time.Duration) {
+	if e.Trace == nil {
+		return
+	}
 	e.Trace.Record(obs.Span{
 		Name: name, Cat: obs.CatPhase,
 		Island: int32(island), Gen: int32(gen),
-		Start: t0, Dur: e.Trace.Now() - t0,
+		Start: t0, Dur: t1 - t0,
 	})
 }
 
@@ -1003,7 +1019,7 @@ func (e *Engine) traceEvaluate(name string, is *island, gen int, t0 time.Duratio
 // child's mask (a win's gain is credited to each participant, so gains
 // are comparative across operators, not additive).
 func (e *Engine) traceOps(is *island, n int, evs []*coopt.Evaluation) {
-	if e.Trace == nil || !is.traced {
+	if is.trace == nil {
 		return
 	}
 	var stats [obs.NumOps]obs.OpStat

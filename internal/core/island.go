@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"time"
 
 	"digamma/internal/coopt"
 	"digamma/internal/mapping"
@@ -23,7 +24,7 @@ import (
 //
 // Everything an island mutates is island-private — cur, rng, best, stall,
 // samples, the evaluation pool and the breeding arenas — so K islands
-// breed and evaluate concurrently under par.For with no synchronization,
+// breed and evaluate concurrently with no synchronization between them,
 // and results are a pure function of (Seed, Islands, MigrateEvery,
 // Profiles), never of Workers.
 type island struct {
@@ -65,8 +66,8 @@ type island struct {
 	// best is the incumbent fitness the pruning screen compares bounds
 	// against, and stall counts consecutive generations it has stood
 	// still (arming the screen once it reaches cfg.PruneStall). Both live
-	// entirely on the island's step: evaluateBatch snapshots them into
-	// locals before fanning out, so batch workers never touch them — a
+	// entirely on the island's step: newBatch snapshots them into the
+	// batch before any scoring starts, so batch workers never touch them — a
 	// mid-batch read from a worker would be a data race AND would break
 	// the per-batch pruning determinism.
 	best  float64
@@ -99,12 +100,13 @@ type island struct {
 	// evaluation output row and the per-slot delta accounting
 	// (reused[i] ≥ 0 delta with that many layers cloned, -1 full
 	// evaluation, -2 bound-pruned; written one slot per batch worker,
-	// summed serially).
+	// summed serially) and the crew path's per-slot errors.
 	children []space.Genome
 	parents  []*coopt.Evaluation
 	dirt     []space.Dirty
 	evals    []*coopt.Evaluation
 	reused   []int32
+	errs     []error
 
 	// Breeding arenas: chunked backing stores for the genome headers and
 	// mapping blocks children allocate. Blocks are shared copy-on-write
@@ -119,15 +121,18 @@ type island struct {
 	deltaEvals   int // children scored by the delta path
 	layersReused int // per-layer analyses those children cloned from parents
 
-	// Tracing (engine.Trace != nil): profile is the island's profile name
-	// for report attribution, and ops records each bred child's operator
-	// mask (one byte per slot, reused across generations) so the
-	// coordinator can co-attribute fitness improvements. The masks are
-	// computed for free in branches breed already takes; when traced is
-	// false they are discarded and the buffer never allocates.
-	traced  bool
+	// Tracing (trace == engine.Trace, non-nil when traced): profile is the
+	// island's profile name for report attribution, ops records each bred
+	// child's operator mask (one byte per slot, reused across generations)
+	// so the coordinator can co-attribute fitness improvements, and bredAt
+	// is when breedEvaluate bred its last child — the boundary between a
+	// generation's breed and evaluate spans. The masks are computed for
+	// free in branches breed already takes; untraced they are discarded
+	// and the buffer never allocates.
+	trace   *obs.Tracer
 	profile string
 	ops     []obs.OpMask
+	bredAt  time.Duration
 }
 
 // newIsland assembles one island: profile applied on top of the engine's
@@ -176,9 +181,9 @@ func newIsland(e *Engine, id int, pr Profile, rng *rand.Rand, popTarget, budget 
 		// Recycling dropped evaluations is safe only while the engine is
 		// the sole holder; an OnEvaluation hook may retain them.
 		recycle: e.OnEvaluation == nil,
-		traced:  e.Trace != nil,
+		trace:   e.Trace,
 	}
-	if is.traced {
+	if is.trace != nil {
 		if is.profile = pr.Name; is.profile == "" {
 			is.profile = "default"
 		}
@@ -270,33 +275,72 @@ func (is *island) sortPop() {
 	sort.Slice(is.cur, func(a, b int) bool { return is.cur[a].eval.Fitness < is.cur[b].eval.Fitness })
 }
 
-// breedChildren breeds the generation's offspring serially on the
-// island's RNG stream (which fixes them), capped by the remaining budget
-// share, into the island's reusable child/parent/dirty buffers. Returns
-// the brood size; the caller evaluates children[:n] as one batch.
-func (is *island) breedChildren() int {
-	need := is.pop - is.elites
-	if remaining := is.budget - is.samples; need > remaining {
-		need = remaining
+// breedEvaluate is one generation's breeding half: it breeds the brood
+// serially on the island's RNG stream (which fixes the children), capped
+// by the remaining budget share, and scores it, returning the brood's
+// evaluations (empty once the budget share is spent: the island idles).
+//
+// With a crew, each child is published for scoring as soon as it is bred,
+// so the crew's helpers evaluate the first children while the breeder is
+// still producing the rest; the breeder joins the scoring once the brood
+// is complete. Without one (an island with a single worker) the brood is
+// bred, then scored, on the caller's goroutine. Results are identical
+// either way: breeding reads only the installed population and writes
+// only its own slots and arenas, evaluation is pure and writes only its
+// own slot, the prune incumbent is snapshotted before the step, and pool
+// buffers are acquired on the breeder in slot order.
+//
+// is.bredAt records when the last child was bred, splitting the step's
+// breed and evaluate trace spans.
+func (is *island) breedEvaluate(c *crew) ([]*coopt.Evaluation, error) {
+	n := min(is.pop-is.elites, is.budget-is.samples)
+	if n <= 0 {
+		return nil, nil
 	}
-	if need <= 0 {
-		return 0
+	is.children = growSlice(is.children, n)
+	is.parents = growSlice(is.parents, n)
+	is.dirt = growSlice(is.dirt, n)
+	if is.trace != nil {
+		is.ops = growSlice(is.ops, n)
 	}
-	is.children = growSlice(is.children, need)
-	is.parents = growSlice(is.parents, need)
-	is.dirt = growSlice(is.dirt, need)
-	if is.traced {
-		is.ops = growSlice(is.ops, need)
-	}
-	for i := 0; i < need; i++ {
-		is.dirt[i] = space.Dirty{}
-		child, parent, mask := is.breed(&is.dirt[i])
-		is.children[i], is.parents[i] = child, parent
-		if is.traced {
-			is.ops[i] = mask
+	if c == nil {
+		for i := range n {
+			is.breedOne(i)
 		}
+		is.bredAt = is.trace.Now()
+		return is.evaluateBatch(is.children[:n], is.parents[:n], is.dirt[:n], 1)
 	}
-	return need
+	is.errs = growSlice(is.errs, n)
+	br := &brood{
+		batch: is.newBatch(is.children[:n], is.parents[:n], is.dirt[:n]),
+		errs:  is.errs[:n],
+		fin:   make(chan struct{}),
+	}
+	br.left.Store(int64(n))
+	c.publish(br)
+	for i := range n {
+		is.breedOne(i)
+		br.out[i] = is.pool.Get()
+		br.published.Store(int64(i + 1))
+	}
+	is.bredAt = is.trace.Now()
+	if err := br.join(); err != nil {
+		return nil, err
+	}
+	is.tally(br.reused)
+	return br.out, nil
+}
+
+// breedOne breeds brood slot i: the child, its breeding parent's
+// evaluation (which seeds the delta path), the operators' dirty set and,
+// when traced, the operator mask.
+func (is *island) breedOne(i int) {
+	is.dirt[i] = space.Dirty{}
+	child, parent, mask := is.breed(&is.dirt[i])
+	is.children[i], is.parents[i] = child, parent
+	if is.trace != nil {
+		is.ops[i] = mask
+	}
 }
 
 // growSlice resizes buf to n elements, reusing its backing when possible.
@@ -307,55 +351,92 @@ func growSlice[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// evaluateBatch scores a slice of genomes against the island's problem,
-// fanning out across workers goroutines when configured, into pooled
-// Evaluation buffers acquired serially up front (the pool is not
-// concurrency-safe; the workers only fill their own slot). Evaluation is
-// pure, so the result slice is identical regardless of worker count.
-//
-// parents/dirt, when non-nil, carry each child's breeding parent and the
-// operators' dirty set: candidates take the delta path, cloning the
-// parent's analyses for clean layers (bit-identical to a full evaluation;
-// disabled by Config.NoDelta). Under cfg.Prune, candidates whose fitness
-// lower bound already exceeds the incumbent best skip the cost model
-// entirely and carry the bound instead; the incumbent is frozen for the
-// batch, so pruning decisions are deterministic too.
-func (is *island) evaluateBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt []space.Dirty, workers int) ([]*coopt.Evaluation, error) {
+// batch is one evaluation batch: slot i scores gs[i] into out[i] and
+// records how in reused[i] (≥ 0 delta with that many layers cloned, -1
+// full evaluation, -2 bound-pruned). parents/dirt, when non-nil, carry
+// each child's breeding parent and the operators' dirty set: candidates
+// take the delta path, cloning the parent's analyses for clean layers
+// (bit-identical to a full evaluation; disabled by Config.NoDelta). Under
+// cfg.Prune, candidates whose fitness lower bound already exceeds the
+// incumbent best skip the cost model entirely and carry the bound
+// instead; the incumbent is frozen when the batch is built, so pruning
+// decisions are deterministic too.
+type batch struct {
+	prob      *coopt.Problem
+	gs        []space.Genome
+	parents   []*coopt.Evaluation
+	dirt      []space.Dirty
+	out       []*coopt.Evaluation
+	reused    []int32
+	prune     bool
+	threshold float64
+	delta     bool
+}
+
+// newBatch sizes the island's output rows for len(gs) slots and freezes
+// the prune incumbent. The caller fills out with pool buffers.
+func (is *island) newBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt []space.Dirty) batch {
 	is.evals = growSlice(is.evals, len(gs))
 	is.reused = growSlice(is.reused, len(gs))
-	out, reused := is.evals[:len(gs)], is.reused[:len(gs)]
-	for i := range gs {
-		out[i] = is.pool.Get()
+	return batch{
+		prob:      is.prob,
+		gs:        gs,
+		parents:   parents,
+		dirt:      dirt,
+		out:       is.evals[:len(gs)],
+		reused:    is.reused[:len(gs)],
+		prune:     is.cfg.Prune && !math.IsInf(is.best, 1) && is.stall >= is.cfg.PruneStall,
+		threshold: is.best * math.Max(is.cfg.PruneMargin, 1),
+		delta:     parents != nil && !is.cfg.NoDelta,
 	}
-	prune := is.cfg.Prune && !math.IsInf(is.best, 1) && is.stall >= is.cfg.PruneStall
-	threshold := is.best * math.Max(is.cfg.PruneMargin, 1)
-	delta := parents != nil && !is.cfg.NoDelta
-	err := par.For(len(gs), workers, func(i int) error {
-		if prune {
-			if b := is.prob.FitnessBound(gs[i]); b > threshold {
-				coopt.PrunedInto(out[i], gs[i], b)
-				reused[i] = -2
-				return nil
-			}
+}
+
+// score evaluates slot i. Pure apart from writing out[i] and reused[i],
+// so slots may be scored concurrently and in any order.
+func (b *batch) score(i int) error {
+	if b.prune {
+		if bound := b.prob.FitnessBound(b.gs[i]); bound > b.threshold {
+			coopt.PrunedInto(b.out[i], b.gs[i], bound)
+			b.reused[i] = -2
+			return nil
 		}
-		if delta {
-			n, err := is.prob.EvaluateDelta(out[i], gs[i], parents[i], dirt[i])
-			reused[i] = int32(n)
-			return err
-		}
-		reused[i] = -1
-		return is.prob.EvaluateCanonicalInto(out[i], gs[i])
-	})
-	if err != nil {
-		return nil, err
 	}
+	if b.delta {
+		n, err := b.prob.EvaluateDelta(b.out[i], b.gs[i], b.parents[i], b.dirt[i])
+		b.reused[i] = int32(n)
+		return err
+	}
+	b.reused[i] = -1
+	return b.prob.EvaluateCanonicalInto(b.out[i], b.gs[i])
+}
+
+// tally folds a scored batch's per-slot delta accounting into the
+// island's counters.
+func (is *island) tally(reused []int32) {
 	for _, n := range reused {
 		if n >= 0 {
 			is.deltaEvals++
 			is.layersReused += int(n)
 		}
 	}
-	return out, nil
+}
+
+// evaluateBatch scores a slice of genomes against the island's problem,
+// fanning out across workers goroutines when configured, into pooled
+// Evaluation buffers acquired serially up front (the pool is not
+// concurrency-safe; the workers only fill their own slot). Evaluation is
+// pure, so the result slice is identical regardless of worker count. It
+// scores the initial population; generations go through breedEvaluate.
+func (is *island) evaluateBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt []space.Dirty, workers int) ([]*coopt.Evaluation, error) {
+	b := is.newBatch(gs, parents, dirt)
+	for i := range gs {
+		b.out[i] = is.pool.Get()
+	}
+	if err := par.For(len(gs), workers, b.score); err != nil {
+		return nil, err
+	}
+	is.tally(b.reused)
+	return b.out, nil
 }
 
 // takeLevels carves an owned, cap==len block of n levels from the

@@ -182,7 +182,7 @@ func (is *island) rescoreElites(sel []individual, onEval func(*coopt.Evaluation)
 	h0 := is.full.SharedHits()
 	var l0 uint64
 	if is.full.Cache != nil {
-		l0 = is.full.Cache.Stats().Hits
+		l0, _ = is.full.Cache.Lookups()
 	}
 	out := make([]individual, 0, len(sel))
 	for _, ind := range sel {
@@ -201,28 +201,43 @@ func (is *island) rescoreElites(sel []individual, onEval func(*coopt.Evaluation)
 	}
 	recovered := int(is.full.SharedHits() - h0)
 	if is.full.Cache != nil {
-		recovered += int(is.full.Cache.Stats().Hits - l0)
+		l1, _ := is.full.Cache.Lookups()
+		recovered += int(l1 - l0)
 	}
 	return out, recovered, nil
 }
 
 // materializeMigrant rebuilds one incoming migrant into this island's
-// pool: pruned states carry their bound, everything else is re-evaluated
-// (pure, so the fitness must come back identical — checked, catching
-// divergent cost models across processes).
+// pool (see rebuild).
 func (is *island) materializeMigrant(st *IndividualState) (individual, error) {
+	ind, err := is.rebuild(st)
+	if err != nil {
+		return individual{}, fmt.Errorf("core: migrant for island %d: %w", is.id, err)
+	}
+	return ind, nil
+}
+
+// rebuild turns one decoded individual — a checkpointed population member
+// or a migrant off the wire — back into a live one in this island's pool.
+// The genome must be canonical for the island's problem (a malformed one
+// is refused before anything indexes into it); pruned states carry their
+// bound, everything else is re-evaluated (pure, so the fitness must come
+// back identical — checked, catching a different or divergent cost model).
+func (is *island) rebuild(st *IndividualState) (individual, error) {
 	g := space.Genome{Fanouts: st.Fanouts, Maps: st.Maps}
+	if err := is.prob.Space.CheckCanonical(g); err != nil {
+		return individual{}, err
+	}
 	ev := is.pool.Get()
 	if st.Pruned {
 		coopt.PrunedInto(ev, g, st.Fitness)
 		return individual{g, ev}, nil
 	}
 	if err := is.prob.EvaluateCanonicalInto(ev, g); err != nil {
-		return individual{}, fmt.Errorf("core: migrant for island %d: %w", is.id, err)
+		return individual{}, err
 	}
 	if ev.Fitness != st.Fitness {
-		return individual{}, fmt.Errorf("core: migrant for island %d re-evaluates to %g, source recorded %g (divergent cost model?)",
-			is.id, ev.Fitness, st.Fitness)
+		return individual{}, fmt.Errorf("re-evaluates to %g, recorded %g (different cost model?)", ev.Fitness, st.Fitness)
 	}
 	return individual{g, ev}, nil
 }

@@ -286,21 +286,17 @@ func (r *ShardRunner) bookBatch(id int, evs []*coopt.Evaluation) {
 	}
 }
 
-// breedBody runs the breeding half of one generation body: brood, batch
-// evaluation, accounting, install. A zero brood (budget share spent)
-// installs nothing, exactly like the engine's idle path.
-func (r *ShardRunner) breedBody(id int) error {
+// breedBody runs the breeding half of one generation body: breedEvaluate
+// on the call's crew, accounting, install. A zero brood (budget share
+// spent) installs nothing, exactly like the engine's idle path.
+func (r *ShardRunner) breedBody(id int, c *crew) error {
 	is := r.islands[id]
-	n := is.breedChildren()
-	if n == 0 {
-		return nil
-	}
-	evs, err := is.evaluateBatch(is.children[:n], is.parents[:n], is.dirt[:n], r.workers)
-	if err != nil {
+	evs, err := is.breedEvaluate(c)
+	if err != nil || len(evs) == 0 {
 		return err
 	}
 	r.bookBatch(id, evs)
-	is.install(is.elites, is.children[:n], evs)
+	is.install(is.elites, is.children[:len(evs)], evs)
 	return nil
 }
 
@@ -320,6 +316,10 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 	if bodies < 1 {
 		return nil, fmt.Errorf("core: island %d: non-positive body count %d", id, bodies)
 	}
+	// The call's crew: workers−1 evaluation helpers shared by its bodies,
+	// stopped before Advance returns.
+	c := newCrew(r.workers - 1)
+	defer c.stop()
 	rep := &ShardReport{Island: id}
 	for b := 0; b < bodies; b++ {
 		is.beginGeneration()
@@ -342,7 +342,7 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 			sh.midBoundary = true
 			break
 		}
-		if err := r.breedBody(id); err != nil {
+		if err := r.breedBody(id, c); err != nil {
 			return nil, err
 		}
 		sh.gen++
@@ -388,7 +388,9 @@ func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardRe
 		}
 	}
 	is.sortPop()
-	if err := r.breedBody(id); err != nil {
+	c := newCrew(r.workers - 1)
+	defer c.stop()
+	if err := r.breedBody(id, c); err != nil {
 		return nil, err
 	}
 	sh.gen++

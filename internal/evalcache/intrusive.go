@@ -160,6 +160,13 @@ func (c *Intrusive[V]) Reset() {
 	c.evictions.Store(0)
 }
 
+// Lookups returns the hit and miss counters alone: unlike Stats it skips
+// the O(capacity) entry count, so it is cheap enough to read every
+// generation of a search.
+func (c *Intrusive[V]) Lookups() (hits, misses uint64) {
+	return c.hits.load(), c.misses.load()
+}
+
 // Stats snapshots the counters.
 func (c *Intrusive[V]) Stats() Stats {
 	return Stats{

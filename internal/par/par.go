@@ -1,8 +1,12 @@
-// Package par is the repo's one indexed parallel-for. The engine's batch
-// evaluator, the co-opt per-layer fan-out and the figure-cell runners all
-// share the same shape — N independent slots, bounded workers, first error
-// in index order, deterministic results because every slot owns its output
-// — so the pattern lives here once.
+// Package par is the repo's one indexed parallel-for. The engine's
+// island fan-out and initial-population evaluator, the co-opt per-layer
+// fan-out and the figure-cell runners all share the same shape — N
+// independent slots, bounded workers, first error in index order,
+// deterministic results because every slot owns its output — so the
+// pattern lives here once. The generation loop's per-island scoring does
+// not use it: each island's run-scoped evaluation crew (core's crew.go)
+// scores children as they are bred, with no per-generation goroutine
+// start.
 package par
 
 import (

@@ -217,6 +217,43 @@ func (s Space) Random(rng *rand.Rand, levels int) Genome {
 	return g
 }
 
+// CheckCanonical reports why g is not exactly what Repair would return
+// for it, or nil when it is: the engine only ever holds canonical genomes,
+// so a decoded genome (a checkpoint, a migrant off the wire) that fails
+// here is malformed. It checks the shape first — one mapping per layer,
+// each as deep as the fanout vector — so a short or ragged genome is an
+// error rather than an index panic, then the fanout bounds (or the fixed
+// hardware) and every mapping's legality.
+func (s Space) CheckCanonical(g Genome) error {
+	if len(g.Fanouts) == 0 {
+		return errors.New("space: genome has no hierarchy levels")
+	}
+	if len(g.Maps) != len(s.Layers) {
+		return fmt.Errorf("space: genome maps %d layers, the model has %d", len(g.Maps), len(s.Layers))
+	}
+	if s.FixedHW != nil {
+		if !slices.Equal(g.Fanouts, s.FixedHW.Fanouts) {
+			return fmt.Errorf("space: fanouts %v differ from the fixed hardware's %v", g.Fanouts, s.FixedHW.Fanouts)
+		}
+	} else {
+		for l, f := range g.Fanouts {
+			if f < 1 || (s.MaxFanout > 0 && f > s.MaxFanout) {
+				return fmt.Errorf("space: level %d fanout %d out of [1,%d]", l, f, s.MaxFanout)
+			}
+		}
+	}
+	for li, layer := range s.Layers {
+		m := g.Maps[li]
+		if len(m.Levels) != len(g.Fanouts) {
+			return fmt.Errorf("space: layer %d mapping has %d levels, the fanouts %d", li, len(m.Levels), len(g.Fanouts))
+		}
+		if err := m.Validate(layer); err != nil {
+			return fmt.Errorf("space: layer %d: %w", li, err)
+		}
+	}
+	return nil
+}
+
 // Repair returns a genome with every mapping made legal for its layer and
 // fanouts clamped to [1, MaxFanout]. Already-canonical genomes — the common
 // case on the search hot path, where the engine has repaired every child it

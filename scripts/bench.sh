@@ -24,6 +24,15 @@ go test -run '^$' \
     -bench 'BenchmarkEvaluate$|BenchmarkEvaluatePhysical$|BenchmarkCostAnalyze$|BenchmarkDiGammaSearch$|BenchmarkDiGammaSearchDelta$|BenchmarkDiGammaSearchPruned$|BenchmarkDiGammaSearchIslands$|BenchmarkDiGammaSearchTraced$|BenchmarkDiGammaSearchSharedCache$' \
     -benchmem -benchtime "$BENCHTIME" . | tee "$RAW"
 
+# One-generation rung: a single breed-and-score step on a fresh resnet50
+# and ncf population, at one core (the serial path) and two (the island's
+# evaluation crew scores children while the brood is still being bred).
+# Rows are named .../cpu=N, since the awk below strips the -N suffix.
+go test -run '^$' -bench 'BenchmarkGeneration$' -cpu 1,2 \
+    -benchmem -benchtime "$BENCHTIME" ./internal/core/ |
+    sed -E 's#^(BenchmarkGeneration/[a-z0-9]+)-([0-9]+)([[:space:]])#\1/cpu=\2\3#; s#^(BenchmarkGeneration/[a-z0-9]+)([[:space:]])#\1/cpu=1\2#' |
+    tee -a "$RAW"
+
 # Serving rows: one end-to-end served search (submit → queue → run →
 # long-poll), the same search on the K-island engine (ISLANDS knob), one
 # dedup hit served straight from the result store, the near-duplicate
