@@ -57,7 +57,7 @@ func BenchmarkGeneration(b *testing.B) {
 				for gen := 0; gen < 2; gen++ {
 					is.beginGeneration()
 					t0 := time.Now()
-					evs, err := is.breedEvaluate(c)
+					evs, err := is.breedEvaluate(c, 1)
 					if gen == 1 {
 						step += time.Since(t0)
 					}

@@ -30,9 +30,9 @@ var liveHelpers atomic.Int64
 
 // crew is a set of evaluation helper goroutines that score one island's
 // children while the island is still breeding the rest of its brood. It
-// is run-scoped: started once per Engine.RunContext (or per ShardRunner
-// call) and reused by every generation, so the goroutines are already
-// running — spinning through crewSpin — when the next brood is published.
+// is run-scoped: started once per Engine.RunContext and reused by every
+// generation, so the goroutines are already running — spinning through
+// crewSpin — when the next brood is published.
 //
 // Determinism: breeding stays serial on the island's goroutine (its RNG
 // stream fixes the children), evaluation is pure and each slot writes only
@@ -78,9 +78,8 @@ func newCrew(helpers int) *crew {
 	return c
 }
 
-// stop ends every helper and waits for them to exit — within one spin
-// window, since a spinning helper notices only once it parks. Nil-safe;
-// must not be called while a brood is in flight.
+// stop ends every helper and waits for them to exit. Nil-safe; must not
+// be called while a brood is in flight.
 func (c *crew) stop() {
 	if c == nil {
 		return
@@ -128,11 +127,18 @@ func (c *crew) helper() {
 }
 
 // await returns the next brood after last, or nil once the crew stops.
-// It polls for crewSpin, then parks until publish or stop wakes it.
+// It polls for crewSpin, then parks until publish or stop wakes it. The
+// poll watches quit too, so stop returns at once rather than after a
+// spin window.
 func (c *crew) await(last *brood) *brood {
 	for deadline := time.Now().Add(crewSpin); time.Now().Before(deadline); runtime.Gosched() {
 		if br := c.cur.Load(); br != last {
 			return br
+		}
+		select {
+		case <-c.quit:
+			return nil
+		default:
 		}
 	}
 	for {

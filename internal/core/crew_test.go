@@ -79,9 +79,9 @@ func TestCrewBitIdentical(t *testing.T) {
 
 // TestCrewStops: no crew helper outlives the call that started it —
 // whether the run completes, is cancelled from OnGeneration, fails on an
-// evaluation error, or returns a best-effort partial result, and for a
-// ShardRunner step. Stopping a crew waits for its helpers, so the live
-// count must read zero the moment the call returns.
+// evaluation error, or returns a best-effort partial result. Stopping a
+// crew waits for its helpers, so the live count must read zero the moment
+// the call returns.
 func TestCrewStops(t *testing.T) {
 	if n := liveHelpers.Load(); n != 0 {
 		t.Fatalf("%d crew helpers alive before any run", n)
@@ -165,21 +165,5 @@ func TestCrewStops(t *testing.T) {
 			t.Fatalf("want the injected evaluation error, got %v", err)
 		}
 		check(t, *peak)
-	})
-	t.Run("shard-runner", func(t *testing.T) {
-		e := engine(t, func(c *Config) { c.Islands = 2 })
-		r, err := NewShardRunner(e, 400)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Own(0, r.islands[0].seed); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Advance(0, 2, false); err != nil {
-			t.Fatal(err)
-		}
-		if n := liveHelpers.Load(); n != 0 {
-			t.Errorf("%d crew helpers outlived Advance", n)
-		}
 	})
 }

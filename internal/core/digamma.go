@@ -552,7 +552,7 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 			gen := res.Generations
 			t0 := e.Trace.Now()
 			var err error
-			evs[i], err = is.breedEvaluate(crews[i])
+			evs[i], err = is.breedEvaluate(crews[i], 1)
 			if err != nil || len(evs[i]) == 0 {
 				return err // an empty brood: budget share spent, the island idles
 			}

@@ -283,16 +283,18 @@ func (is *island) sortPop() {
 // With a crew, each child is published for scoring as soon as it is bred,
 // so the crew's helpers evaluate the first children while the breeder is
 // still producing the rest; the breeder joins the scoring once the brood
-// is complete. Without one (an island with a single worker) the brood is
-// bred, then scored, on the caller's goroutine. Results are identical
-// either way: breeding reads only the installed population and writes
-// only its own slots and arenas, evaluation is pure and writes only its
-// own slot, the prune incumbent is snapshotted before the step, and pool
-// buffers are acquired on the breeder in slot order.
+// is complete. Without one the brood is bred, then scored across workers
+// goroutines that exit when the batch is done: an island with a single
+// worker, and ShardRunner, whose worker processes often share a host's
+// cores, where spinning helpers would steal them from each other. Results
+// are identical either way: breeding reads only the installed population
+// and writes only its own slots and arenas, evaluation is pure and writes
+// only its own slot, the prune incumbent is snapshotted before the step,
+// and pool buffers are acquired on the breeder in slot order.
 //
 // is.bredAt records when the last child was bred, splitting the step's
 // breed and evaluate trace spans.
-func (is *island) breedEvaluate(c *crew) ([]*coopt.Evaluation, error) {
+func (is *island) breedEvaluate(c *crew, workers int) ([]*coopt.Evaluation, error) {
 	n := min(is.pop-is.elites, is.budget-is.samples)
 	if n <= 0 {
 		return nil, nil
@@ -308,7 +310,7 @@ func (is *island) breedEvaluate(c *crew) ([]*coopt.Evaluation, error) {
 			is.breedOne(i)
 		}
 		is.bredAt = is.trace.Now()
-		return is.evaluateBatch(is.children[:n], is.parents[:n], is.dirt[:n], 1)
+		return is.evaluateBatch(is.children[:n], is.parents[:n], is.dirt[:n], workers)
 	}
 	is.errs = growSlice(is.errs, n)
 	br := &brood{
@@ -426,7 +428,8 @@ func (is *island) tally(reused []int32) {
 // Evaluation buffers acquired serially up front (the pool is not
 // concurrency-safe; the workers only fill their own slot). Evaluation is
 // pure, so the result slice is identical regardless of worker count. It
-// scores the initial population; generations go through breedEvaluate.
+// scores the initial population, and a generation's brood when
+// breedEvaluate runs without a crew.
 func (is *island) evaluateBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt []space.Dirty, workers int) ([]*coopt.Evaluation, error) {
 	b := is.newBatch(gs, parents, dirt)
 	for i := range gs {

@@ -286,12 +286,15 @@ func (r *ShardRunner) bookBatch(id int, evs []*coopt.Evaluation) {
 	}
 }
 
-// breedBody runs the breeding half of one generation body: breedEvaluate
-// on the call's crew, accounting, install. A zero brood (budget share
-// spent) installs nothing, exactly like the engine's idle path.
-func (r *ShardRunner) breedBody(id int, c *crew) error {
+// breedBody runs the breeding half of one generation body: breedEvaluate,
+// accounting, install. A zero brood (budget share spent) installs
+// nothing, exactly like the engine's idle path. It takes no crew: worker
+// processes placed on one host would each spin helpers on the same cores
+// (an 8-island islands-dist run with GOMAXPROCS workers ran ~29% slower
+// with crews on two cores), so the brood is bred, then scored.
+func (r *ShardRunner) breedBody(id int) error {
 	is := r.islands[id]
-	evs, err := is.breedEvaluate(c)
+	evs, err := is.breedEvaluate(nil, r.workers)
 	if err != nil || len(evs) == 0 {
 		return err
 	}
@@ -316,10 +319,6 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 	if bodies < 1 {
 		return nil, fmt.Errorf("core: island %d: non-positive body count %d", id, bodies)
 	}
-	// The call's crew: workers−1 evaluation helpers shared by its bodies,
-	// stopped before Advance returns.
-	c := newCrew(r.workers - 1)
-	defer c.stop()
 	rep := &ShardReport{Island: id}
 	for b := 0; b < bodies; b++ {
 		is.beginGeneration()
@@ -342,7 +341,7 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 			sh.midBoundary = true
 			break
 		}
-		if err := r.breedBody(id, c); err != nil {
+		if err := r.breedBody(id); err != nil {
 			return nil, err
 		}
 		sh.gen++
@@ -388,9 +387,7 @@ func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardRe
 		}
 	}
 	is.sortPop()
-	c := newCrew(r.workers - 1)
-	defer c.stop()
-	if err := r.breedBody(id, c); err != nil {
+	if err := r.breedBody(id); err != nil {
 		return nil, err
 	}
 	sh.gen++

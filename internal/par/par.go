@@ -3,10 +3,11 @@
 // fan-out and the figure-cell runners all share the same shape — N
 // independent slots, bounded workers, first error in index order,
 // deterministic results because every slot owns its output — so the
-// pattern lives here once. The generation loop's per-island scoring does
-// not use it: each island's run-scoped evaluation crew (core's crew.go)
-// scores children as they are bred, with no per-generation goroutine
-// start.
+// pattern lives here once. The in-process generation loop does not use it
+// to score a brood when an island has more than one worker: the island's
+// run-scoped evaluation crew (core's crew.go) scores children as they are
+// bred, with no per-generation goroutine start. A dist worker's
+// ShardRunner still scores each brood with For.
 package par
 
 import (
