@@ -304,7 +304,7 @@ type Engine struct {
 
 	// OnMigration, when set, observes every migration boundary through the
 	// transport seam: the generation number and each island's outgoing
-	// elite set, serialized exactly as the wire protocol ships them. Both
+	// elite set, as the states the wire protocol ships (AppendStates). Both
 	// the in-process ring and the distributed coordinator emit through
 	// this hook, so a test can assert the two transports exchange
 	// byte-identical elites at every boundary. Nil costs one branch per
@@ -854,9 +854,9 @@ func (e *Engine) migrate(islands []*island, res *Result) error {
 	}
 
 	if e.OnMigration != nil {
-		// The transport seam's observation point: the outgoing sets,
-		// serialized exactly as the wire protocol would ship them, before
-		// any replacement lands.
+		// The transport seam's observation point: the outgoing sets, as
+		// the states the wire protocol would ship, before any replacement
+		// lands.
 		exports := make([][]IndividualState, k)
 		for i, sel := range out {
 			exports[i] = encodeIndividuals(sel)

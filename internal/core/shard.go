@@ -13,7 +13,7 @@
 // elite exchange), and sorts the SAME number of times on the same data —
 // sort.Slice is not stable, so replicating the exact sort sequence, not
 // just the final comparisons, is what keeps populations bit-identical.
-// Migrants travel as IndividualState (the checkpoint encoding) and are
+// Migrants travel in the binary state encoding (AppendStates) and are
 // re-materialized by re-evaluation, which is pure, so the receiving
 // population is bit-identical to the in-process ring's.
 package core
@@ -156,8 +156,9 @@ func (is *island) migrantCount(migrateCount int) int {
 
 // encodeIndividuals serializes a selection in order, deep-copying each
 // genome through Clone so the encoded state never aliases arena-backed
-// blocks a later generation mutates. Shared by checkpoints, the migration
-// observation hook and the wire protocol.
+// blocks a later generation mutates. Shared by checkpoints and the
+// migration observation hook; the wire protocol encodes straight from the
+// selection instead (appendIndividuals).
 func encodeIndividuals(sel []individual) []IndividualState {
 	out := make([]IndividualState, len(sel))
 	for i, ind := range sel {

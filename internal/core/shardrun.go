@@ -135,34 +135,37 @@ func (s *Schedule) Generations() int { return s.gen }
 
 // MigrantBatch is one source island's elite export addressed to a
 // destination: batches are applied in ascending From order, replicating
-// the engine's ascending-source replacement sweep.
+// the engine's ascending-source replacement sweep. Elites is the source's
+// ShardReport.Exports, forwarded byte for byte.
 type MigrantBatch struct {
-	From   int               `json:"from"`
-	Elites []IndividualState `json:"elites"`
+	From   int    `json:"from"`
+	Elites []byte `json:"elites"`
 }
 
 // ShardReport is a worker's per-island round result: the per-body history
 // contributions (non-scout islands only — scouts never report the global
-// best), cumulative counters and the boundary elite exports. It carries
-// no island snapshot: a coordinator that loses a worker rebuilds the
-// island elsewhere by replaying the rounds it already drove.
+// best), cumulative counters and the boundary elite exports in the
+// AppendStates encoding. It carries no island snapshot: a coordinator
+// that loses a worker rebuilds the island elsewhere by replaying the
+// rounds it already drove.
 type ShardReport struct {
 	Island  int `json:"island"`
 	Gen     int `json:"gen"`     // completed bodies so far
 	Samples int `json:"samples"` // cumulative island spend
 
-	Hist    []float64         `json:"hist,omitempty"`
-	Exports []IndividualState `json:"exports,omitempty"`
+	Hist    []float64 `json:"hist,omitempty"`
+	Exports []byte    `json:"exports,omitempty"`
 }
 
 // ShardFinal is a worker's per-island finalize result: the sorted
-// population's best (non-scout islands) and the island's cumulative
-// accounting and telemetry, summed by the coordinator into the Result.
+// population's best (non-scout islands; a one-state AppendStates
+// encoding) and the island's cumulative accounting and telemetry, summed
+// by the coordinator into the Result.
 type ShardFinal struct {
 	Island  int  `json:"island"`
 	IsScout bool `json:"scout,omitempty"`
 
-	Best *IndividualState `json:"best,omitempty"`
+	Best []byte `json:"best,omitempty"`
 
 	Samples      int    `json:"samples"`
 	FullEvals    int    `json:"full_evals"`
@@ -306,8 +309,9 @@ func (r *ShardRunner) breedBody(id int) error {
 // Advance steps one owned island through `bodies` generation bodies. When
 // boundary is set, the LAST body stops at the migration exchange: it runs
 // beginGeneration, records the history contribution, re-scores a scout's
-// elites and returns the encoded exports — leaving the island mid-body
-// until CompleteBoundary delivers the incoming migrants.
+// elites and returns the exports in the AppendStates encoding — leaving
+// the island mid-body until CompleteBoundary delivers the incoming
+// migrants.
 func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, error) {
 	is, sh := r.islands[id], &r.st[id]
 	if !sh.owned {
@@ -326,8 +330,7 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 			rep.Hist = append(rep.Hist, is.cur[0].eval.Fitness)
 		}
 		if boundary && b == bodies-1 {
-			m := is.migrantCount(r.e.Config.MigrateCount)
-			sel := append([]individual(nil), is.cur[:m]...)
+			sel := is.cur[:is.migrantCount(r.e.Config.MigrateCount)]
 			if is.scout {
 				var recovered int
 				var err error
@@ -337,7 +340,7 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 				}
 				sh.reused += recovered
 			}
-			rep.Exports = encodeIndividuals(sel)
+			rep.Exports = appendIndividuals(nil, sel)
 			sh.midBoundary = true
 			break
 		}
@@ -368,11 +371,15 @@ func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardRe
 	sort.Slice(batches, func(a, b int) bool { return batches[a].From < batches[b].From })
 	replaceAt := len(is.cur) - 1
 	for bi := range batches {
-		for ei := range batches[bi].Elites {
+		elites, err := DecodeStates(batches[bi].Elites)
+		if err != nil {
+			return nil, fmt.Errorf("core: migrants from island %d for island %d: %w", batches[bi].From, id, err)
+		}
+		for ei := range elites {
 			if replaceAt < 1 {
 				break
 			}
-			ind, err := is.materializeMigrant(&batches[bi].Elites[ei])
+			ind, err := is.materializeMigrant(&elites[ei])
 			if err != nil {
 				return nil, err
 			}
@@ -420,8 +427,7 @@ func (r *ShardRunner) Finalize(id int) (*ShardFinal, error) {
 		PoolReuses:   reuses + is.poolReuseBias,
 	}
 	if !is.scout && len(is.cur) > 0 {
-		b := encodeIndividuals(is.cur[:1])
-		fin.Best = &b[0]
+		fin.Best = appendIndividuals(nil, is.cur[:1])
 	}
 	return fin, nil
 }

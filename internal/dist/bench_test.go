@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -54,4 +55,116 @@ func BenchmarkDistIslands(b *testing.B) {
 		b.ResetTimer()
 		run(b, procs)
 	})
+}
+
+// boundaryExports runs an 8-island resnet50 search in-process and returns
+// every island's elite export at its third migration boundary, as the
+// wire carries them, plus the run's migration ring.
+func boundaryExports(b *testing.B) ([][]core.IndividualState, []int) {
+	spec := testSpec(b, "resnet50", 1, func(c *core.Config) {
+		c.Islands = 8
+		c.Profiles = []string{"default", "explorer", "exploiter", "scout"}
+	})
+	eng, err := spec.Engine(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var exports [][]core.IndividualState
+	boundaries := 0
+	eng.OnMigration = func(gen int, ex [][]core.IndividualState) {
+		if boundaries++; boundaries == 3 {
+			exports = ex
+		}
+	}
+	if _, err := eng.Run(4000); err != nil {
+		b.Fatal(err)
+	}
+	if exports == nil {
+		b.Fatal("run reached no third migration boundary")
+	}
+	fresh, err := spec.Engine(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := fresh.PlanRun(4000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scouts := make([]bool, len(plan.Islands))
+	for i, ip := range plan.Islands {
+		scouts[i] = ip.Scout
+	}
+	return exports, core.MigrationRoute(scouts)
+}
+
+// BenchmarkBoundaryWire is the wire rung of the distributed ladder: one
+// migration boundary of an 8-island resnet50 run on two workers, with no
+// search around it. The workers encode their round acks, the coordinator
+// decodes them and forwards the exports as migrant batches, and the
+// workers decode the migrants down to the elites they would install.
+// Every frame goes through the real framing; wire_B/boundary counts the
+// frame bytes written.
+func BenchmarkBoundaryWire(b *testing.B) {
+	const workers = 2
+	exports, route := boundaryExports(b)
+	k := len(exports)
+	hist := make([]float64, core.DefaultMigrateEvery)
+	var wire bytes.Buffer
+	fc := &frameConn{rw: pipeConn{Reader: &wire, Writer: &wire}}
+	written := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		written = 0
+		for w := 0; w < workers; w++ {
+			ack := roundAck{Seq: 1}
+			for id := w; id < k; id += workers {
+				ack.Reports = append(ack.Reports, core.ShardReport{Island: id, Gen: 9, Samples: 400, Hist: hist, Exports: core.AppendStates(nil, exports[id])})
+			}
+			if err := fc.writeMsg(mtRoundAck, ack); err != nil {
+				b.Fatal(err)
+			}
+		}
+		written += wire.Len()
+		logged := make([][]byte, k)
+		for w := 0; w < workers; w++ {
+			var ack roundAck
+			if err := fc.expect(mtRoundAck, &ack); err != nil {
+				b.Fatal(err)
+			}
+			for _, rep := range ack.Reports {
+				logged[rep.Island] = rep.Exports
+			}
+		}
+		for w := 0; w < workers; w++ {
+			msg := migrantsMsg{Seq: 2}
+			for id := w; id < k; id += workers {
+				d := delivery{ID: id}
+				for src, dst := range route {
+					if dst == id {
+						d.Batches = append(d.Batches, core.MigrantBatch{From: src, Elites: logged[src]})
+					}
+				}
+				msg.Deliveries = append(msg.Deliveries, d)
+			}
+			if err := fc.writeMsg(mtMigrants, msg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		written += wire.Len()
+		for w := 0; w < workers; w++ {
+			var msg migrantsMsg
+			if err := fc.expect(mtMigrants, &msg); err != nil {
+				b.Fatal(err)
+			}
+			for _, d := range msg.Deliveries {
+				for _, batch := range d.Batches {
+					if _, err := core.DecodeStates(batch.Elites); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(written), "wire_B/boundary")
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -172,7 +171,7 @@ func TestCorruptLogReplayDiverges(t *testing.T) {
 	spec := chaosSpec(t, 7)
 	segs := segmentsOf(t, spec, 480)
 	flipped := false
-	c := &Coordinator{logged: func(exports []json.RawMessage) {
+	c := &Coordinator{logged: func(exports [][]byte) {
 		if flipped {
 			return
 		}

@@ -3,9 +3,10 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"slices"
 	"time"
@@ -54,7 +55,7 @@ type Coordinator struct {
 
 	// logged, when set, observes each boundary's exports as they join the
 	// replay log; tests use it to corrupt the log.
-	logged func(exports []json.RawMessage)
+	logged func(exports [][]byte)
 }
 
 var _ core.Placement = (*Coordinator)(nil)
@@ -99,10 +100,10 @@ func (c *Coordinator) logf(format string, args ...any) {
 }
 
 // logEntry is one completed segment and, at a migration boundary, every
-// island's encoded phase-A exports (nil where an island exported none).
+// island's phase-A exports as its worker encoded them.
 type logEntry struct {
 	seg     *core.Segment
-	exports []json.RawMessage
+	exports [][]byte
 }
 
 // Run implements core.Placement.
@@ -366,39 +367,20 @@ func (r *run) pickLive() (int, error) {
 	return 0, fmt.Errorf("dist: all workers lost")
 }
 
-// adopt assigns the islands to their owners, fresh. Send to all owners
-// first, then collect acks, so adoption (like every phase) runs
-// worker-concurrent.
+// adopt assigns the islands to their owners, fresh.
 func (r *run) adopt(ids []int) error {
-	byOwner := r.groupByOwner(ids)
-	sent := make([]*peer, 0, len(byOwner))
-	for _, w := range sortedKeys(byOwner) {
-		p := r.peers[w]
+	return exchange(r, ids, mtAdopt, mtAdoptAck, func(own []int) any {
 		msg := adoptMsg{}
-		for _, id := range byOwner[w] {
+		for _, id := range own {
 			msg.Islands = append(msg.Islands, assignment{ID: id, Seed: r.plan.Islands[id].Seed})
 		}
-		p.fc.setDeadline(r.c.ioTimeout())
-		if err := p.fc.writeMsg(mtAdopt, msg); err != nil {
-			r.markDead(p, err)
-			continue
-		}
-		sent = append(sent, p)
-	}
-	for _, p := range sent {
-		var ack adoptAck
-		if err := p.fc.expect(mtAdoptAck, &ack); err != nil {
-			r.markDead(p, err)
-			continue
-		}
+		return msg
+	}, func(p *peer, _ []int, ack *adoptAck) error {
 		if ack.Err != "" {
 			return fmt.Errorf("dist: worker %s: adopt: %s", p.addr, ack.Err)
 		}
-	}
-	if r.liveCount() == 0 {
-		return fmt.Errorf("dist: all workers lost")
-	}
-	return nil
+		return nil
+	})
 }
 
 // replay drives freshly adopted islands through every logged segment
@@ -409,7 +391,7 @@ func (r *run) adopt(ids []int) error {
 func (r *run) replay(ids []int) error {
 	k := len(r.owner)
 	for _, ent := range r.log {
-		reports := make([]*islandReport, k)
+		reports := make([]*core.ShardReport, k)
 		if err := r.advanceWave(ids, ent.seg, reports); err != nil {
 			return err
 		}
@@ -418,7 +400,7 @@ func (r *run) replay(ids []int) error {
 			if err := checkReplay(ids, reports, ent.exports); err != nil {
 				return err
 			}
-			reports = make([]*islandReport, k)
+			reports = make([]*core.ShardReport, k)
 			if err := r.deliverWave(ids, ent.exports, reports); err != nil {
 				return err
 			}
@@ -437,7 +419,7 @@ func (r *run) replay(ids []int) error {
 // byte for byte. Replay is the same pure computation as the original
 // round, so any difference means nondeterminism: the run fails instead
 // of continuing from a population that never existed.
-func checkReplay(ids []int, reports []*islandReport, logged []json.RawMessage) error {
+func checkReplay(ids []int, reports []*core.ShardReport, logged [][]byte) error {
 	for _, id := range ids {
 		if got := reports[id].Exports; !bytes.Equal(got, logged[id]) {
 			return fmt.Errorf("dist: island %d replay diverged: %d export bytes differ from the %d logged",
@@ -448,7 +430,7 @@ func checkReplay(ids []int, reports []*islandReport, logged []json.RawMessage) e
 }
 
 // reported filters ids down to the islands that have a report.
-func reported(ids []int, reports []*islandReport) []int {
+func reported(ids []int, reports []*core.ShardReport) []int {
 	var out []int
 	for _, id := range ids {
 		if reports[id] != nil {
@@ -466,26 +448,13 @@ func (r *run) groupByOwner(ids []int) map[int][]int {
 	return byOwner
 }
 
-func sortedKeys(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ { // tiny n: insertion sort
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
 // advanceWave runs one phase-A wave for the listed islands: roundMsg to
 // every owner, then all acks. Islands on workers that fail stay
 // report-less for the caller's retry loop; worker-reported errors are
 // fatal.
-func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*islandReport) error {
+func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*core.ShardReport) error {
 	r.seq++
-	return r.wave(ids, mtRound, mtRoundAck, "round", reports, func(own []int) any {
+	return r.wave(ids, mtRound, mtRoundAck, "round", seg.Bodies, reports, func(own []int) any {
 		return roundMsg{Seq: r.seq, IDs: own, Bodies: seg.Bodies, Boundary: seg.Boundary}
 	})
 }
@@ -494,43 +463,38 @@ func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*islandReport)
 // migrant batches — the source islands' logged export bytes, forwarded
 // verbatim (empty for islands the ring routes nothing to: the boundary's
 // second sort must still run) — and completes its boundary body.
-func (r *run) deliverWave(ids []int, exports []json.RawMessage, final []*islandReport) error {
+func (r *run) deliverWave(ids []int, exports [][]byte, final []*core.ShardReport) error {
 	r.seq++
-	err := r.wave(ids, mtMigrants, mtMigrantsAck, "migrants", final, func(own []int) any {
-		msg := migrantsMsg[rawBatch]{Seq: r.seq}
+	return r.wave(ids, mtMigrants, mtMigrantsAck, "migrants", 0, final, func(own []int) any {
+		msg := migrantsMsg{Seq: r.seq}
 		for _, id := range own {
-			d := delivery[rawBatch]{ID: id}
+			d := delivery{ID: id}
 			for src, dst := range r.route {
 				if dst == id {
-					d.Batches = append(d.Batches, rawBatch{From: src, Elites: exports[src]})
+					d.Batches = append(d.Batches, core.MigrantBatch{From: src, Elites: exports[src]})
 				}
 			}
 			msg.Deliveries = append(msg.Deliveries, d)
 		}
 		return msg
 	})
-	if err != nil {
-		return err
-	}
-	if r.liveCount() == 0 {
-		return fmt.Errorf("dist: all workers lost")
-	}
-	return nil
 }
 
-// wave sends every live owner of the listed islands the request msg
-// builds for its share, then reads all acks into reports by island.
-// Owners already dead (a replay can list islands whose adoption failed)
-// are skipped. Transport failures mark the owner dead and leave its
-// islands report-less; worker-reported errors are fatal.
-func (r *run) wave(ids []int, typ, ackTyp byte, what string, reports []*islandReport, msg func(own []int) any) error {
+// exchange sends every live owner of the listed islands the request msg
+// builds for its share, then reads each owner's ack and hands it to
+// handle. Sending to all owners before reading any ack keeps every phase
+// worker-concurrent. Owners already dead (a replay can list islands whose
+// adoption failed) are skipped. Transport failures mark the owner dead
+// and leave its islands for the caller's retry loop; handle's errors are
+// fatal, and so is losing every worker.
+func exchange[A any](r *run, ids []int, typ, ackTyp byte, msg func(own []int) any, handle func(p *peer, own []int, ack *A) error) error {
 	type pending struct {
 		p   *peer
-		ids []int
+		own []int
 	}
 	byOwner := r.groupByOwner(ids)
 	var sent []pending
-	for _, w := range sortedKeys(byOwner) {
+	for _, w := range slices.Sorted(maps.Keys(byOwner)) {
 		p := r.peers[w]
 		if !p.alive {
 			continue
@@ -543,24 +507,70 @@ func (r *run) wave(ids []int, typ, ackTyp byte, what string, reports []*islandRe
 		sent = append(sent, pending{p, byOwner[w]})
 	}
 	for _, s := range sent {
-		var ack roundAck[islandReport]
+		var ack A
 		if err := s.p.fc.expect(ackTyp, &ack); err != nil {
 			r.markDead(s.p, err)
 			continue
 		}
-		if ack.Err != "" {
-			return fmt.Errorf("dist: worker %s: %s %d: %s", s.p.addr, what, r.seq, ack.Err)
+		if err := handle(s.p, s.own, &ack); err != nil {
+			return err
 		}
-		if len(ack.Reports) != len(s.ids) {
-			return fmt.Errorf("dist: worker %s: %s %d: %d reports for %d islands", s.p.addr, what, r.seq, len(ack.Reports), len(s.ids))
+	}
+	if r.liveCount() == 0 {
+		return fmt.Errorf("dist: all workers lost")
+	}
+	return nil
+}
+
+// wave exchanges a round or migrants request and files the acks' reports
+// by island. bodies is the history length a full-fidelity island's
+// report must carry: the segment's bodies in phase A, 0 in phase B.
+func (r *run) wave(ids []int, typ, ackTyp byte, what string, bodies int, reports []*core.ShardReport, msg func(own []int) any) error {
+	return exchange(r, ids, typ, ackTyp, msg, func(p *peer, own []int, ack *roundAck) error {
+		if err := r.checkAck(ack, own, bodies); err != nil {
+			return fmt.Errorf("dist: worker %s: %s %d: %w", p.addr, what, r.seq, err)
 		}
 		for i := range ack.Reports {
-			rep := &ack.Reports[i]
-			if rep.Island < 0 || rep.Island >= len(reports) {
-				return fmt.Errorf("dist: worker %s: %s %d: report for island %d", s.p.addr, what, r.seq, rep.Island)
-			}
-			reports[rep.Island] = rep
+			reports[ack.Reports[i].Island] = &ack.Reports[i]
 		}
+		return nil
+	})
+}
+
+// checkAck validates a round or migrants ack against its request: it
+// reports exactly the requested islands, each once, and every
+// full-fidelity island's report carries bodies history entries (scouts
+// carry none).
+func (r *run) checkAck(ack *roundAck, ids []int, bodies int) error {
+	if ack.Err != "" {
+		return errors.New(ack.Err)
+	}
+	got := make([]int, len(ack.Reports))
+	for i, rep := range ack.Reports {
+		got[i] = rep.Island
+	}
+	if err := sameIslands(got, ids); err != nil {
+		return err
+	}
+	for _, rep := range ack.Reports {
+		want := bodies
+		if r.scouts[rep.Island] {
+			want = 0
+		}
+		if len(rep.Hist) != want {
+			return fmt.Errorf("island %d reports %d history entries, want %d", rep.Island, len(rep.Hist), want)
+		}
+	}
+	return nil
+}
+
+// sameIslands checks that an ack reported exactly the requested islands.
+func sameIslands(got, want []int) error {
+	g, w := slices.Clone(got), slices.Clone(want)
+	slices.Sort(g)
+	slices.Sort(w)
+	if !slices.Equal(g, w) {
+		return fmt.Errorf("reports islands %v, requested %v", got, want)
 	}
 	return nil
 }
@@ -572,7 +582,7 @@ func (r *run) wave(ids []int, typ, ackTyp byte, what string, reports []*islandRe
 // joins the replay log.
 func (r *run) runSegment(seg *core.Segment) error {
 	k := len(r.owner)
-	reports := make([]*islandReport, k)
+	reports := make([]*core.ShardReport, k)
 	for missing := missingOf(reports); len(missing) > 0; missing = missingOf(reports) {
 		if _, err := r.rehome(missing); err != nil {
 			return err
@@ -586,7 +596,7 @@ func (r *run) runSegment(seg *core.Segment) error {
 
 	ent := logEntry{seg: seg}
 	if seg.Boundary {
-		ent.exports = make([]json.RawMessage, k)
+		ent.exports = make([][]byte, k)
 		for id, rep := range reports {
 			ent.exports[id] = rep.Exports
 		}
@@ -594,7 +604,7 @@ func (r *run) runSegment(seg *core.Segment) error {
 		if err := r.observeMigration(seg, ent.exports); err != nil {
 			return err
 		}
-		final := make([]*islandReport, k)
+		final := make([]*core.ShardReport, k)
 		for missing := missingOf(final); len(missing) > 0; missing = missingOf(final) {
 			// Losses between the two phases: a re-homed island stands at
 			// the segment's start, so its phase A is replayed — checked
@@ -605,7 +615,7 @@ func (r *run) runSegment(seg *core.Segment) error {
 				return err
 			}
 			if len(moved) > 0 {
-				replayed := make([]*islandReport, k)
+				replayed := make([]*core.ShardReport, k)
 				if err := r.advanceWave(moved, seg, replayed); err != nil {
 					return err
 				}
@@ -633,24 +643,23 @@ func (r *run) runSegment(seg *core.Segment) error {
 
 // observeMigration decodes a boundary's exports for Engine.OnMigration;
 // without an observer the coordinator never decodes them.
-func (r *run) observeMigration(seg *core.Segment, raw []json.RawMessage) error {
+func (r *run) observeMigration(seg *core.Segment, raw [][]byte) error {
 	if r.e.OnMigration == nil {
 		return nil
 	}
 	exports := make([][]core.IndividualState, len(raw))
 	for id, b := range raw {
-		if len(b) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(b, &exports[id]); err != nil {
+		sel, err := core.DecodeStates(b)
+		if err != nil {
 			return fmt.Errorf("dist: island %d exports: %w", id, err)
 		}
+		exports[id] = sel
 	}
 	r.e.OnMigration(seg.StartGen+seg.Bodies-1, exports)
 	return nil
 }
 
-func missingOf(reports []*islandReport) []int {
+func missingOf(reports []*core.ShardReport) []int {
 	var out []int
 	for id, rep := range reports {
 		if rep == nil {
@@ -661,7 +670,7 @@ func missingOf(reports []*islandReport) []int {
 }
 
 // checkSamples cross-checks a completed island against the schedule.
-func checkSamples(rep *islandReport, seg *core.Segment) error {
+func checkSamples(rep *core.ShardReport, seg *core.Segment) error {
 	if want := seg.IslandSamples[rep.Island]; rep.Samples != want {
 		return fmt.Errorf("dist: island %d spent %d samples, schedule says %d", rep.Island, rep.Samples, want)
 	}
@@ -677,7 +686,7 @@ func checkSamples(rep *islandReport, seg *core.Segment) error {
 // BestFitness, ScoutEvals); the telemetry fields the coordinator cannot
 // see mid-run (cache/pool/delta counters, the full/pruned split under
 // Config.Prune) read as zero until the exact final snapshot.
-func (r *run) emitSegment(seg *core.Segment, reports []*islandReport) {
+func (r *run) emitSegment(seg *core.Segment, reports []*core.ShardReport) {
 	for b := 0; b < seg.Bodies; b++ {
 		best := 0.0
 		found := false
@@ -736,6 +745,7 @@ func (r *run) finalize() (*core.Result, error) {
 
 	res := &core.Result{Generations: r.gens}
 	winner := -1
+	var best core.IndividualState
 	for id, fin := range finals {
 		res.Samples += fin.Samples
 		res.FullEvals += fin.FullEvals
@@ -748,8 +758,15 @@ func (r *run) finalize() (*core.Result, error) {
 		if fin.IsScout || fin.Best == nil {
 			continue
 		}
-		if winner < 0 || fin.Best.Fitness < finals[winner].Best.Fitness {
-			winner = id
+		sel, err := core.DecodeStates(fin.Best)
+		if err == nil && len(sel) != 1 {
+			err = fmt.Errorf("%d states, want 1", len(sel))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dist: island %d final best: %w", id, err)
+		}
+		if winner < 0 || sel[0].Fitness < best.Fitness {
+			winner, best = id, sel[0]
 		}
 	}
 	if res.Samples != r.prevTotal {
@@ -758,7 +775,6 @@ func (r *run) finalize() (*core.Result, error) {
 	if winner < 0 {
 		return nil, fmt.Errorf("dist: no full-fidelity island reported a best")
 	}
-	best := finals[winner].Best
 	if best.Pruned {
 		return nil, fmt.Errorf("dist: island %d best is a pruned bound", winner)
 	}
@@ -794,45 +810,24 @@ func (r *run) finalize() (*core.Result, error) {
 }
 
 // finalizeWave requests final reports for the listed islands from their
-// owners, send-all-then-read-all like every other wave.
+// owners.
 func (r *run) finalizeWave(ids []int, finals []*core.ShardFinal) error {
-	byOwner := r.groupByOwner(ids)
-	type pending struct {
-		p   *peer
-		ids []int
-	}
-	var sent []pending
-	for _, w := range sortedKeys(byOwner) {
-		p := r.peers[w]
-		p.fc.setDeadline(r.c.ioTimeout())
-		if err := p.fc.writeMsg(mtFinalize, finalizeMsg{IDs: byOwner[w]}); err != nil {
-			r.markDead(p, err)
-			continue
-		}
-		sent = append(sent, pending{p, byOwner[w]})
-	}
-	for _, s := range sent {
-		var ack finalizeAck
-		if err := s.p.fc.expect(mtFinalizeAck, &ack); err != nil {
-			r.markDead(s.p, err)
-			continue
-		}
+	return exchange(r, ids, mtFinalize, mtFinalizeAck, func(own []int) any {
+		return finalizeMsg{IDs: own}
+	}, func(p *peer, own []int, ack *finalizeAck) error {
 		if ack.Err != "" {
-			return fmt.Errorf("dist: worker %s: finalize: %s", s.p.addr, ack.Err)
+			return fmt.Errorf("dist: worker %s: finalize: %s", p.addr, ack.Err)
 		}
-		if len(ack.Finals) != len(s.ids) {
-			return fmt.Errorf("dist: worker %s: finalize: %d reports for %d islands", s.p.addr, len(ack.Finals), len(s.ids))
+		got := make([]int, len(ack.Finals))
+		for i, fin := range ack.Finals {
+			got[i] = fin.Island
+		}
+		if err := sameIslands(got, own); err != nil {
+			return fmt.Errorf("dist: worker %s: finalize: %w", p.addr, err)
 		}
 		for i := range ack.Finals {
-			fin := &ack.Finals[i]
-			if fin.Island < 0 || fin.Island >= len(finals) {
-				return fmt.Errorf("dist: worker %s: finalize: report for island %d", s.p.addr, fin.Island)
-			}
-			finals[fin.Island] = fin
+			finals[ack.Finals[i].Island] = &ack.Finals[i]
 		}
-	}
-	if r.liveCount() == 0 {
-		return fmt.Errorf("dist: all workers lost")
-	}
-	return nil
+		return nil
+	})
 }

@@ -1,7 +1,9 @@
 // Package dist is the multi-process island backend: a coordinator
 // (core.Placement) that shards a run's K islands across W worker
-// processes speaking a CRC-framed, length-prefixed TCP protocol whose
-// payloads reuse the versioned checkpoint encoding.
+// processes speaking a CRC-framed, length-prefixed TCP protocol of JSON
+// messages. Island elites ride in them as opaque bytes in core's binary
+// state encoding (core.AppendStates), which the coordinator forwards
+// without decoding.
 //
 // Frame layout (all integers big-endian):
 //
@@ -12,8 +14,8 @@
 //
 // A short read or CRC mismatch is a torn frame: the connection is
 // poisoned and the peer is treated as lost. Determinism does not depend
-// on any of this machinery — the protocol only moves checkpoint-encoded
-// elites between processes, never island snapshots, and every payload's
+// on any of this machinery — the protocol only moves encoded elites
+// between processes, never island snapshots, and every payload's
 // content is a pure function of (Seed, Islands, MigrateEvery, Profiles);
 // see docs/dist-protocol.md for the full argument.
 package dist
@@ -33,9 +35,11 @@ import (
 )
 
 // ProtoVersion is the wire protocol version; hellos carrying any other
-// version are refused at handshake time. Version 2 acks carry no island
-// snapshots: lost islands are rebuilt by replaying the coordinator's log.
-const ProtoVersion = 2
+// version are refused at handshake time. Version 3 ships elites in the
+// binary state encoding, where version 2 shipped JSON. Neither carries
+// island snapshots: lost islands are rebuilt by replaying the
+// coordinator's log.
+const ProtoVersion = 3
 
 // maxFrame bounds a frame payload: far above any round of elite exports
 // the engine produces, small enough to refuse a corrupt length prefix
@@ -119,46 +123,24 @@ type roundMsg struct {
 	Boundary bool  `json:"boundary,omitempty"`
 }
 
-// roundAck answers a round or migrants request. Workers send it with R =
-// core.ShardReport; the coordinator decodes the same JSON with R =
-// islandReport, which keeps each island's elite exports as raw bytes.
-type roundAck[R any] struct {
-	Seq     int    `json:"seq"`
-	Reports []R    `json:"reports,omitempty"`
-	Err     string `json:"err,omitempty"`
-}
-
-// islandReport is core.ShardReport as the coordinator decodes it: the
-// exports stay encoded, are logged, and are forwarded verbatim as
-// migrant batches; they are decoded only for an Engine.OnMigration
-// observer.
-type islandReport struct {
-	Island  int             `json:"island"`
-	Gen     int             `json:"gen"`
-	Samples int             `json:"samples"`
-	Hist    []float64       `json:"hist,omitempty"`
-	Exports json.RawMessage `json:"exports,omitempty"`
-}
-
-// rawBatch is core.MigrantBatch as the coordinator sends it: one source
-// island's export bytes, exactly as its owner encoded them.
-type rawBatch struct {
-	From   int             `json:"from"`
-	Elites json.RawMessage `json:"elites"`
+// roundAck answers a round or migrants request with one report per
+// requested island.
+type roundAck struct {
+	Seq     int                `json:"seq"`
+	Reports []core.ShardReport `json:"reports,omitempty"`
+	Err     string             `json:"err,omitempty"`
 }
 
 // delivery routes migrant batches to one destination island; an empty
 // batch list still completes the island's boundary (the second sort).
-// The coordinator sends B = rawBatch, the worker decodes B =
-// core.MigrantBatch.
-type delivery[B any] struct {
-	ID      int `json:"id"`
-	Batches []B `json:"batches,omitempty"`
+type delivery struct {
+	ID      int                 `json:"id"`
+	Batches []core.MigrantBatch `json:"batches,omitempty"`
 }
 
-type migrantsMsg[B any] struct {
-	Seq        int           `json:"seq"`
-	Deliveries []delivery[B] `json:"deliveries"`
+type migrantsMsg struct {
+	Seq        int        `json:"seq"`
+	Deliveries []delivery `json:"deliveries"`
 }
 
 type finalizeMsg struct {

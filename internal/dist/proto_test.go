@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"digamma/internal/core"
+	"digamma/internal/mapping"
 )
 
 // pipeConn adapts an in-memory reader and writer to the frame layer.
@@ -41,9 +41,9 @@ func messageFor(typ byte) any {
 	case mtRound:
 		return &roundMsg{}
 	case mtRoundAck, mtMigrantsAck:
-		return &roundAck[islandReport]{}
+		return &roundAck{}
 	case mtMigrants:
-		return &migrantsMsg[core.MigrantBatch]{}
+		return &migrantsMsg{}
 	case mtFinalize:
 		return &finalizeMsg{}
 	case mtFinalizeAck:
@@ -88,15 +88,13 @@ func TestReadMsgAllocTracksBytes(t *testing.T) {
 	}
 }
 
-// TestWirePairs: what a worker encodes, the coordinator decodes with
-// the exports left as the worker's bytes, and the coordinator forwards
-// those bytes as migrants the worker decodes back into the same elites.
+// TestWirePairs: every message has one concrete type on both ends. A
+// worker's round ack reaches the coordinator with the export bytes
+// intact, and the coordinator forwards those bytes as migrants that the
+// worker decodes back into the same elites.
 func TestWirePairs(t *testing.T) {
-	elites := []core.IndividualState{{Fanouts: []int{4, 2}, Fitness: 1.5}, {Fanouts: []int{2}, Fitness: 7, Pruned: true}}
-	enc, err := json.Marshal(elites)
-	if err != nil {
-		t.Fatal(err)
-	}
+	elites := []core.IndividualState{{Fanouts: []int{4, 2}, Maps: []mapping.Mapping{}, Fitness: 1.5}, {Fanouts: []int{2}, Maps: []mapping.Mapping{}, Fitness: 7, Pruned: true}}
+	enc := core.AppendStates(nil, elites)
 	roundTrip := func(typ byte, msg, v any) {
 		t.Helper()
 		var buf bytes.Buffer
@@ -106,20 +104,22 @@ func TestWirePairs(t *testing.T) {
 		if err := readerConn(buf.Bytes()).expect(typ, v); err != nil {
 			t.Fatalf("type %d: %v", typ, err)
 		}
+		if !reflect.DeepEqual(reflect.ValueOf(v).Elem().Interface(), msg) {
+			t.Fatalf("type %d: decoded %+v, sent %+v", typ, v, msg)
+		}
 	}
 
-	sent := core.ShardReport{Island: 1, Gen: 2, Samples: 80, Hist: []float64{2.5}, Exports: elites}
-	var ack roundAck[islandReport]
-	roundTrip(mtRoundAck, roundAck[core.ShardReport]{Seq: 3, Reports: []core.ShardReport{sent}}, &ack)
-	got := ack.Reports[0]
-	if got.Island != 1 || got.Gen != 2 || got.Samples != 80 || !reflect.DeepEqual(got.Hist, sent.Hist) || !bytes.Equal(got.Exports, enc) {
-		t.Fatalf("coordinator decodes %+v (exports %s), worker sent %+v (exports %s)", got, got.Exports, sent, enc)
+	sent := roundAck{Seq: 3, Reports: []core.ShardReport{{Island: 1, Gen: 2, Samples: 80, Hist: []float64{2.5}, Exports: enc}}}
+	var ack roundAck
+	roundTrip(mtRoundAck, sent, &ack)
+
+	var mig migrantsMsg
+	roundTrip(mtMigrants, migrantsMsg{Seq: 4, Deliveries: []delivery{{ID: 2, Batches: []core.MigrantBatch{{From: 1, Elites: ack.Reports[0].Exports}}}}}, &mig)
+	got, err := core.DecodeStates(mig.Deliveries[0].Batches[0].Elites)
+	if err != nil || !reflect.DeepEqual(got, elites) {
+		t.Fatalf("worker decodes migrants %+v (%v), want %+v", got, err, elites)
 	}
 
-	var mig migrantsMsg[core.MigrantBatch]
-	roundTrip(mtMigrants, migrantsMsg[rawBatch]{Seq: 4, Deliveries: []delivery[rawBatch]{{ID: 2, Batches: []rawBatch{{From: 1, Elites: got.Exports}}}}}, &mig)
-	d := mig.Deliveries[0]
-	if d.ID != 2 || len(d.Batches) != 1 || d.Batches[0].From != 1 || !reflect.DeepEqual(d.Batches[0].Elites, elites) {
-		t.Fatalf("worker decodes migrants %+v, want %+v from island 1", d, elites)
-	}
+	var fin finalizeAck
+	roundTrip(mtFinalizeAck, finalizeAck{Finals: []core.ShardFinal{{Island: 0, Best: core.AppendStates(nil, elites[:1]), Samples: 80}, {Island: 1, IsScout: true}}}, &fin)
 }

@@ -147,7 +147,7 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 		if err := decode(typ, body, &msg); err != nil {
 			return err
 		}
-		ack := roundAck[core.ShardReport]{Seq: msg.Seq}
+		ack := roundAck{Seq: msg.Seq}
 		// Ascending island order: the per-island step sequence is
 		// independent, but deterministic ordering keeps shared-cache
 		// effects and failure replay reproducible.
@@ -165,11 +165,11 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 		return fc.writeMsg(mtRoundAck, ack)
 
 	case mtMigrants:
-		var msg migrantsMsg[core.MigrantBatch]
+		var msg migrantsMsg
 		if err := decode(typ, body, &msg); err != nil {
 			return err
 		}
-		ack := roundAck[core.ShardReport]{Seq: msg.Seq}
+		ack := roundAck{Seq: msg.Seq}
 		dels := msg.Deliveries
 		sort.Slice(dels, func(i, j int) bool { return dels[i].ID < dels[j].ID })
 		for _, d := range dels {

@@ -52,6 +52,12 @@ DIGAMMAD_BENCH_ISLANDS=$ISLANDS go test -run '^$' \
 go test -run '^$' -bench 'BenchmarkDistIslands$' \
     -benchtime "$BENCHTIME" ./internal/dist/ | tee -a "$RAW"
 
+# Wire rung under the distributed row: one 8-island resnet50 migration
+# boundary through the real framing, with no search around it (round acks
+# encoded, decoded and forwarded as migrants, migrants decoded to elites).
+go test -run '^$' -bench 'BenchmarkBoundaryWire$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/dist/ | tee -a "$RAW"
+
 # Served tail latency: the selftest's open-loop sustained phase over a
 # small rate sweep, recorded as mean/p95/p99 rows so SLO drift shows up in
 # the same trajectory file as the throughput rows.
@@ -66,7 +72,7 @@ BEGIN { print "[" ; first = 1 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)           # strip the GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""; bestfit = ""; reused = ""; hitrate = ""; sharedhits = ""; p95 = ""; p99 = ""
+    ns = ""; bytes = ""; allocs = ""; bestfit = ""; reused = ""; hitrate = ""; sharedhits = ""; p95 = ""; p99 = ""; wire = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op")         ns         = $(i - 1)
         if ($(i) == "B/op")          bytes      = $(i - 1)
@@ -77,6 +83,7 @@ BEGIN { print "[" ; first = 1 }
         if ($(i) == "sharedhits/op") sharedhits = $(i - 1)
         if ($(i) == "p95_ns/op")     p95        = $(i - 1)
         if ($(i) == "p99_ns/op")     p99        = $(i - 1)
+        if ($(i) == "wire_B/boundary") wire     = $(i - 1)
     }
     if (ns == "") next
     if (!first) print ","
@@ -89,6 +96,7 @@ BEGIN { print "[" ; first = 1 }
     if (sharedhits != "") printf ", \"sharedhits_per_op\": %s", sharedhits
     if (p95 != "") printf ", \"p95_ns_per_op\": %s", p95
     if (p99 != "") printf ", \"p99_ns_per_op\": %s", p99
+    if (wire != "") printf ", \"wire_bytes_per_boundary\": %s", wire
     printf "}"
 }
 END { print "\n]" }
