@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 
 	"digamma/internal/arch"
 	"digamma/internal/coopt"
+	"digamma/internal/schemes"
 	"digamma/internal/workload"
 )
 
@@ -281,5 +283,96 @@ func TestGammaIslandsKeepHWFixed(t *testing.T) {
 	}
 	if r.Best.HW.Fanouts[0] != 16 || r.Best.HW.Fanouts[1] != 8 {
 		t.Errorf("island GAMMA changed HW: %v", r.Best.HW.Fanouts)
+	}
+}
+
+// TestIslandsManyGoldenBitIdentical pins the multi-island engine to
+// recorded values: for K ∈ {2, 4} and two seeds, each mode below — the
+// default ring, a profile mix with a scout, bound pruning, GAMMA's fixed
+// hardware and a fixed DLA-like mapping, all migrating every second
+// generation — must reproduce the Samples, Generations, Best.Fitness and
+// weighted history recorded from the tree whose in-process ring still
+// shared migrant evaluations between populations. The equivalence tests
+// compare the in-process and distributed drivers with each other; this
+// one catches a change that moves both the same way.
+func TestIslandsManyGoldenBitIdentical(t *testing.T) {
+	hw := arch.HW{Fanouts: []int{16, 8}, BufBytes: []int64{8 << 10, 1 << 20}}
+	modes := []struct {
+		name    string
+		problem func(*coopt.Problem) (*coopt.Problem, error)
+		mutate  func(*Config)
+	}{
+		{"ring", nil, nil},
+		{"profiles", nil, func(c *Config) { c.Profiles = []string{"default", "scout", "explorer", "exploiter"} }},
+		{"prune", nil, func(c *Config) { c.Prune = true }},
+		{"gamma", func(p *coopt.Problem) (*coopt.Problem, error) { return p.WithFixedHW(hw) }, func(c *Config) {
+			g := GammaConfig()
+			g.Workers, g.Islands, g.MigrateEvery = c.Workers, c.Islands, c.MigrateEvery
+			*c = g
+		}},
+		{"fixedmap", func(p *coopt.Problem) (*coopt.Problem, error) {
+			return p.WithFixedMapping(schemes.Rule(schemes.DLALike))
+		}, nil},
+	}
+	golden := map[string]struct {
+		samples     int
+		generations int
+		bestFitness float64
+		histSum     float64
+	}{
+		"ring/islands=2/seed=1":     {600, 16, 0x1.4d067caaf953p+24, 0x1.6f9cf1aa8cd2bp+32},
+		"ring/islands=2/seed=7":     {600, 16, 0x1.03d5b508d406ep+24, 0x1.411daebeaa526p+32},
+		"ring/islands=4/seed=1":     {600, 16, 0x1.99d3ce9f1977p+24, 0x1.751a1b42932e5p+32},
+		"ring/islands=4/seed=7":     {600, 16, 0x1.20c7f04a7cf3cp+24, 0x1.4770527b0d029p+32},
+		"profiles/islands=2/seed=1": {600, 16, 0x1.8e44b9c6aae27p+24, 0x1.9c37df9f8ef0ep+32},
+		"profiles/islands=2/seed=7": {600, 16, 0x1.957d398d8c61bp+24, 0x1.9523cb4c5ccbep+32},
+		"profiles/islands=4/seed=1": {600, 18, 0x1.7cd502f9b6adbp+24, 0x1.91e487b2af70dp+32},
+		"profiles/islands=4/seed=7": {600, 18, 0x1.a756983a05573p+24, 0x1.bc327dc54a0c7p+32},
+		"prune/islands=2/seed=1":    {600, 16, 0x1.92f8d93718f62p+24, 0x1.97f5ba3400096p+32},
+		"prune/islands=2/seed=7":    {600, 16, 0x1.8d7c24438e38ep+24, 0x1.959780c25738cp+32},
+		"prune/islands=4/seed=1":    {600, 16, 0x1.7f920f7c88ff6p+24, 0x1.561ab65122bc9p+32},
+		"prune/islands=4/seed=7":    {600, 16, 0x1.3d5ae5c94198bp+24, 0x1.83bbf1697dda4p+32},
+		"gamma/islands=2/seed=1":    {600, 16, 0x1.5c50dcd0177b2p+24, 0x1.4ebb8bcf6273p+32},
+		"gamma/islands=2/seed=7":    {600, 16, 0x1.1e303c1ee9f0fp+24, 0x1.15452e4e07f9fp+32},
+		"gamma/islands=4/seed=1":    {600, 16, 0x1.6d18075873271p+24, 0x1.b7e531cb34a1cp+32},
+		"gamma/islands=4/seed=7":    {600, 16, 0x1.1fbc51d011fedp+24, 0x1.19f530a61c5eep+32},
+		"fixedmap/islands=2/seed=1": {600, 16, 0x1.c5161d61fd2ffp+24, 0x1.13737a91dbd64p+32},
+		"fixedmap/islands=2/seed=7": {600, 16, 0x1.f68686fd0a72fp+24, 0x1.31f74b7986476p+32},
+		"fixedmap/islands=4/seed=1": {600, 16, 0x1.f68686fd0a72fp+24, 0x1.3e6f30eb03ac7p+32},
+		"fixedmap/islands=4/seed=7": {600, 16, 0x1.f68686fd0a72fp+24, 0x1.32c75d39c23ebp+32},
+	}
+	for _, m := range modes {
+		for _, k := range []int{2, 4} {
+			for _, seed := range []int64{1, 7} {
+				key := fmt.Sprintf("%s/islands=%d/seed=%d", m.name, k, seed)
+				p := zooProblem(t, "resnet18")
+				if m.problem != nil {
+					var err error
+					if p, err = m.problem(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r := runIslands(t, p, seed, 600, func(c *Config) {
+					c.Islands = k
+					c.MigrateEvery = 2
+					if m.mutate != nil {
+						m.mutate(c)
+					}
+				})
+				g, ok := golden[key]
+				if !ok {
+					t.Fatalf("%s: no golden recorded", key)
+				}
+				if r.Samples != g.samples || r.Generations != g.generations {
+					t.Errorf("%s: samples %d gens %d, want %d/%d", key, r.Samples, r.Generations, g.samples, g.generations)
+				}
+				if r.Best.Fitness != g.bestFitness {
+					t.Errorf("%s: best %x, want %x", key, r.Best.Fitness, g.bestFitness)
+				}
+				if hs := weightedHistory(r); hs != g.histSum {
+					t.Errorf("%s: history sum %x, want %x", key, hs, g.histSum)
+				}
+			}
+		}
 	}
 }
