@@ -383,11 +383,6 @@ type Evaluation struct {
 	// in co-opt mode), kept across pool recycles so re-scoring into a
 	// reused Evaluation allocates nothing.
 	scratch []int64
-	// pinned marks an evaluation that migrated between islands and is
-	// therefore referenced by more than one population: EvalPool.Recycle
-	// refuses it, because recycling one owner's copy would corrupt the
-	// other's.
-	pinned bool
 }
 
 // PrunedEvaluation wraps a genome whose fitness lower bound already
@@ -405,10 +400,6 @@ func PrunedInto(ev *Evaluation, g space.Genome, bound float64) {
 	ev.Fitness = bound
 	ev.Pruned = true
 }
-
-// Pin marks the evaluation as shared between owners (island migration),
-// excluding it from pool recycling for the rest of its life.
-func (ev *Evaluation) Pin() { ev.pinned = true }
 
 // reset clears ev for re-scoring: every scored field zeroed, Layers
 // re-sliced to L (entries are fully overwritten by the scorer), and the

@@ -10,14 +10,12 @@ package coopt
 // The pool is deliberately NOT safe for concurrent use: the engine gives
 // each island its own pool and acquires every buffer serially before
 // fanning a batch out, which keeps the hot path free of pool locks.
-// Recycling rules (enforced by the caller):
-//
-//   - recycle an Evaluation only when nothing else can reach it — in the
-//     engine that means individuals dropped at install time, and only
-//     when no OnEvaluation hook may have retained them;
-//   - never recycle an evaluation that migrated between islands: both
-//     populations reference the same pointer (Evaluation.Pin marks these,
-//     and Recycle refuses them).
+// The recycling rule is the caller's to enforce:
+// recycle an Evaluation only when nothing else can reach it — in the
+// engine that means individuals dropped from their population (at install
+// time, or overwritten by a migrant, which arrives as bytes and is
+// rebuilt into the receiving island's own pool), and only when no
+// OnEvaluation hook may have retained them.
 //
 // Shared analysis Results referenced from a recycled buffer's Layers are
 // unaffected: children that cloned them hold their own (layer, result)
@@ -59,11 +57,10 @@ func (pl *EvalPool) Get() *Evaluation {
 	return ev
 }
 
-// Recycle returns a dead Evaluation to the freelist. Pinned (migrated)
-// evaluations and nils are refused; see the type comment for the aliasing
-// rules the caller must uphold.
+// Recycle returns a dead Evaluation to the freelist; nils are refused.
+// See the type comment for the aliasing rule the caller must uphold.
 func (pl *EvalPool) Recycle(ev *Evaluation) {
-	if ev == nil || ev.pinned {
+	if ev == nil {
 		return
 	}
 	pl.free = append(pl.free, ev)
@@ -88,7 +85,6 @@ func (pl *EvalPool) Stats() (gets, reuses uint64) { return pl.gets, pl.reuses }
 func (ev *Evaluation) Detach() *Evaluation {
 	out := *ev
 	out.scratch = nil
-	out.pinned = false
 	out.Genome = ev.Genome.Clone()
 	out.HW.Fanouts = append([]int(nil), ev.HW.Fanouts...)
 	out.HW.BufBytes = append([]int64(nil), ev.HW.BufBytes...)

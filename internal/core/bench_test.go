@@ -55,7 +55,7 @@ func BenchmarkGeneration(b *testing.B) {
 				is.install(0, initial, evs)
 				c := newCrew(cfg.Workers - 1)
 				for gen := 0; gen < 2; gen++ {
-					is.beginGeneration()
+					is.begin()
 					t0 := time.Now()
 					evs, err := is.breedEvaluate(c, 1)
 					if gen == 1 {

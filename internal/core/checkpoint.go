@@ -128,7 +128,7 @@ type IslandState struct {
 	PoolGets     uint64 `json:"pool_gets"`
 	PoolReuses   uint64 `json:"pool_reuses"`
 
-	// Pop is the population in install order (the order beginGeneration's
+	// Pop is the population in install order (the order begin's
 	// sort sees, so tie-breaking behaves identically after resume).
 	Pop []IndividualState `json:"pop"`
 }

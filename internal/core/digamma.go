@@ -315,12 +315,6 @@ type Engine struct {
 	// New engine leaves them zero and cannot checkpoint or resume.
 	seed   int64
 	master *replaySource
-
-	// rescoreReused counts per-layer analyses the migration re-score
-	// recovered from the evaluation cache tiers (L1 + shared) instead of
-	// re-running the cost model. Reset per run, folded into
-	// Result.LayersReused by collectDelta.
-	rescoreReused int
 }
 
 // New assembles an engine. A nil rng defaults to a fixed seed so runs are
@@ -452,7 +446,6 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.rescoreReused = 0
 	res := &Result{}
 	evs := make([][]*coopt.Evaluation, len(islands))
 
@@ -495,6 +488,11 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	if migrateEvery == 0 {
 		migrateEvery = DefaultMigrateEvery
 	}
+	scouts := make([]bool, len(islands))
+	for i, is := range islands {
+		scouts[i] = is.scout
+	}
+	route := MigrationRoute(scouts)
 
 	// Each island with more than one worker gets a run-scoped crew of
 	// share−1 evaluation helpers that score its children while it breeds
@@ -520,7 +518,7 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 			e.emitCheckpoint(res, budget, islands)
 		}
 		for _, is := range islands {
-			is.beginGeneration()
+			is.begin()
 		}
 		res.History = append(res.History, bestOf(islands).eval.Fitness)
 		e.emitProgress(res, budget, islands)
@@ -535,7 +533,7 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 
 		if len(islands) > 1 && res.Generations%migrateEvery == 0 {
 			t0 := e.Trace.Now()
-			if err := e.migrate(islands, res); err != nil {
+			if err := e.exchange(islands, route, res); err != nil {
 				return nil, err
 			}
 			e.traceSpan(obs.PhaseMigrate, -1, res.Generations, t0)
@@ -623,7 +621,6 @@ func (e *Engine) cancelled(res *Result, budget int, islands []*island, err error
 func (e *Engine) collectDelta(res *Result, islands []*island) {
 	res.DeltaEvals, res.LayersReused = 0, 0
 	res.PoolGets, res.PoolReuses = 0, 0
-	res.LayersReused = e.rescoreReused
 	for _, is := range islands {
 		res.DeltaEvals += is.deltaEvals
 		res.LayersReused += is.layersReused
@@ -778,10 +775,18 @@ func (e *Engine) account(res *Result, is *island, evs []*coopt.Evaluation) {
 	}
 }
 
-// bestOf returns the best individual across the full-fidelity islands.
-// Scout islands are excluded: their fitnesses are bound-tier readings,
-// comparable only after the migration re-score. buildIslands guarantees
-// at least one non-scout island with a non-empty population.
+// rescored is the hook that books a scout's export re-scores against
+// res: full-model samples, reported to OnEvaluation in ring order.
+func (e *Engine) rescored(res *Result) func(*coopt.Evaluation) {
+	return func(ev *coopt.Evaluation) {
+		res.Samples++
+		res.FullEvals++
+		if e.OnEvaluation != nil {
+			e.OnEvaluation(res.Samples, ev)
+		}
+	}
+}
+
 // reachedTarget reports whether the time-to-target stop rule fires: a
 // Target is set and some full-fidelity individual already meets it.
 // Evaluated only at generation boundaries, so the stop commutes with
@@ -807,6 +812,10 @@ func (e *Engine) reachedTarget(islands []*island) bool {
 	return false
 }
 
+// bestOf returns the best individual across the full-fidelity islands.
+// Scout islands are excluded: their fitnesses are bound-tier readings,
+// comparable only after the migration re-score. buildIslands guarantees
+// at least one non-scout island with a non-empty population.
 func bestOf(islands []*island) individual {
 	var best individual
 	found := false
@@ -822,120 +831,35 @@ func bestOf(islands []*island) individual {
 	return best
 }
 
-// migrate exchanges elites over the deterministic ring: island i's top
-// MigrateCount individuals replace the worst individuals of the next
-// non-scout island clockwise. Outgoing sets are snapshotted before any
-// replacement lands, so the exchange is order-independent; no RNG is
-// drawn, so migration preserves the per-island streams. A scout island's
-// elites are re-scored by the full model first (spending the scout's
-// remaining budget share) — bound-tier fitnesses never leak into a
-// full-fidelity population — and scout islands export without importing.
-// Every population is re-sorted afterwards so elite selection and
-// tournament pressure see the migrants immediately.
-func (e *Engine) migrate(islands []*island, res *Result) error {
-	k := len(islands)
-	out := make([][]individual, k)
-	for i, src := range islands {
-		m := src.migrantCount(e.Config.MigrateCount)
-		sel := append([]individual(nil), src.cur[:m]...)
-		if src.scout {
-			var err error
-			if sel, err = e.rescore(src, sel, res); err != nil {
-				return err
-			}
-		}
-		// A migrant's evaluation is about to be referenced by two
-		// populations (the source keeps its copy); pin it so neither
-		// island's pool ever recycles it under the other.
-		for _, ind := range sel {
-			ind.eval.Pin()
-		}
-		out[i] = sel
-	}
-
-	if e.OnMigration != nil {
-		// The transport seam's observation point: the outgoing sets, as
-		// the states the wire protocol would ship, before any replacement
-		// lands.
-		exports := make([][]IndividualState, k)
-		for i, sel := range out {
-			exports[i] = encodeIndividuals(sel)
-		}
-		e.OnMigration(res.Generations, exports)
-	}
-
-	// replaceAt[j]: next slot to overwrite in island j, walking up from
-	// the worst. Multiple sources can funnel into one destination when
-	// scouts are skipped; the cursor keeps their migrants from clobbering
-	// each other, and slot 0 (the destination's own best) is never taken.
-	scouts := make([]bool, k)
+// exchange is the in-process delivery of one migration boundary: every
+// island exports before any receives — so the exchange is
+// order-independent — and island i's bytes go to island route[i] in
+// memory, where the distributed coordinator sends the same bytes over
+// TCP. A scout's re-scores are booked as full-model samples in ring
+// order. No RNG is drawn, so migration preserves the per-island streams.
+func (e *Engine) exchange(islands []*island, route []int, res *Result) error {
+	exports := make([][]byte, len(islands))
 	for i, is := range islands {
-		scouts[i] = is.scout
+		var err error
+		if exports[i], err = is.exportElites(res.Generations, e.rescored(res)); err != nil {
+			return err
+		}
 	}
-	route := MigrationRoute(scouts)
-	replaceAt := make([]int, k)
+	if err := e.ObserveMigration(res.Generations, exports); err != nil {
+		return err
+	}
+	inbox := make([][]MigrantBatch, len(islands))
+	for src, dst := range route {
+		if dst >= 0 {
+			inbox[dst] = append(inbox[dst], MigrantBatch{From: src, Elites: exports[src]})
+		}
+	}
 	for j, is := range islands {
-		replaceAt[j] = len(is.cur) - 1
-	}
-	for i := range islands {
-		j := route[i]
-		if j < 0 {
-			continue
+		if err := is.receiveMigrants(inbox[j]); err != nil {
+			return err
 		}
-		dst := islands[j]
-		for _, ind := range out[i] {
-			if replaceAt[j] < 1 {
-				break
-			}
-			if dst.recycle {
-				// The overwritten individual leaves the run here, exactly
-				// like an install-time drop. Its buffer is safe to reuse:
-				// anything shared across islands — including dst's own
-				// elites exported this round — was pinned above, and
-				// Recycle refuses pinned evaluations.
-				dst.pool.Recycle(dst.cur[replaceAt[j]].eval)
-			}
-			dst.cur[replaceAt[j]] = ind
-			replaceAt[j]--
-		}
-	}
-	for _, is := range islands {
-		is.sortPop()
 	}
 	return nil
-}
-
-// rescore scores a scout island's outgoing elites with the run's
-// full-fidelity model so they migrate at comparable fitness. Re-scores
-// spend the scout's remaining budget share (counted as FullEvals);
-// elites the share cannot afford are dropped from the migration — still
-// deterministic, since the cut depends only on the sample counters.
-// Per-layer analyses recovered from the cache tiers (the destination
-// island usually evaluated nearby designs already, and cross-search hits
-// land here too) are counted into rescoreReused; reading the counters is
-// race-free because migration is a coordinator-serial phase.
-func (e *Engine) rescore(src *island, sel []individual, res *Result) ([]individual, error) {
-	t0 := e.Trace.Now()
-	out, recovered, err := src.rescoreElites(sel, func(ev *coopt.Evaluation) {
-		res.Samples++
-		res.FullEvals++
-		if e.OnEvaluation != nil {
-			e.OnEvaluation(res.Samples, ev)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.rescoreReused += recovered
-	if e.Trace != nil {
-		e.Trace.Record(obs.Span{
-			Name: obs.PhaseRescore, Cat: obs.CatPhase,
-			Island: int32(src.id), Gen: int32(res.Generations),
-			Start: t0, Dur: e.Trace.Now() - t0,
-			N: int32(len(out)), Delta: int32(recovered),
-		})
-	}
-	return out, nil
 }
 
 // emitProgress delivers a Progress snapshot to OnGeneration, if installed.

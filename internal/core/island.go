@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -118,8 +119,11 @@ type island struct {
 	mapsArena   []mapping.Mapping
 
 	// Delta accounting, summed into Result by the coordinator.
-	deltaEvals   int // children scored by the delta path
-	layersReused int // per-layer analyses those children cloned from parents
+	deltaEvals int // children scored by the delta path
+	// layersReused counts per-layer analyses recovered without running the
+	// cost model: those children's clones from their breeding parents,
+	// plus cache-tier hits while a scout re-scores its exports.
+	layersReused int
 
 	// Tracing (trace == engine.Trace, non-nil when traced): profile is the
 	// island's profile name for report attribution, ops records each bred
@@ -257,9 +261,12 @@ func (is *island) install(keepN int, gs []space.Genome, evs []*coopt.Evaluation)
 	is.cur = next
 }
 
-// beginGeneration sorts the population and advances the pruning incumbent
-// and its stall counter — the head of the generation loop.
-func (is *island) beginGeneration() {
+// begin sorts the population and advances the pruning incumbent and its
+// stall counter — the head of every generation body. A body is the same
+// island methods under both drivers (see shard.go): begin, then at a
+// boundary exportElites and receiveMigrants, then breedEvaluate and
+// install.
+func (is *island) begin() {
 	is.sortPop()
 	if is.cur[0].eval.Fitness < is.best {
 		is.stall = 0
@@ -267,6 +274,95 @@ func (is *island) beginGeneration() {
 		is.stall++
 	}
 	is.best = is.cur[0].eval.Fitness
+}
+
+// exportElites is the export half of a migration boundary: the island's
+// top MigrateCount individuals (default: its elite count) in the
+// AppendStates encoding. A scout's elites are first re-scored by the
+// run's full-fidelity model so they migrate at comparable fitness —
+// bound-tier fitnesses never leak into a full-fidelity population. The
+// re-scores spend the island's remaining budget share (elites it cannot
+// afford are dropped, a cut that depends only on the sample counters),
+// onEval books each one at run level, and the per-layer analyses the
+// cache tiers recovered count into layersReused. gen labels the re-score
+// trace span.
+func (is *island) exportElites(gen int, onEval func(*coopt.Evaluation)) ([]byte, error) {
+	m := is.cfg.MigrateCount
+	if m <= 0 {
+		m = is.elites
+	}
+	sel := is.cur[:min(m, len(is.cur))]
+	if !is.scout {
+		return appendIndividuals(nil, sel), nil
+	}
+	t0 := is.trace.Now()
+	h0 := is.full.SharedHits()
+	var l0 uint64
+	if is.full.Cache != nil {
+		l0, _ = is.full.Cache.Lookups()
+	}
+	rescored := make([]individual, min(len(sel), max(is.budget-is.samples, 0)))
+	for i := range rescored {
+		ev, err := is.full.EvaluateCanonical(sel[i].genome)
+		if err != nil {
+			return nil, err
+		}
+		is.samples++
+		onEval(ev)
+		rescored[i] = individual{sel[i].genome, ev}
+	}
+	recovered := int(is.full.SharedHits() - h0)
+	if is.full.Cache != nil {
+		l1, _ := is.full.Cache.Lookups()
+		recovered += int(l1 - l0)
+	}
+	is.layersReused += recovered
+	if is.trace != nil {
+		is.trace.Record(obs.Span{
+			Name: obs.PhaseRescore, Cat: obs.CatPhase,
+			Island: int32(is.id), Gen: int32(gen),
+			Start: t0, Dur: is.trace.Now() - t0,
+			N: int32(len(rescored)), Delta: int32(recovered),
+		})
+	}
+	return appendIndividuals(nil, rescored), nil
+}
+
+// receiveMigrants is the receive half of a migration boundary. The
+// batches are applied in ascending source order through one replacement
+// cursor that walks up from the worst slot and never takes slot 0 (the
+// island's own best), so several sources funnelling into one island never
+// clobber each other. Each migrant is rebuilt from its bytes into the
+// island's pool, so no evaluation is ever shared between populations.
+// The population is re-sorted afterwards, so it must run on every island
+// at every boundary, with no batches for islands that receive nothing.
+func (is *island) receiveMigrants(batches []MigrantBatch) error {
+	sort.Slice(batches, func(a, b int) bool { return batches[a].From < batches[b].From })
+	replaceAt := len(is.cur) - 1
+	for _, b := range batches {
+		elites, err := DecodeStates(b.Elites)
+		if err != nil {
+			return fmt.Errorf("core: migrants from island %d for island %d: %w", b.From, is.id, err)
+		}
+		for i := range elites {
+			if replaceAt < 1 {
+				break
+			}
+			ind, err := is.rebuild(&elites[i])
+			if err != nil {
+				return fmt.Errorf("core: migrant from island %d for island %d: %w", b.From, is.id, err)
+			}
+			if is.recycle {
+				// The overwritten individual leaves the run here, exactly
+				// like an install-time drop.
+				is.pool.Recycle(is.cur[replaceAt].eval)
+			}
+			is.cur[replaceAt] = ind
+			replaceAt--
+		}
+	}
+	is.sortPop()
+	return nil
 }
 
 // sortPop orders the population best-first. Deterministic for a given

@@ -4,18 +4,16 @@
 // of a run's islands on a worker process in exact lockstep with the
 // engine's own generation loop.
 //
-// The determinism contract survives placement because every piece here is
-// a replica of an engine code path, not a reimplementation: a worker
-// builds the SAME islands via buildIslands (same seeds, same profiles,
-// same budget shares), executes the SAME per-body operation sequence
-// (beginGeneration sort → breed → evaluate → account → install, with the
-// boundary body split into an export phase and an apply phase around the
-// elite exchange), and sorts the SAME number of times on the same data —
-// sort.Slice is not stable, so replicating the exact sort sequence, not
-// just the final comparisons, is what keeps populations bit-identical.
-// Migrants travel in the binary state encoding (AppendStates) and are
-// re-materialized by re-evaluation, which is pure, so the receiving
-// population is bit-identical to the in-process ring's.
+// The determinism contract survives placement because a worker runs the
+// same code, not a replica of it: it builds the SAME islands via
+// buildIslands (same seeds, same profiles, same budget shares) and steps
+// them through the SAME island methods Engine.RunContext calls — begin,
+// exportElites, receiveMigrants, breedEvaluate, install — in the same
+// order, so every sort (sort.Slice is not stable) sees the same data.
+// Migrants travel as the same AppendStates bytes under both drivers, and
+// receiveMigrants rebuilds them by re-evaluation, which is pure, so the
+// only difference between the drivers is how the bytes are delivered:
+// in memory, or over TCP by the coordinator.
 package core
 
 import (
@@ -84,6 +82,24 @@ type RunPlan struct {
 	Islands      []IslandPlan `json:"islands"`
 }
 
+// ObserveMigration hands one boundary's exports — each island's
+// exportElites bytes, as both drivers deliver them — to OnMigration,
+// decoded. Without an observer nothing is decoded.
+func (e *Engine) ObserveMigration(gen int, exports [][]byte) error {
+	if e.OnMigration == nil {
+		return nil
+	}
+	states := make([][]IndividualState, len(exports))
+	for i, b := range exports {
+		var err error
+		if states[i], err = DecodeStates(b); err != nil {
+			return fmt.Errorf("core: island %d exports: %w", i, err)
+		}
+	}
+	e.OnMigration(gen, states)
+	return nil
+}
+
 // PlanRun builds the run's islands and extracts their plan. It draws the
 // per-island seeds from the engine's master stream — exactly the draws
 // the in-process path would make — so a placement must only call it after
@@ -143,22 +159,10 @@ func MigrationRoute(scouts []bool) []int {
 	return route
 }
 
-// migrantCount resolves how many elites this island exports per
-// migration: Config.MigrateCount, defaulting to the island's own elite
-// count, clamped to the population.
-func (is *island) migrantCount(migrateCount int) int {
-	m := migrateCount
-	if m <= 0 {
-		m = is.elites
-	}
-	return min(m, len(is.cur))
-}
-
 // encodeIndividuals serializes a selection in order, deep-copying each
 // genome through Clone so the encoded state never aliases arena-backed
-// blocks a later generation mutates. Shared by checkpoints and the
-// migration observation hook; the wire protocol encodes straight from the
-// selection instead (appendIndividuals).
+// blocks a later generation mutates. Checkpoints use it; migration
+// encodes straight from the selection instead (appendIndividuals).
 func encodeIndividuals(sel []individual) []IndividualState {
 	out := make([]IndividualState, len(sel))
 	for i, ind := range sel {
@@ -171,51 +175,6 @@ func encodeIndividuals(sel []individual) []IndividualState {
 		}
 	}
 	return out
-}
-
-// rescoreElites scores a scout island's outgoing elites with the run's
-// full-fidelity model, spending the island's remaining budget share
-// (elites the share cannot afford are dropped — deterministic, since the
-// cut depends only on the sample counters). onEval is invoked once per
-// re-score for run-level accounting. Returns the re-scored selection and
-// how many per-layer analyses the cache tiers recovered.
-func (is *island) rescoreElites(sel []individual, onEval func(*coopt.Evaluation)) ([]individual, int, error) {
-	h0 := is.full.SharedHits()
-	var l0 uint64
-	if is.full.Cache != nil {
-		l0, _ = is.full.Cache.Lookups()
-	}
-	out := make([]individual, 0, len(sel))
-	for _, ind := range sel {
-		if is.samples >= is.budget {
-			break
-		}
-		ev, err := is.full.EvaluateCanonical(ind.genome)
-		if err != nil {
-			return nil, 0, err
-		}
-		is.samples++
-		if onEval != nil {
-			onEval(ev)
-		}
-		out = append(out, individual{ind.genome, ev})
-	}
-	recovered := int(is.full.SharedHits() - h0)
-	if is.full.Cache != nil {
-		l1, _ := is.full.Cache.Lookups()
-		recovered += int(l1 - l0)
-	}
-	return out, recovered, nil
-}
-
-// materializeMigrant rebuilds one incoming migrant into this island's
-// pool (see rebuild).
-func (is *island) materializeMigrant(st *IndividualState) (individual, error) {
-	ind, err := is.rebuild(st)
-	if err != nil {
-		return individual{}, fmt.Errorf("core: migrant for island %d: %w", is.id, err)
-	}
-	return ind, nil
 }
 
 // rebuild turns one decoded individual — a checkpointed population member

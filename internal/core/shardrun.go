@@ -1,6 +1,6 @@
 // The worker half of the transport seam: ShardRunner steps an owned
-// subset of a run's islands through the exact per-body operation sequence
-// of Engine.RunContext, and Schedule is the coordinator half — a pure
+// subset of a run's islands through the same island methods as
+// Engine.RunContext, and Schedule is the coordinator half — a pure
 // simulation of the run's sample-spend arithmetic, so the coordinator
 // knows every round's shape (bodies, boundaries, the final generation)
 // without any runtime synchronization on sample counts.
@@ -9,9 +9,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
-
-	"digamma/internal/coopt"
 )
 
 // Segment is one coordinator round: a maximal run of generation bodies in
@@ -178,16 +175,13 @@ type ShardFinal struct {
 }
 
 // shardState is the runner's per-island bookkeeping beyond what the
-// island itself tracks: run-level counter splits (the engine books these
-// on the Result) and the boundary phase latch.
+// island itself tracks: the boundary phase latch and the island's share
+// of the run's Result, booked by the engine's own accounting
+// (Generations counts the completed bodies).
 type shardState struct {
 	owned       bool
 	midBoundary bool // Advance stopped at a boundary; CompleteBoundary pending
-	gen         int  // completed bodies
-	full        int
-	pruned      int
-	scoutN      int
-	reused      int // rescore-recovered analyses (scout islands)
+	res         Result
 }
 
 // ShardRunner steps a subset of a run's islands on a worker process. It
@@ -199,7 +193,6 @@ type shardState struct {
 // re-homed after a worker loss is rebuilt by replaying its rounds.
 type ShardRunner struct {
 	e       *Engine
-	budget  int
 	islands []*island
 	st      []shardState
 	workers int
@@ -207,7 +200,8 @@ type ShardRunner struct {
 
 // NewShardRunner assembles a runner for the engine's run at this budget.
 // Requires a NewSeeded engine (island streams must be re-derivable) and a
-// multi-island plan.
+// multi-island plan. Samples are booked per island, so an OnEvaluation
+// hook on the engine sees each island's own sample indices.
 func NewShardRunner(e *Engine, budget int) (*ShardRunner, error) {
 	if e.master == nil {
 		return nil, errors.New("core: shard runner requires an engine built with NewSeeded")
@@ -227,7 +221,6 @@ func NewShardRunner(e *Engine, budget int) (*ShardRunner, error) {
 	}
 	return &ShardRunner{
 		e:       e,
-		budget:  budget,
 		islands: islands,
 		st:      make([]shardState, len(islands)),
 		workers: max(e.Config.Workers, 1),
@@ -237,26 +230,14 @@ func NewShardRunner(e *Engine, budget int) (*ShardRunner, error) {
 // Islands reports the run's island count (the handshake cross-check).
 func (r *ShardRunner) Islands() int { return len(r.islands) }
 
-// Scouts reports the per-island scout flags, MigrationRoute's input.
-func (r *ShardRunner) Scouts() []bool {
-	out := make([]bool, len(r.islands))
-	for i, is := range r.islands {
-		out[i] = is.scout
-	}
-	return out
-}
-
 // Own adopts one island: seed is cross-checked against the locally
 // derived stream seed (catching divergent builds at assignment time
 // instead of as silently different results), then the island is
 // initialized — the engine's initial batch, drawn and evaluated here.
 func (r *ShardRunner) Own(id int, seed int64) error {
-	if id < 0 || id >= len(r.islands) {
-		return fmt.Errorf("core: island %d out of range [0,%d)", id, len(r.islands))
-	}
-	is, sh := r.islands[id], &r.st[id]
-	if sh.owned {
-		return fmt.Errorf("core: island %d already owned", id)
+	is, sh, err := r.lookup(id, false)
+	if err != nil {
+		return err
 	}
 	if is.seed != seed {
 		return fmt.Errorf("core: island %d seed mismatch: assigned %d, derived %d (divergent spec?)", id, seed, is.seed)
@@ -267,25 +248,26 @@ func (r *ShardRunner) Own(id int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	r.bookBatch(id, evs)
+	r.e.account(&sh.res, is, evs)
 	is.install(0, initial, evs)
 	return nil
 }
 
-// bookBatch replicates Engine.account's per-evaluation classification on
-// the runner's per-island counters.
-func (r *ShardRunner) bookBatch(id int, evs []*coopt.Evaluation) {
-	is, sh := r.islands[id], &r.st[id]
-	for _, ev := range evs {
-		is.samples++
-		switch {
-		case is.scout:
-			sh.scoutN++
-		case ev.Pruned:
-			sh.pruned++
-		default:
-			sh.full++
-		}
+// lookup resolves an island id taken off the wire for an entry point:
+// range-checked, and owned exactly when owned is set (Own wants an
+// unowned island, every later step an owned one), so a malformed request
+// is an error, never an index panic.
+func (r *ShardRunner) lookup(id int, owned bool) (*island, *shardState, error) {
+	if id < 0 || id >= len(r.islands) {
+		return nil, nil, fmt.Errorf("core: island %d out of range [0,%d)", id, len(r.islands))
+	}
+	switch sh := &r.st[id]; {
+	case sh.owned && !owned:
+		return nil, nil, fmt.Errorf("core: island %d already owned", id)
+	case !sh.owned && owned:
+		return nil, nil, fmt.Errorf("core: island %d not owned", id)
+	default:
+		return r.islands[id], sh, nil
 	}
 }
 
@@ -295,27 +277,24 @@ func (r *ShardRunner) bookBatch(id int, evs []*coopt.Evaluation) {
 // processes placed on one host would each spin helpers on the same cores
 // (an 8-island islands-dist run with GOMAXPROCS workers ran ~29% slower
 // with crews on two cores), so the brood is bred, then scored.
-func (r *ShardRunner) breedBody(id int) error {
-	is := r.islands[id]
+func (r *ShardRunner) breedBody(is *island, sh *shardState) error {
 	evs, err := is.breedEvaluate(nil, r.workers)
-	if err != nil || len(evs) == 0 {
-		return err
+	if err == nil && len(evs) > 0 {
+		r.e.account(&sh.res, is, evs)
+		is.install(is.elites, is.children[:len(evs)], evs)
 	}
-	r.bookBatch(id, evs)
-	is.install(is.elites, is.children[:len(evs)], evs)
-	return nil
+	sh.res.Generations++
+	return err
 }
 
 // Advance steps one owned island through `bodies` generation bodies. When
-// boundary is set, the LAST body stops at the migration exchange: it runs
-// beginGeneration, records the history contribution, re-scores a scout's
-// elites and returns the exports in the AppendStates encoding — leaving
-// the island mid-body until CompleteBoundary delivers the incoming
-// migrants.
+// boundary is set, the LAST body stops at the migration exchange: begin,
+// the history contribution, then exportElites — leaving the island
+// mid-body until CompleteBoundary delivers the incoming migrants.
 func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, error) {
-	is, sh := r.islands[id], &r.st[id]
-	if !sh.owned {
-		return nil, fmt.Errorf("core: island %d not owned", id)
+	is, sh, err := r.lookup(id, true)
+	if err != nil {
+		return nil, err
 	}
 	if sh.midBoundary {
 		return nil, fmt.Errorf("core: island %d has a pending migration boundary", id)
@@ -325,106 +304,79 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 	}
 	rep := &ShardReport{Island: id}
 	for b := 0; b < bodies; b++ {
-		is.beginGeneration()
+		is.begin()
 		if !is.scout {
 			rep.Hist = append(rep.Hist, is.cur[0].eval.Fitness)
 		}
 		if boundary && b == bodies-1 {
-			sel := is.cur[:is.migrantCount(r.e.Config.MigrateCount)]
-			if is.scout {
-				var recovered int
-				var err error
-				sel, recovered, err = is.rescoreElites(sel, func(*coopt.Evaluation) { sh.full++ })
-				if err != nil {
-					return nil, err
-				}
-				sh.reused += recovered
+			if rep.Exports, err = is.exportElites(sh.res.Generations+1, r.e.rescored(&sh.res)); err != nil {
+				return nil, err
 			}
-			rep.Exports = appendIndividuals(nil, sel)
 			sh.midBoundary = true
 			break
 		}
-		if err := r.breedBody(id); err != nil {
+		if err := r.breedBody(is, sh); err != nil {
 			return nil, err
 		}
-		sh.gen++
 	}
-	rep.Gen, rep.Samples = sh.gen, is.samples
+	rep.Gen, rep.Samples = sh.res.Generations, is.samples
 	return rep, nil
 }
 
-// CompleteBoundary finishes a boundary body: incoming migrant batches are
-// applied in ascending source order through the engine's replacement
-// cursor (worst slots first, never slot 0), the population is re-sorted —
-// the boundary's second sort, matching the in-process sequence exactly —
-// and the body's breeding half runs. Must be called for EVERY owned
-// island at a boundary, with an empty batch list for islands that receive
-// nothing (scouts, unlucky ring positions): the second sort still runs.
+// CompleteBoundary finishes a boundary body: receiveMigrants applies the
+// incoming batches — each From a distinct island of the run — and
+// re-sorts, then the body's breeding half runs. Must be called for EVERY
+// owned island at a boundary, with an empty batch list for islands that
+// receive nothing (scouts, unlucky ring positions): the sort still runs.
 func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardReport, error) {
-	is, sh := r.islands[id], &r.st[id]
-	if !sh.owned {
-		return nil, fmt.Errorf("core: island %d not owned", id)
+	is, sh, err := r.lookup(id, true)
+	if err != nil {
+		return nil, err
 	}
 	if !sh.midBoundary {
 		return nil, fmt.Errorf("core: island %d has no pending migration boundary", id)
 	}
-	sort.Slice(batches, func(a, b int) bool { return batches[a].From < batches[b].From })
-	replaceAt := len(is.cur) - 1
-	for bi := range batches {
-		elites, err := DecodeStates(batches[bi].Elites)
-		if err != nil {
-			return nil, fmt.Errorf("core: migrants from island %d for island %d: %w", batches[bi].From, id, err)
+	from := make([]bool, len(r.islands))
+	for _, b := range batches {
+		if b.From < 0 || b.From >= len(r.islands) || from[b.From] {
+			return nil, fmt.Errorf("core: island %d: migrant batch from island %d is out of range or repeated", id, b.From)
 		}
-		for ei := range elites {
-			if replaceAt < 1 {
-				break
-			}
-			ind, err := is.materializeMigrant(&elites[ei])
-			if err != nil {
-				return nil, err
-			}
-			if is.recycle {
-				// The overwritten individual leaves the run here, exactly
-				// like the engine's replacement sweep. Nothing else on this
-				// worker references it: migrant copies are value-encoded.
-				is.pool.Recycle(is.cur[replaceAt].eval)
-			}
-			is.cur[replaceAt] = ind
-			replaceAt--
-		}
+		from[b.From] = true
 	}
-	is.sortPop()
-	if err := r.breedBody(id); err != nil {
+	if err := is.receiveMigrants(batches); err != nil {
 		return nil, err
 	}
-	sh.gen++
+	if err := r.breedBody(is, sh); err != nil {
+		return nil, err
+	}
 	sh.midBoundary = false
-	return &ShardReport{Island: id, Gen: sh.gen, Samples: is.samples}, nil
+	return &ShardReport{Island: id, Gen: sh.res.Generations, Samples: is.samples}, nil
 }
 
 // Finalize sorts an owned island one last time (the engine's finalize
 // sweep) and reports its best individual and cumulative accounting.
 func (r *ShardRunner) Finalize(id int) (*ShardFinal, error) {
-	is, sh := r.islands[id], &r.st[id]
-	if !sh.owned {
-		return nil, fmt.Errorf("core: island %d not owned", id)
+	is, sh, err := r.lookup(id, true)
+	if err != nil {
+		return nil, err
 	}
 	if sh.midBoundary {
 		return nil, fmt.Errorf("core: island %d has a pending migration boundary", id)
 	}
 	is.sortPop()
-	gets, reuses := is.pool.Stats()
+	res := &sh.res
+	r.e.collectDelta(res, r.islands[id:id+1])
 	fin := &ShardFinal{
 		Island:       id,
 		IsScout:      is.scout,
-		Samples:      is.samples,
-		FullEvals:    sh.full,
-		PrunedEvals:  sh.pruned,
-		ScoutEvals:   sh.scoutN,
-		DeltaEvals:   is.deltaEvals,
-		LayersReused: is.layersReused + sh.reused,
-		PoolGets:     gets + is.poolGetBias,
-		PoolReuses:   reuses + is.poolReuseBias,
+		Samples:      res.Samples,
+		FullEvals:    res.FullEvals,
+		PrunedEvals:  res.PrunedEvals,
+		ScoutEvals:   res.ScoutEvals,
+		DeltaEvals:   res.DeltaEvals,
+		LayersReused: res.LayersReused,
+		PoolGets:     res.PoolGets,
+		PoolReuses:   res.PoolReuses,
 	}
 	if !is.scout && len(is.cur) > 0 {
 		fin.Best = appendIndividuals(nil, is.cur[:1])

@@ -601,7 +601,7 @@ func (r *run) runSegment(seg *core.Segment) error {
 			ent.exports[id] = rep.Exports
 		}
 		// Observation first: the engine emits before any replacement lands.
-		if err := r.observeMigration(seg, ent.exports); err != nil {
+		if err := r.e.ObserveMigration(seg.StartGen+seg.Bodies-1, ent.exports); err != nil {
 			return err
 		}
 		final := make([]*core.ShardReport, k)
@@ -638,24 +638,6 @@ func (r *run) runSegment(seg *core.Segment) error {
 	if seg.Boundary && r.c.logged != nil {
 		r.c.logged(ent.exports)
 	}
-	return nil
-}
-
-// observeMigration decodes a boundary's exports for Engine.OnMigration;
-// without an observer the coordinator never decodes them.
-func (r *run) observeMigration(seg *core.Segment, raw [][]byte) error {
-	if r.e.OnMigration == nil {
-		return nil
-	}
-	exports := make([][]core.IndividualState, len(raw))
-	for id, b := range raw {
-		sel, err := core.DecodeStates(b)
-		if err != nil {
-			return fmt.Errorf("dist: island %d exports: %w", id, err)
-		}
-		exports[id] = sel
-	}
-	r.e.OnMigration(seg.StartGen+seg.Bodies-1, exports)
 	return nil
 }
 

@@ -145,3 +145,78 @@ func TestLoopbackBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerSurvivesBadIslandIDs: island ids and migrant sources arrive in
+// frames, so a round, migrants or finalize request naming an island
+// outside the run — or a batch from one — must come back as an ack error
+// while the session keeps serving; before, the index panic took down the
+// worker process and every session it served.
+func TestWorkerSurvivesBadIslandIDs(t *testing.T) {
+	spec := testSpec(t, "ncf", 1, func(c *core.Config) {
+		c.Islands = 2
+		c.MigrateEvery = 2
+	})
+	const budget = 480
+	eng, err := spec.Engine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := eng.ConfigSum()
+	plan, err := eng.PlanRun(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	go ServeConn(server, WorkerOptions{Workers: 1})
+	fc := &frameConn{rw: client}
+	call := func(typ, ackTyp byte, msg, ack any) {
+		t.Helper()
+		if err := fc.writeMsg(typ, msg); err != nil {
+			t.Fatal(err)
+		}
+		if err := fc.expect(ackTyp, ack); err != nil {
+			t.Fatalf("worker stopped serving: %v", err)
+		}
+	}
+
+	var hello helloAck
+	call(mtHello, mtHelloAck, helloMsg{Proto: ProtoVersion, Spec: spec, ConfigSum: sum, Budget: budget}, &hello)
+	if hello.Err != "" {
+		t.Fatal(hello.Err)
+	}
+	var adopted adoptAck
+	call(mtAdopt, mtAdoptAck, adoptMsg{Islands: []assignment{{ID: 0, Seed: plan.Islands[0].Seed}}}, &adopted)
+	if adopted.Err != "" {
+		t.Fatal(adopted.Err)
+	}
+	for _, id := range []int{2, -1} {
+		var round roundAck
+		call(mtRound, mtRoundAck, roundMsg{Seq: 1, IDs: []int{id}, Bodies: 1}, &round)
+		var migrants roundAck
+		call(mtMigrants, mtMigrantsAck, migrantsMsg{Seq: 1, Deliveries: []delivery{{ID: id}}}, &migrants)
+		var fin finalizeAck
+		call(mtFinalize, mtFinalizeAck, finalizeMsg{IDs: []int{id}}, &fin)
+		if round.Err == "" || migrants.Err == "" || fin.Err == "" {
+			t.Errorf("island %d: round/migrants/finalize errors %q/%q/%q, want all set", id, round.Err, migrants.Err, fin.Err)
+		}
+	}
+	var boundary roundAck
+	call(mtRound, mtRoundAck, roundMsg{Seq: 2, IDs: []int{0}, Bodies: 2, Boundary: true}, &boundary)
+	if boundary.Err != "" || len(boundary.Reports) != 1 {
+		t.Fatalf("valid boundary round after bad ids: %q, %d reports", boundary.Err, len(boundary.Reports))
+	}
+	for _, from := range []int{2, -1} {
+		var ack roundAck
+		bad := delivery{ID: 0, Batches: []core.MigrantBatch{{From: from, Elites: boundary.Reports[0].Exports}}}
+		call(mtMigrants, mtMigrantsAck, migrantsMsg{Seq: 3, Deliveries: []delivery{bad}}, &ack)
+		if ack.Err == "" {
+			t.Errorf("batch from island %d accepted", from)
+		}
+	}
+	var done roundAck
+	call(mtMigrants, mtMigrantsAck, migrantsMsg{Seq: 4, Deliveries: []delivery{{ID: 0}}}, &done)
+	if done.Err != "" || len(done.Reports) != 1 {
+		t.Errorf("valid boundary completion after bad batches: %q, %d reports", done.Err, len(done.Reports))
+	}
+}

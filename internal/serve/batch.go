@@ -116,8 +116,7 @@ type Batch struct {
 	members   []batchMember
 	remaining int
 	finished  time.Time
-	events    []BatchEvent
-	subs      map[chan BatchEvent]struct{}
+	events    feed[BatchEvent]
 }
 
 func newBatch(id, tenant string, members []batchMember) *Batch {
@@ -128,46 +127,16 @@ func newBatch(id, tenant string, members []batchMember) *Batch {
 		done:      make(chan struct{}),
 		members:   members,
 		remaining: len(members),
-		subs:      make(map[chan BatchEvent]struct{}),
 	}
 }
 
 // Done returns a channel closed once every member is terminal.
 func (b *Batch) Done() <-chan struct{} { return b.done }
 
-// publishLocked mirrors Job.publishLocked: buffered fan-out where a slow
-// subscriber drops its oldest buffered event, never the newest.
-func (b *Batch) publishLocked(ev BatchEvent) {
-	b.events = append(b.events, ev)
-	for ch := range b.subs {
-		select {
-		case ch <- ev:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
-	}
-}
-
 // Subscribe returns the event history so far plus a live channel for what
 // follows. Call unsub when done.
 func (b *Batch) Subscribe() (replay []BatchEvent, ch chan BatchEvent, unsub func()) {
-	ch = make(chan BatchEvent, 64)
-	b.mu.Lock()
-	replay = append([]BatchEvent(nil), b.events...)
-	b.subs[ch] = struct{}{}
-	b.mu.Unlock()
-	return replay, ch, func() {
-		b.mu.Lock()
-		delete(b.subs, ch)
-		b.mu.Unlock()
-	}
+	return b.events.subscribe(&b.mu)
 }
 
 // noteMemberDone records one member's terminal transition, reporting
@@ -177,7 +146,7 @@ func (b *Batch) noteMemberDone(index int, j *Job) bool {
 	defer b.mu.Unlock()
 	b.remaining--
 	completed := len(b.members) - b.remaining
-	b.publishLocked(BatchEvent{
+	b.events.publishLocked(BatchEvent{
 		Type: "member", Index: index, Job: j.ID, State: j.State(),
 		Completed: completed, Total: len(b.members),
 	})
@@ -185,7 +154,7 @@ func (b *Batch) noteMemberDone(index int, j *Job) bool {
 		return false
 	}
 	b.finished = time.Now()
-	b.publishLocked(BatchEvent{Type: "done", Completed: completed, Total: len(b.members)})
+	b.events.publishLocked(BatchEvent{Type: "done", Completed: completed, Total: len(b.members)})
 	select {
 	case <-b.done:
 	default:

@@ -263,7 +263,7 @@ func TestBatchTenantCap(t *testing.T) {
 // TestBatchWALFaultRejected: a failing batch append rejects the whole
 // batch (never a half-accepted one) and rolls the ID sequences back.
 func TestBatchWALFaultRejected(t *testing.T) {
-	store := NewMemStore()
+	store, _ := diskStore(t)
 	store.Faults = faults.New(1)
 	store.Faults.Set(PointWAL, faults.Knob{Every: 1})
 	s, url := testServer(t, Config{Workers: 1, Store: store})
@@ -299,106 +299,91 @@ func TestBatchWALFaultRejected(t *testing.T) {
 // members re-enqueue, and the batch object itself is rebuilt with its
 // membership (dedup references included) intact.
 func TestBatchCrashRecovery(t *testing.T) {
-	for name, mk := range crashRecoveryStores(t) {
-		t.Run(name, func(t *testing.T) {
-			store := mk()
-			var reopen func() Store
-			if ds, ok := store.(*DiskStore); ok {
-				dir := ds.dir
-				reopen = func() Store {
-					nds, err := OpenDiskStore(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return nds
-				}
-			} else {
-				reopen = func() Store { return store } // MemStore survives Close
+	t.Run("disk", func(t *testing.T) {
+		store, reopen := diskStore(t)
+		s1, err := New(Config{Workers: 1, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Occupy the worker with a search too big to finish, then land a
+		// batch behind it: member 0 duplicates the running blocker (dedup
+		// ref), members 1-2 stay queued.
+		blockSpec, err := buildSpec(OptimizeRequest{Model: "resnet18", Budget: 1_000_000, Seed: 3}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocker, _, err := s1.submit(blockSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for blocker.State() != StateRunning {
+			if time.Now().After(deadline) {
+				t.Fatal("blocker never started")
 			}
-			s1, err := New(Config{Workers: 1, Store: store})
+			time.Sleep(2 * time.Millisecond)
+		}
+		var specs []*searchSpec
+		for _, req := range []OptimizeRequest{
+			{Model: "resnet18", Budget: 1_000_000, Seed: 3}, // dedups onto blocker
+			{Model: "ncf", Budget: 250, Seed: 61},
+			{Model: "ncf", Budget: 250, Seed: 62},
+		} {
+			spec, err := buildSpec(req, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Occupy the worker with a search too big to finish, then land a
-			// batch behind it: member 0 duplicates the running blocker (dedup
-			// ref), members 1-2 stay queued.
-			blockSpec, err := buildSpec(OptimizeRequest{Model: "resnet18", Budget: 1_000_000, Seed: 3}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blocker, _, err := s1.submit(blockSpec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			deadline := time.Now().Add(10 * time.Second)
-			for blocker.State() != StateRunning {
-				if time.Now().After(deadline) {
-					t.Fatal("blocker never started")
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			var specs []*searchSpec
-			for _, req := range []OptimizeRequest{
-				{Model: "resnet18", Budget: 1_000_000, Seed: 3}, // dedups onto blocker
-				{Model: "ncf", Budget: 250, Seed: 61},
-				{Model: "ncf", Budget: 250, Seed: 62},
-			} {
-				spec, err := buildSpec(req, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				specs = append(specs, spec)
-			}
-			b1, err := s1.submitBatch(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := s1.batchStatus(b1, false); got.Deduplicated != 1 {
-				t.Fatalf("batch dedup=%d, want 1", got.Deduplicated)
-			}
-			s1.Close() // crash
+			specs = append(specs, spec)
+		}
+		b1, err := s1.submitBatch(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s1.batchStatus(b1, false); got.Deduplicated != 1 {
+			t.Fatalf("batch dedup=%d, want 1", got.Deduplicated)
+		}
+		s1.Close() // crash
 
-			s2, err := New(Config{Workers: 2, Store: reopen()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if n := s2.jobsRecovered.Load(); n != 3 {
-				t.Fatalf("recovered %d incomplete jobs, want 3 (blocker + 2 fresh members)", n)
-			}
-			b2 := s2.getBatch(b1.ID)
-			if b2 == nil {
-				t.Fatal("batch not recovered")
-			}
-			st := s2.batchStatus(b2, false)
-			if st.Total != 3 || st.Deduplicated != 1 {
-				t.Fatalf("recovered batch total=%d dedup=%d, want 3 and 1", st.Total, st.Deduplicated)
-			}
-			// Finish the batch: cancel the huge member (which is also the
-			// dedup target), let the small ones complete.
-			s2.cancelJob(s2.get(st.Items[0].ID))
-			select {
-			case <-b2.Done():
-			case <-time.After(time.Minute):
-				t.Fatal("recovered batch never completed")
-			}
-			final := s2.batchStatus(b2, true)
-			states := map[State]int{}
-			for _, item := range final.Items {
-				states[item.State]++
-			}
-			if states[StateCancelled] != 1 || states[StateDone] != 2 {
-				t.Fatalf("recovered batch states %v, want 1 cancelled + 2 done", states)
-			}
-		})
-	}
+		s2, err := New(Config{Workers: 2, Store: reopen()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if n := s2.jobsRecovered.Load(); n != 3 {
+			t.Fatalf("recovered %d incomplete jobs, want 3 (blocker + 2 fresh members)", n)
+		}
+		b2 := s2.getBatch(b1.ID)
+		if b2 == nil {
+			t.Fatal("batch not recovered")
+		}
+		st := s2.batchStatus(b2, false)
+		if st.Total != 3 || st.Deduplicated != 1 {
+			t.Fatalf("recovered batch total=%d dedup=%d, want 3 and 1", st.Total, st.Deduplicated)
+		}
+		// Finish the batch: cancel the huge member (which is also the
+		// dedup target), let the small ones complete.
+		s2.cancelJob(s2.get(st.Items[0].ID))
+		select {
+		case <-b2.Done():
+		case <-time.After(time.Minute):
+			t.Fatal("recovered batch never completed")
+		}
+		final := s2.batchStatus(b2, true)
+		states := map[State]int{}
+		for _, item := range final.Items {
+			states[item.State]++
+		}
+		if states[StateCancelled] != 1 || states[StateDone] != 2 {
+			t.Fatalf("recovered batch states %v, want 1 cancelled + 2 done", states)
+		}
+	})
 }
 
 // TestBatchRecoveryReenqueuesExactlyIncomplete: members that finished
 // before the crash are NOT re-run — recovery re-enqueues exactly the
 // incomplete ones.
 func TestBatchRecoveryReenqueuesExactlyIncomplete(t *testing.T) {
-	store := NewMemStore()
+	store, reopen := diskStore(t)
 	s1, err := New(Config{Workers: 1, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +414,7 @@ func TestBatchRecoveryReenqueuesExactlyIncomplete(t *testing.T) {
 	}
 	s1.Close() // crash with members 1 (running) and 2 (queued) incomplete
 
-	s2, err := New(Config{Workers: 1, Store: store})
+	s2, err := New(Config{Workers: 1, Store: reopen()})
 	if err != nil {
 		t.Fatal(err)
 	}

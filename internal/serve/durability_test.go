@@ -210,23 +210,21 @@ func TestWALInjectedWriteFaults(t *testing.T) {
 	}
 }
 
-// crashRecoveryStores builds the two Store flavours the recovery e2e runs
-// against: the in-memory simulated disk and the real on-disk WAL store.
-func crashRecoveryStores(t *testing.T) map[string]func() Store {
-	return map[string]func() Store{
-		"mem": func() Store { return NewMemStore() },
-		"disk": func() Store {
-			dir := t.TempDir()
-			open := func() Store {
-				ds, err := OpenDiskStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ds
-			}
-			return open()
-		},
+// diskStore opens a DiskStore over a fresh temporary directory and
+// returns it with reopen, which opens a new store over the same directory
+// — the restart half of the crash/restart cycles the recovery tests run
+// (Close == crash as far as the store can tell).
+func diskStore(t *testing.T) (store *DiskStore, reopen func() Store) {
+	t.Helper()
+	dir := t.TempDir()
+	open := func() *DiskStore {
+		ds, err := OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
 	}
+	return open(), func() Store { return open() }
 }
 
 // TestCrashRecoveryResumeDeterminism is the crash-recovery acceptance
@@ -247,61 +245,45 @@ func TestCrashRecoveryResumeDeterminism(t *testing.T) {
 		t.Fatalf("baseline result: %v (nil=%v)", err, want.Result == nil)
 	}
 
-	for name, mk := range crashRecoveryStores(t) {
-		t.Run(name, func(t *testing.T) {
-			store := mk()
-			var reopen func() Store
-			if ds, ok := store.(*DiskStore); ok {
-				dir := ds.dir
-				reopen = func() Store {
-					nds, err := OpenDiskStore(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return nds
-				}
-			} else {
-				reopen = func() Store { return store } // MemStore survives Close
+	t.Run("disk", func(t *testing.T) {
+		store, reopen := diskStore(t)
+		s1, url1, crash := durableServer(t, Config{Workers: 1, Store: store, CheckpointEvery: 1})
+		st1, code := submit(t, url1, req)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d", code)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for s1.checkpointsWritten.Load() < 2 {
+			if time.Now().After(deadline) {
+				t.Fatal("no checkpoints written before deadline")
 			}
+			time.Sleep(time.Millisecond)
+		}
+		crash()
+		if s1.get(st1.ID).State().Terminal() {
+			t.Skip("search outran the crash; nothing to recover")
+		}
 
-			s1, url1, crash := durableServer(t, Config{Workers: 1, Store: store, CheckpointEvery: 1})
-			st1, code := submit(t, url1, req)
-			if code != http.StatusAccepted {
-				t.Fatalf("submit: HTTP %d", code)
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for s1.checkpointsWritten.Load() < 2 {
-				if time.Now().After(deadline) {
-					t.Fatal("no checkpoints written before deadline")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			crash()
-			if s1.get(st1.ID).State().Terminal() {
-				t.Skip("search outran the crash; nothing to recover")
-			}
-
-			s2, url2, _ := durableServer(t, Config{Workers: 1, Store: reopen(), CheckpointEvery: 1})
-			if got := s2.jobsRecovered.Load(); got != 1 {
-				t.Fatalf("jobs recovered = %d, want 1", got)
-			}
-			got := waitState(t, url2, st1.ID, StateDone, time.Minute)
-			gotJSON, err := json.Marshal(got.Result)
-			if err != nil || got.Result == nil {
-				t.Fatalf("recovered result: %v (nil=%v)", err, got.Result == nil)
-			}
-			if !bytes.Equal(gotJSON, wantJSON) {
-				t.Fatalf("recovered result differs from uninterrupted run:\n%s\nvs\n%s", gotJSON, wantJSON)
-			}
-		})
-	}
+		s2, url2, _ := durableServer(t, Config{Workers: 1, Store: reopen(), CheckpointEvery: 1})
+		if got := s2.jobsRecovered.Load(); got != 1 {
+			t.Fatalf("jobs recovered = %d, want 1", got)
+		}
+		got := waitState(t, url2, st1.ID, StateDone, time.Minute)
+		gotJSON, err := json.Marshal(got.Result)
+		if err != nil || got.Result == nil {
+			t.Fatalf("recovered result: %v (nil=%v)", err, got.Result == nil)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("recovered result differs from uninterrupted run:\n%s\nvs\n%s", gotJSON, wantJSON)
+		}
+	})
 }
 
 // TestRecoveredTerminalServesDedup: a completed job survives the crash as
 // its persisted report — the restarted server serves its status, result
 // and dedup hits without re-running the search.
 func TestRecoveredTerminalServesDedup(t *testing.T) {
-	store := NewMemStore()
+	store, reopen := diskStore(t)
 	req := OptimizeRequest{Model: "ncf", Budget: 300, Seed: 21}
 
 	_, url1, crash := durableServer(t, Config{Workers: 1, Store: store})
@@ -309,7 +291,7 @@ func TestRecoveredTerminalServesDedup(t *testing.T) {
 	done := waitState(t, url1, st.ID, StateDone, time.Minute)
 	crash()
 
-	s2, url2, _ := durableServer(t, Config{Workers: 1, Store: store})
+	s2, url2, _ := durableServer(t, Config{Workers: 1, Store: reopen()})
 	if got := s2.jobsRecovered.Load(); got != 0 {
 		t.Fatalf("jobs recovered = %d, want 0 (job was terminal)", got)
 	}
@@ -332,7 +314,7 @@ func TestRecoveredTerminalServesDedup(t *testing.T) {
 // job checkpointed and the queued ones untouched in the WAL; rejects new
 // submissions; and the next server finishes all of them.
 func TestDrainRecoversQueuedAndRunning(t *testing.T) {
-	store := NewMemStore()
+	store, reopen := diskStore(t)
 	reqs := []OptimizeRequest{
 		// The first job is large enough that the drain reliably interrupts
 		// it mid-search; the recovered server finishes it from the
@@ -371,7 +353,7 @@ func TestDrainRecoversQueuedAndRunning(t *testing.T) {
 		}
 	}
 
-	s2, url2, _ := durableServer(t, Config{Workers: 2, Store: store, CheckpointEvery: 1})
+	s2, url2, _ := durableServer(t, Config{Workers: 2, Store: reopen(), CheckpointEvery: 1})
 	if got := s2.jobsRecovered.Load(); got != uint64(len(reqs)) {
 		t.Fatalf("jobs recovered = %d, want %d", got, len(reqs))
 	}
@@ -431,7 +413,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 // rejected (the job must never exist unrecoverably), the rollback frees
 // the job ID for the next submission, and the store-error counter ticks.
 func TestSubmitWALFaultRejected(t *testing.T) {
-	store := NewMemStore()
+	store, _ := diskStore(t)
 	store.Faults = faults.New(1)
 	store.Faults.Set(PointWAL, faults.Knob{Every: 2})
 	s, url, _ := durableServer(t, Config{Workers: 1, Store: store})
@@ -458,7 +440,8 @@ func TestSubmitWALFaultRejected(t *testing.T) {
 // away — a terminal-looking "error" event, not silence — when a drain
 // interrupts the job it is watching.
 func TestSSEShutdownError(t *testing.T) {
-	s, url, _ := durableServer(t, Config{Workers: 1, Store: NewMemStore(), CheckpointEvery: 1})
+	store, _ := diskStore(t)
+	s, url, _ := durableServer(t, Config{Workers: 1, Store: store, CheckpointEvery: 1})
 	st, _ := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 900000, Seed: 71})
 
 	resp, err := http.Get(url + "/v1/jobs/" + st.ID + "/events")

@@ -111,8 +111,7 @@ type Job struct {
 	started      time.Time
 	finished     time.Time
 	cancel       context.CancelFunc
-	events       []Event
-	subs         map[chan Event]struct{}
+	events       feed[Event]
 	// runReport is the structured run report built when the job reaches a
 	// terminal state (GET /v1/jobs/{id}/report).
 	runReport *JobReport
@@ -127,7 +126,6 @@ func newJob(id string, spec *searchSpec) *Job {
 		spec:    spec,
 		state:   StateQueued,
 		created: time.Now(),
-		subs:    make(map[chan Event]struct{}),
 		done:    make(chan struct{}),
 	}
 }
@@ -153,48 +151,17 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// publishLocked appends ev to the history and fans it out. Subscriber
-// channels are buffered; when one is full the oldest buffered event is
-// dropped for the newest, so slow consumers skip intermediate progress but
-// always observe the terminal state event.
-func (j *Job) publishLocked(ev Event) {
-	j.events = append(j.events, ev)
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			select {
-			case ch <- ev:
-			default:
-			}
-		}
-	}
-}
-
 // Publish appends a progress event.
 func (j *Job) Publish(ev Event) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.publishLocked(ev)
+	j.events.publishLocked(ev)
 }
 
 // Subscribe returns the event history so far plus a live channel for what
 // follows. Call unsub when done.
 func (j *Job) Subscribe() (replay []Event, ch chan Event, unsub func()) {
-	ch = make(chan Event, 64)
-	j.mu.Lock()
-	replay = append([]Event(nil), j.events...)
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return replay, ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
+	return j.events.subscribe(&j.mu)
 }
 
 // setRunning transitions queued → running and installs the cancel hook.
@@ -217,7 +184,7 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 		Island: -1, Gen: -1,
 		Dur: j.started.Sub(j.created),
 	})
-	j.publishLocked(Event{Type: "state", State: StateRunning})
+	j.events.publishLocked(Event{Type: "state", State: StateRunning})
 	return true
 }
 
@@ -235,7 +202,7 @@ func (j *Job) finish(state State, result *digamma.Evaluation, err error) bool {
 	if err != nil {
 		j.err = err.Error()
 	}
-	j.publishLocked(Event{Type: "state", State: state, Error: j.err})
+	j.events.publishLocked(Event{Type: "state", State: state, Error: j.err})
 	j.closeDoneLocked()
 	return true
 }
@@ -252,7 +219,7 @@ func (j *Job) requestCancel() (State, bool) {
 		j.state = StateCancelled
 		j.finished = time.Now()
 		j.err = "cancelled while queued"
-		j.publishLocked(Event{Type: "state", State: StateCancelled, Error: j.err})
+		j.events.publishLocked(Event{Type: "state", State: StateCancelled, Error: j.err})
 		j.closeDoneLocked()
 		j.mu.Unlock()
 		return StateCancelled, true
@@ -325,9 +292,9 @@ func (j *Job) Status(withResult bool) Status {
 		t := j.finished
 		st.FinishedAt = &t
 	}
-	for i := len(j.events) - 1; i >= 0; i-- {
-		if j.events[i].Type == "progress" {
-			ev := j.events[i]
+	for i := len(j.events.history) - 1; i >= 0; i-- {
+		if j.events.history[i].Type == "progress" {
+			ev := j.events.history[i]
 			st.Progress = &ev
 			break
 		}
@@ -353,7 +320,7 @@ func (j *Job) restoreTerminal(rec *TerminalRecord) {
 	j.err = rec.Error
 	j.resultReport = rec.Result
 	j.finished = rec.FinishedAt
-	j.publishLocked(Event{Type: "state", State: rec.State, Error: rec.Error})
+	j.events.publishLocked(Event{Type: "state", State: rec.State, Error: rec.Error})
 	j.closeDoneLocked()
 }
 

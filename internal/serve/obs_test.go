@@ -316,7 +316,7 @@ func TestReadyzDrain(t *testing.T) {
 // store keeps serving after a crash/restart, when the in-memory flight
 // recorder is gone.
 func TestReportSurvivesRestart(t *testing.T) {
-	store := NewMemStore()
+	store, reopen := diskStore(t)
 	_, url1, crash := durableServer(t, Config{Workers: 1, Store: store})
 	st, _ := submit(t, url1, OptimizeRequest{Model: "ncf", Budget: 300, Seed: 11})
 	waitState(t, url1, st.ID, StateDone, time.Minute)
@@ -327,7 +327,7 @@ func TestReportSurvivesRestart(t *testing.T) {
 	}
 	crash()
 
-	_, url2, _ := durableServer(t, Config{Workers: 1, Store: store})
+	_, url2, _ := durableServer(t, Config{Workers: 1, Store: reopen()})
 	code, recovered := getBody(t, url2+"/v1/jobs/"+st.ID+"/report")
 	if code != http.StatusOK {
 		t.Fatalf("report after restart: HTTP %d: %s", code, recovered)

@@ -266,10 +266,10 @@ func TestTenantBudgetCap(t *testing.T) {
 	// stays queued — its budget outstanding — through every assertion.
 	// The hog runs under the default tenant, whose budget never counts
 	// against "thrifty".
-	store := NewMemStore()
+	store, _ := diskStore(t)
 	store.Faults = faults.New(1)
 	store.Faults.Set(PointResult, faults.Knob{Every: 1, Delay: 2 * time.Second})
-	_, url := testServer(t, Config{Workers: 1, QueueDepth: 16, TenantBudgetCap: 1000, Store: store})
+	s, url := testServer(t, Config{Workers: 1, QueueDepth: 16, TenantBudgetCap: 1000, Store: store})
 
 	hog, code := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 50})
 	if code != http.StatusAccepted {
@@ -290,7 +290,12 @@ func TestTenantBudgetCap(t *testing.T) {
 	store.Faults.Set(PointResult, faults.Knob{})
 	waitState(t, url, hog.ID, StateDone, time.Minute)
 	waitState(t, url, blocker.ID, StateDone, time.Minute)
-	// The finished job released its budget.
+	// The finished job releases its budget when its worker settles the
+	// accounting, after the terminal record and report reach the disk.
+	deadline := time.Now().Add(time.Minute)
+	for s.sched.admit("thrifty", 1, 300) != nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if _, code := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 300, Seed: 4, Tenant: "thrifty"}); code != http.StatusAccepted {
 		t.Errorf("post-completion submit: HTTP %d, want 202", code)
 	}

@@ -118,114 +118,13 @@ func (nullStore) LoadReport(string) ([]byte, error)                { return nil,
 func (nullStore) Recover() ([]RecoveredJob, error)                 { return nil, nil }
 func (nullStore) Close() error                                     { return nil }
 
-// MemStore is an in-memory Store whose contents survive Close — it
-// persists across Server lifetimes within one process, which is exactly
-// the crash/restart boundary the in-process recovery tests exercise
-// (Close == crash as far as any Store can tell).
-type MemStore struct {
-	mu       sync.Mutex
-	accepted []JobRecord
-	terminal map[string]*TerminalRecord
-	ckpts    map[string]*digamma.Checkpoint
-	reports  map[string][]byte
-
-	// Faults, when set, injects write failures at the same points the
-	// disk store exposes: faults.PointWAL, PointResult, PointCheckpoint.
-	Faults *faults.Injector
-}
-
-// Injection points shared by every Store implementation.
+// Injection points of the Store write paths (DiskStore.Faults).
 const (
 	PointWAL        = "store.wal"
 	PointResult     = "store.result"
 	PointCheckpoint = "store.checkpoint"
 	PointReport     = "store.report"
 )
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{
-		terminal: make(map[string]*TerminalRecord),
-		ckpts:    make(map[string]*digamma.Checkpoint),
-		reports:  make(map[string][]byte),
-	}
-}
-
-func (m *MemStore) LogAccepted(rec JobRecord) error {
-	if err := m.Faults.Hit(PointWAL); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.accepted = append(m.accepted, rec)
-	return nil
-}
-
-func (m *MemStore) LogBatch(rec BatchRecord) error {
-	if err := m.Faults.Hit(PointWAL); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Members flatten into the acceptance stream — recovery reconstructs
-	// the batch from their Batch field, exactly like the disk replay path.
-	m.accepted = append(m.accepted, rec.Members...)
-	return nil
-}
-
-func (m *MemStore) SaveTerminal(rec TerminalRecord) error {
-	if err := m.Faults.Hit(PointResult); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.terminal[rec.ID] = &rec
-	return nil
-}
-
-func (m *MemStore) SaveCheckpoint(id string, ck *digamma.Checkpoint) error {
-	if err := m.Faults.Hit(PointCheckpoint); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ckpts[id] = ck
-	return nil
-}
-
-func (m *MemStore) SaveReport(id string, data []byte) error {
-	if err := m.Faults.Hit(PointReport); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reports[id] = append([]byte(nil), data...)
-	return nil
-}
-
-func (m *MemStore) LoadReport(id string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reports[id], nil
-}
-
-func (m *MemStore) Recover() ([]RecoveredJob, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]RecoveredJob, 0, len(m.accepted))
-	for _, rec := range m.accepted {
-		out = append(out, RecoveredJob{
-			Record:   rec,
-			Terminal: m.terminal[rec.ID],
-			Resume:   m.ckpts[rec.ID],
-		})
-	}
-	return out, nil
-}
-
-// Close is deliberately a no-op: the store's contents are the "disk" that
-// survives a simulated crash.
-func (m *MemStore) Close() error { return nil }
 
 // DiskStore persists jobs under a data directory:
 //
@@ -243,8 +142,8 @@ func (m *MemStore) Close() error { return nil }
 type DiskStore struct {
 	dir string
 
-	// Faults, when set, injects write failures at PointWAL, PointResult
-	// and PointCheckpoint — the chaos suite's store-fault knobs.
+	// Faults, when set, injects write failures at PointWAL, PointResult,
+	// PointCheckpoint and PointReport — the chaos suite's store-fault knobs.
 	Faults *faults.Injector
 
 	mu       sync.Mutex

@@ -139,16 +139,36 @@ func (l Layer) OutputSize() int64 {
 	return int64(l.K) * int64(l.Y) * int64(l.X)
 }
 
-// Validate checks that all bounds are positive and type-consistent.
+// maxExtent bounds every layer dimension, stride and count, and maxMACs
+// one layer's multiply-accumulates times its count. Both sit far above
+// any real network (the zoo's largest extent is 25,088 channels, its
+// largest layer under 2^34 MACs) and keep a mistyped or hostile workload
+// from overflowing the cost model's int64 arithmetic or stalling
+// per-extent work such as divisor enumeration.
+const (
+	maxExtent = 1 << 24
+	maxMACs   = 1 << 50
+)
+
+// Validate checks that all bounds are positive, within maxExtent and
+// maxMACs, and type-consistent.
 func (l Layer) Validate() error {
 	if l.Name == "" {
 		return errors.New("workload: layer has empty name")
 	}
 	d := l.Dims()
+	macs := float64(l.Multiplicity())
 	for _, dim := range AllDims {
-		if d[dim] < 1 {
-			return fmt.Errorf("workload: layer %s: dimension %s = %d (must be ≥ 1)", l.Name, dim, d[dim])
+		if d[dim] < 1 || d[dim] > maxExtent {
+			return fmt.Errorf("workload: layer %s: dimension %s = %d (must be in [1, %d])", l.Name, dim, d[dim], maxExtent)
 		}
+		macs *= float64(d[dim])
+	}
+	if l.StrideY > maxExtent || l.StrideX > maxExtent || l.Count > maxExtent {
+		return fmt.Errorf("workload: layer %s: stride or count above %d", l.Name, maxExtent)
+	}
+	if macs > maxMACs {
+		return fmt.Errorf("workload: layer %s: %g MACs exceeds %g", l.Name, macs, float64(maxMACs))
 	}
 	if l.Type == DepthwiseConv && l.C != 1 {
 		return fmt.Errorf("workload: depthwise layer %s must have C=1, got %d", l.Name, l.C)
