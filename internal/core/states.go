@@ -95,8 +95,8 @@ func DecodeStates(b []byte) ([]IndividualState, error) {
 		}
 		r.state(&out[i])
 	}
-	if r.err == nil && len(r.b) > 0 {
-		r.fail(fmt.Sprintf("%d trailing bytes", len(r.b)))
+	if r.err == nil && r.left() > 0 {
+		r.fail(fmt.Sprintf("%d trailing bytes", r.left()))
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -105,63 +105,88 @@ func DecodeStates(b []byte) ([]IndividualState, error) {
 }
 
 // stateReader consumes an encoding front to back; the first failure
-// sticks and every later read returns zero.
+// sticks and every later read returns zero. It advances an offset rather
+// than re-slicing b, so a read stores no pointer.
 type stateReader struct {
-	b   []byte
-	n   int // bytes consumed, for error offsets
-	err error
+	b    []byte
+	off  int // bytes consumed
+	err  error
+	slab []mapping.Level // backing the decoded mappings' levels
 }
+
+// levelSlab caps one slab allocation of decoded mapping levels.
+const levelSlab = 256
+
+// levels carves an owned cap==len block of n levels from the reader's
+// slab, so one allocation backs many mappings. A new slab holds at most
+// what the remaining input could still encode, keeping allocation linear
+// in len(b); cap==len keeps a later structural append by a breeding
+// operator from scribbling over the next block.
+func (r *stateReader) levels(n int) []mapping.Level {
+	if len(r.slab) < n {
+		r.slab = make([]mapping.Level, max(n, min(levelSlab, r.left()/levelMinBytes)))
+	}
+	s := r.slab[:n:n]
+	r.slab = r.slab[n:]
+	return s
+}
+
+func (r *stateReader) left() int { return len(r.b) - r.off }
 
 func (r *stateReader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("core: state encoding: %s at byte %d", what, r.n)
+		r.err = fmt.Errorf("core: state encoding: %s at byte %d", what, r.off)
 	}
 }
 
-func (r *stateReader) advance(n int) {
-	r.b = r.b[n:]
-	r.n += n
-}
-
-// minimal reports whether the n-byte varint at the front of r.b is in its
+// minimal reports whether the n-byte varint at the read offset is in its
 // shortest form: only a one-byte varint may end in a zero byte.
 func (r *stateReader) minimal(n int) bool {
 	if n <= 0 {
 		r.fail("malformed varint")
 		return false
 	}
-	if n > 1 && r.b[n-1] == 0 {
+	if n > 1 && r.b[r.off+n-1] == 0 {
 		r.fail("non-minimal varint")
 		return false
 	}
 	return true
 }
 
+// uvarint reads one varint. One-byte varints — nearly every count,
+// fanout and tile — are minimal by construction and take an inlinable
+// fast path.
 func (r *stateReader) uvarint() uint64 {
+	if r.off < len(r.b) && r.b[r.off] < 0x80 && r.err == nil {
+		r.off++
+		return uint64(r.b[r.off-1])
+	}
+	return r.uvarintSlow()
+}
+
+func (r *stateReader) uvarintSlow() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b)
+	v, n := binary.Uvarint(r.b[r.off:])
 	if !r.minimal(n) {
 		return 0
 	}
-	r.advance(n)
+	r.off += n
 	return v
 }
 
+// int reads a zig-zag varint, the encoding binary.AppendVarint writes.
 func (r *stateReader) int() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if !r.minimal(n) {
-		return 0
+	u := r.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
 	if int64(int(v)) != v {
 		r.fail("integer out of range")
 		return 0
 	}
-	r.advance(n)
 	return int(v)
 }
 
@@ -169,8 +194,8 @@ func (r *stateReader) int() int {
 // can never exceed what the remaining input could hold.
 func (r *stateReader) count(size int) int {
 	v := r.uvarint()
-	if r.err == nil && v > uint64(len(r.b)/size) {
-		r.fail(fmt.Sprintf("count %d exceeds the %d bytes left", v, len(r.b)))
+	if r.err == nil && v > uint64(r.left()/size) {
+		r.fail(fmt.Sprintf("count %d exceeds the %d bytes left", v, r.left()))
 		return 0
 	}
 	return int(v)
@@ -180,13 +205,12 @@ func (r *stateReader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if len(r.b) < n {
+	if r.left() < n {
 		r.fail("truncated")
 		return nil
 	}
-	out := r.b[:n]
-	r.advance(n)
-	return out
+	r.off += n
+	return r.b[r.off-n : r.off]
 }
 
 func (r *stateReader) state(st *IndividualState) {
@@ -196,7 +220,7 @@ func (r *stateReader) state(st *IndividualState) {
 	}
 	st.Maps = make([]mapping.Mapping, r.count(1))
 	for mi := range st.Maps {
-		levels := make([]mapping.Level, r.count(levelMinBytes))
+		levels := r.levels(r.count(levelMinBytes))
 		for li := range levels {
 			lv := &levels[li]
 			dims := r.bytes(1 + int(workload.NumDims))
