@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"digamma/internal/mapping"
 	"digamma/internal/workload"
@@ -48,7 +50,16 @@ func AppendStates(b []byte, states []IndividualState) []byte {
 
 // appendIndividuals appends a live selection in the AppendStates
 // encoding, straight from the genomes: no IndividualState copy between.
+// b grows once up front, sized for tiles of up to three bytes.
 func appendIndividuals(b []byte, sel []individual) []byte {
+	n := binary.MaxVarintLen64
+	for _, ind := range sel {
+		n += stateMinBytes + 3*len(ind.genome.Fanouts)
+		for _, m := range ind.genome.Maps {
+			n += 1 + len(m.Levels)*(1+4*int(workload.NumDims))
+		}
+	}
+	b = slices.Grow(b, n)
 	b = binary.AppendUvarint(b, uint64(len(sel)))
 	for _, ind := range sel {
 		b = appendState(b, ind.genome.Fanouts, ind.genome.Maps, ind.eval.Fitness, ind.eval.Pruned)
@@ -154,12 +165,13 @@ func (r *stateReader) minimal(n int) bool {
 }
 
 // uvarint reads one varint. One-byte varints — nearly every count,
-// fanout and tile — are minimal by construction and take an inlinable
-// fast path.
+// fanout and tile — are minimal by construction and take an inlined fast
+// path. After a failure the fast path may still consume bytes: every
+// result is discarded then, and count refuses to size anything.
 func (r *stateReader) uvarint() uint64 {
-	if r.off < len(r.b) && r.b[r.off] < 0x80 && r.err == nil {
+	if b := r.b[r.off:]; len(b) > 0 && b[0] < 0x80 {
 		r.off++
-		return uint64(r.b[r.off-1])
+		return uint64(b[0])
 	}
 	return r.uvarintSlow()
 }
@@ -179,11 +191,8 @@ func (r *stateReader) uvarintSlow() uint64 {
 // int reads a zig-zag varint, the encoding binary.AppendVarint writes.
 func (r *stateReader) int() int {
 	u := r.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	if int64(int(v)) != v {
+	v := int64(u>>1) ^ -int64(u&1)
+	if strconv.IntSize < 64 && int64(int(v)) != v {
 		r.fail("integer out of range")
 		return 0
 	}
@@ -194,7 +203,10 @@ func (r *stateReader) int() int {
 // can never exceed what the remaining input could hold.
 func (r *stateReader) count(size int) int {
 	v := r.uvarint()
-	if r.err == nil && v > uint64(r.left()/size) {
+	if r.err != nil {
+		return 0
+	}
+	if v > uint64(r.left()/size) {
 		r.fail(fmt.Sprintf("count %d exceeds the %d bytes left", v, r.left()))
 		return 0
 	}
