@@ -165,9 +165,9 @@ func (r *stateReader) minimal(n int) bool {
 }
 
 // uvarint reads one varint. One-byte varints — nearly every count,
-// fanout and tile — are minimal by construction and take an inlined fast
-// path. After a failure the fast path may still consume bytes: every
-// result is discarded then, and count refuses to size anything.
+// fanout and tile — are minimal by construction and skip the error check.
+// After a failure they may still be consumed: every result is discarded
+// then, and count refuses to size anything.
 func (r *stateReader) uvarint() uint64 {
 	if b := r.b[r.off:]; len(b) > 0 && b[0] < 0x80 {
 		r.off++
