@@ -787,12 +787,16 @@ func (e *Engine) rescored(res *Result) func(*coopt.Evaluation) {
 	}
 }
 
+// bestOf returns the best individual across the full-fidelity islands.
+// Scout islands are excluded: their fitnesses are bound-tier readings,
+// comparable only after the migration re-score. buildIslands guarantees
+// at least one non-scout island with a non-empty population.
 // reachedTarget reports whether the time-to-target stop rule fires: a
 // Target is set and some full-fidelity individual already meets it.
 // Evaluated only at generation boundaries, so the stop commutes with
 // checkpointing and is a pure function of the search trajectory. The
 // populations are not yet sorted at the post-install boundary (sorting
-// happens in beginGeneration), so this scans rather than trusting cur[0]
+// happens in begin), so this scans rather than trusting cur[0]
 // — a warm-started search whose seed opens at the target must stop
 // before breeding a single generation.
 func (e *Engine) reachedTarget(islands []*island) bool {
@@ -812,10 +816,6 @@ func (e *Engine) reachedTarget(islands []*island) bool {
 	return false
 }
 
-// bestOf returns the best individual across the full-fidelity islands.
-// Scout islands are excluded: their fitnesses are bound-tier readings,
-// comparable only after the migration re-score. buildIslands guarantees
-// at least one non-scout island with a non-empty population.
 func bestOf(islands []*island) individual {
 	var best individual
 	found := false

@@ -149,8 +149,8 @@ func TestLoopbackBitIdentical(t *testing.T) {
 // TestWorkerSurvivesBadIslandIDs: island ids and migrant sources arrive in
 // frames, so a round, migrants or finalize request naming an island
 // outside the run — or a batch from one — must come back as an ack error
-// while the session keeps serving; before, the index panic took down the
-// worker process and every session it served.
+// while the session keeps serving: a panic in the session goroutine
+// would take down the worker process and every session it serves.
 func TestWorkerSurvivesBadIslandIDs(t *testing.T) {
 	spec := testSpec(t, "ncf", 1, func(c *core.Config) {
 		c.Islands = 2
