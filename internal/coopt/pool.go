@@ -10,12 +10,11 @@ package coopt
 // The pool is deliberately NOT safe for concurrent use: the engine gives
 // each island its own pool and acquires every buffer serially before
 // fanning a batch out, which keeps the hot path free of pool locks.
-// The recycling rule is the caller's to enforce:
-// recycle an Evaluation only when nothing else can reach it — in the
-// engine that means individuals dropped from their population (at install
-// time, or overwritten by a migrant, which arrives as bytes and is
-// rebuilt into the receiving island's own pool), and only when no
-// OnEvaluation hook may have retained them.
+// The caller enforces the recycling rule: recycle an Evaluation only when
+// nothing else can reach it. In the engine that means individuals dropped
+// from their population — at install time, or overwritten by a migrant,
+// which arrives as bytes and is rebuilt into the receiving island's own
+// pool — and only when no OnEvaluation hook may have retained them.
 //
 // Shared analysis Results referenced from a recycled buffer's Layers are
 // unaffected: children that cloned them hold their own (layer, result)

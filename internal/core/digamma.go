@@ -640,11 +640,7 @@ func (e *Engine) collectDelta(res *Result, islands []*island) {
 // seed each from the master stream before any search work, so island
 // streams are independent yet fixed by the master seed.
 func (e *Engine) buildIslands(budget int) ([]*island, error) {
-	k := max(e.Config.Islands, 1)
-	if k > budget {
-		k = budget
-	}
-
+	k := e.PlannedIslands(budget)
 	profiles := make([]Profile, k)
 	anyFull := false
 	for i := range profiles {
@@ -848,12 +844,7 @@ func (e *Engine) exchange(islands []*island, route []int, res *Result) error {
 	if err := e.ObserveMigration(res.Generations, exports); err != nil {
 		return err
 	}
-	inbox := make([][]MigrantBatch, len(islands))
-	for src, dst := range route {
-		if dst >= 0 {
-			inbox[dst] = append(inbox[dst], MigrantBatch{From: src, Elites: exports[src]})
-		}
-	}
+	inbox := Inboxes(route, exports)
 	for j, is := range islands {
 		if err := is.receiveMigrants(inbox[j]); err != nil {
 			return err

@@ -131,32 +131,33 @@ func (e *Engine) PlanRun(budget int) (*RunPlan, error) {
 
 // MigrationRoute computes the deterministic ring: source island i sends
 // its elites to the next non-scout island clockwise, or nowhere (-1) when
-// that walk comes back to i. With every island a scout (which buildIslands
-// never produces) all routes are -1.
+// that walk comes back to i.
 func MigrationRoute(scouts []bool) []int {
 	k := len(scouts)
 	route := make([]int, k)
-	anyFull := false
-	for _, s := range scouts {
-		if !s {
-			anyFull = true
-		}
-	}
 	for i := range route {
-		if !anyFull {
-			route[i] = -1
-			continue
+		route[i] = -1
+		for step := 1; step < k; step++ {
+			if j := (i + step) % k; !scouts[j] {
+				route[i] = j
+				break
+			}
 		}
-		j := (i + 1) % k
-		for scouts[j] {
-			j = (j + 1) % k
-		}
-		if j == i {
-			j = -1
-		}
-		route[i] = j
 	}
 	return route
+}
+
+// Inboxes addresses one boundary's exports: island j receives a batch
+// from every source i with route[i] == j, in ascending source order. Both
+// drivers deliver exactly these batches, in memory or over TCP.
+func Inboxes(route []int, exports [][]byte) [][]MigrantBatch {
+	inbox := make([][]MigrantBatch, len(route))
+	for src, dst := range route {
+		if dst >= 0 {
+			inbox[dst] = append(inbox[dst], MigrantBatch{From: src, Elites: exports[src]})
+		}
+	}
+	return inbox
 }
 
 // encodeIndividuals serializes a selection in order, deep-copying each

@@ -235,9 +235,12 @@ func (r *ShardRunner) Islands() int { return len(r.islands) }
 // instead of as silently different results), then the island is
 // initialized — the engine's initial batch, drawn and evaluated here.
 func (r *ShardRunner) Own(id int, seed int64) error {
-	is, sh, err := r.lookup(id, false)
-	if err != nil {
-		return err
+	if id < 0 || id >= len(r.islands) {
+		return fmt.Errorf("core: island %d out of range [0,%d)", id, len(r.islands))
+	}
+	is, sh := r.islands[id], &r.st[id]
+	if sh.owned {
+		return fmt.Errorf("core: island %d already owned", id)
 	}
 	if is.seed != seed {
 		return fmt.Errorf("core: island %d seed mismatch: assigned %d, derived %d (divergent spec?)", id, seed, is.seed)
@@ -253,22 +256,17 @@ func (r *ShardRunner) Own(id int, seed int64) error {
 	return nil
 }
 
-// lookup resolves an island id taken off the wire for an entry point:
-// range-checked, and owned exactly when owned is set (Own wants an
-// unowned island, every later step an owned one), so a malformed request
-// is an error, never an index panic.
-func (r *ShardRunner) lookup(id int, owned bool) (*island, *shardState, error) {
+// owned resolves an island id taken off the wire for every entry point
+// after Own: range-checked, so a malformed request is an error, never an
+// index panic.
+func (r *ShardRunner) owned(id int) (*island, *shardState, error) {
 	if id < 0 || id >= len(r.islands) {
 		return nil, nil, fmt.Errorf("core: island %d out of range [0,%d)", id, len(r.islands))
 	}
-	switch sh := &r.st[id]; {
-	case sh.owned && !owned:
-		return nil, nil, fmt.Errorf("core: island %d already owned", id)
-	case !sh.owned && owned:
+	if !r.st[id].owned {
 		return nil, nil, fmt.Errorf("core: island %d not owned", id)
-	default:
-		return r.islands[id], sh, nil
 	}
+	return r.islands[id], &r.st[id], nil
 }
 
 // breedBody runs the breeding half of one generation body: breedEvaluate,
@@ -292,7 +290,7 @@ func (r *ShardRunner) breedBody(is *island, sh *shardState) error {
 // the history contribution, then exportElites — leaving the island
 // mid-body until CompleteBoundary delivers the incoming migrants.
 func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, error) {
-	is, sh, err := r.lookup(id, true)
+	is, sh, err := r.owned(id)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +327,7 @@ func (r *ShardRunner) Advance(id, bodies int, boundary bool) (*ShardReport, erro
 // owned island at a boundary, with an empty batch list for islands that
 // receive nothing (scouts, unlucky ring positions): the sort still runs.
 func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardReport, error) {
-	is, sh, err := r.lookup(id, true)
+	is, sh, err := r.owned(id)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +354,7 @@ func (r *ShardRunner) CompleteBoundary(id int, batches []MigrantBatch) (*ShardRe
 // Finalize sorts an owned island one last time (the engine's finalize
 // sweep) and reports its best individual and cumulative accounting.
 func (r *ShardRunner) Finalize(id int) (*ShardFinal, error) {
-	is, sh, err := r.lookup(id, true)
+	is, sh, err := r.owned(id)
 	if err != nil {
 		return nil, err
 	}

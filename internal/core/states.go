@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 
 	"digamma/internal/mapping"
@@ -50,16 +49,7 @@ func AppendStates(b []byte, states []IndividualState) []byte {
 
 // appendIndividuals appends a live selection in the AppendStates
 // encoding, straight from the genomes: no IndividualState copy between.
-// b grows once up front, sized for tiles of up to three bytes.
 func appendIndividuals(b []byte, sel []individual) []byte {
-	n := binary.MaxVarintLen64
-	for _, ind := range sel {
-		n += stateMinBytes + 3*len(ind.genome.Fanouts)
-		for _, m := range ind.genome.Maps {
-			n += 1 + len(m.Levels)*(1+4*int(workload.NumDims))
-		}
-	}
-	b = slices.Grow(b, n)
 	b = binary.AppendUvarint(b, uint64(len(sel)))
 	for _, ind := range sel {
 		b = appendState(b, ind.genome.Fanouts, ind.genome.Maps, ind.eval.Fitness, ind.eval.Pruned)
@@ -115,9 +105,10 @@ func DecodeStates(b []byte) ([]IndividualState, error) {
 	return out, nil
 }
 
-// stateReader consumes an encoding front to back; the first failure
-// sticks and every later read returns zero. It advances an offset rather
-// than re-slicing b, so a read stores no pointer.
+// stateReader consumes an encoding front to back. The first failure
+// sticks: DecodeStates discards everything read after it, and count
+// returns zero, so nothing is sized from it. The reader advances an
+// offset rather than re-slicing b, so a read stores no pointer.
 type stateReader struct {
 	b    []byte
 	off  int // bytes consumed

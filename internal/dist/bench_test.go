@@ -136,16 +136,11 @@ func BenchmarkBoundaryWire(b *testing.B) {
 				logged[rep.Island] = rep.Exports
 			}
 		}
+		inbox := core.Inboxes(route, logged)
 		for w := 0; w < workers; w++ {
 			msg := migrantsMsg{Seq: 2}
 			for id := w; id < k; id += workers {
-				d := delivery{ID: id}
-				for src, dst := range route {
-					if dst == id {
-						d.Batches = append(d.Batches, core.MigrantBatch{From: src, Elites: logged[src]})
-					}
-				}
-				msg.Deliveries = append(msg.Deliveries, d)
+				msg.Deliveries = append(msg.Deliveries, delivery{ID: id, Batches: inbox[id]})
 			}
 			if err := fc.writeMsg(mtMigrants, msg); err != nil {
 				b.Fatal(err)

@@ -21,9 +21,9 @@ import (
 // in-process path) whenever the run shape or the worker pool is not
 // eligible; once committed, the result is a pure function of
 // (Seed, Islands, MigrateEvery, Profiles) — never of worker count or
-// message timing — because workers execute the engine's exact per-body
-// operation sequence and all cross-island routing is computed from the
-// deterministic ring.
+// message timing — because workers step their islands through the
+// engine's own island methods and all cross-island routing is computed
+// from the deterministic ring (core.Inboxes).
 //
 // Failure model: a connection error marks the worker dead and its
 // islands are re-homed onto survivors: adopted fresh and replayed through
@@ -465,16 +465,11 @@ func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*core.ShardRep
 // second sort must still run) — and completes its boundary body.
 func (r *run) deliverWave(ids []int, exports [][]byte, final []*core.ShardReport) error {
 	r.seq++
+	inbox := core.Inboxes(r.route, exports)
 	return r.wave(ids, mtMigrants, mtMigrantsAck, "migrants", 0, final, func(own []int) any {
 		msg := migrantsMsg{Seq: r.seq}
 		for _, id := range own {
-			d := delivery{ID: id}
-			for src, dst := range r.route {
-				if dst == id {
-					d.Batches = append(d.Batches, core.MigrantBatch{From: src, Elites: exports[src]})
-				}
-			}
-			msg.Deliveries = append(msg.Deliveries, d)
+			msg.Deliveries = append(msg.Deliveries, delivery{ID: id, Batches: inbox[id]})
 		}
 		return msg
 	})

@@ -2,7 +2,10 @@ package serve
 
 import "sync"
 
-// feedBuffer is each subscriber channel's capacity.
+// feedBuffer is each subscriber channel's capacity: room for the burst of
+// progress events a fast search publishes between two writes of a slow
+// SSE client. Past it the oldest buffered events are dropped, so the
+// buffer bounds memory per subscriber, never what it eventually sees last.
 const feedBuffer = 64
 
 // feed is an append-only event history with live subscribers: the stream
