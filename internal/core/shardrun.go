@@ -277,12 +277,15 @@ func (r *ShardRunner) owned(id int) (*island, *shardState, error) {
 // with crews on two cores), so the brood is bred, then scored.
 func (r *ShardRunner) breedBody(is *island, sh *shardState) error {
 	evs, err := is.breedEvaluate(nil, r.workers)
-	if err == nil && len(evs) > 0 {
+	if err != nil {
+		return err
+	}
+	if len(evs) > 0 {
 		r.e.account(&sh.res, is, evs)
 		is.install(is.elites, is.children[:len(evs)], evs)
 	}
 	sh.res.Generations++
-	return err
+	return nil
 }
 
 // Advance steps one owned island through `bodies` generation bodies. When
