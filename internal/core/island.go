@@ -739,9 +739,9 @@ func (is *island) ownLayer(m *mapping.Mapping) {
 //
 // Dirty accounting is relative to parent A (the delta parent): taking B's
 // fanouts marks the HW genes unless the vectors are equal, and taking B's
-// block marks the layer unless both parents carry identical genes for it
-// (common elite ancestry, or a migrant's copy of them) — in which case
-// the child's genes equal A's and A's analysis stands.
+// block marks the layer unless both parents share the identical backing
+// (common elite ancestry) — in which case the child's genes equal A's and
+// A's analysis stands.
 func (is *island) crossover(pa, pb individual, d *space.Dirty) space.Genome {
 	a, b := pa.genome, pb.genome
 	child := is.shallowCopy(a)

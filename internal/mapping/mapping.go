@@ -8,7 +8,6 @@ package mapping
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"digamma/internal/workload"
@@ -41,17 +40,14 @@ func (m Mapping) Clone() Mapping {
 // NumLevels returns the clustering depth.
 func (m Mapping) NumLevels() int { return len(m.Levels) }
 
-// SameLevels reports whether two mappings carry identical level genes.
-// The copy-on-write breeding engine uses it to recognize blocks two
-// parents inherited from a common ancestor: shared backing (same first
-// element address) answers without comparing values, and equal values
-// catch the copies — a migrant arrives in its new population as a decoded
-// copy of genes the population may already share.
+// SameLevels reports whether two mappings share the identical level
+// backing (same length, same first element address) — and therefore carry
+// identical genes. The copy-on-write breeding engine uses it to recognize
+// blocks two parents inherited from a common ancestor, without comparing
+// gene values.
 func SameLevels(a, b Mapping) bool {
-	if len(a.Levels) != len(b.Levels) {
-		return false
-	}
-	return len(a.Levels) == 0 || &a.Levels[0] == &b.Levels[0] || slices.Equal(a.Levels, b.Levels)
+	return len(a.Levels) == len(b.Levels) &&
+		(len(a.Levels) == 0 || &a.Levels[0] == &b.Levels[0])
 }
 
 // CanonicalOrder returns the dimensions in their canonical declaration
