@@ -110,7 +110,7 @@ type Problem struct {
 
 	// cacheCap bounds every analysis cache this problem family builds
 	// (including the fresh caches WithFixedHW/WithBackend copies install);
-	// 0 means evalcache.DefaultCapacity. Set via SizeCache so short
+	// 0 means evalcache.DefaultCapacity. Set by NewProblemSized so short
 	// searches don't pay the default cache's fixed allocation on every
 	// request.
 	cacheCap int
@@ -210,10 +210,6 @@ func (p *Problem) SharedHits() uint64 {
 	}
 	return p.sharedHits.Load()
 }
-
-// Shared reports the problem's cross-request analysis store (nil when
-// detached).
-func (p *Problem) Shared() *evalstore.Store { return p.shared }
 
 // SharedContexts exposes the per-layer key contexts (aligned with
 // Space.Layers) for callers building warm-start queries; nil without a
@@ -330,22 +326,6 @@ func (p *Problem) WithFixedHW(hw arch.HW) (*Problem, error) {
 // Result.CacheKey) instead of allocating a wrapper entry per miss.
 func (p *Problem) newResultCache() *evalcache.Intrusive[cost.Result] {
 	return evalcache.NewIntrusive(p.cacheCap, func(r *cost.Result) uint64 { return r.CacheKey })
-}
-
-// SizeCache bounds the analysis cache to roughly entries (rounded up to a
-// power-of-two set count; <= 0 restores evalcache.DefaultCapacity) and
-// replaces the current cache. Copies made afterwards (WithFixedHW,
-// WithBackend, WithFidelity) inherit the bound. Sizing is purely a
-// performance knob: analyses are pure, so an undersized cache re-derives
-// evicted entries with bit-identical values. Callers that know the
-// search's eval budget should bound the cache near budget x layers —
-// the default capacity's fixed allocation (512 KiB) otherwise dominates
-// the per-request cost of short searches.
-func (p *Problem) SizeCache(entries int) {
-	p.cacheCap = entries
-	if p.Cache != nil {
-		p.Cache = p.newResultCache()
-	}
 }
 
 // LayerEval pairs one unique layer with its analysis. Layer points into

@@ -12,6 +12,10 @@
 // where RunContext checks its context, so a cancelled (drained) run's
 // final checkpoint and a periodic checkpoint are indistinguishable.
 //
+// The population travels as the AppendStates bytes (states.go) — the one
+// byte form of an individual that migrants and final bests use too —
+// inside the checkpoint's JSON envelope.
+//
 // Resume re-evaluates the stored genomes instead of serializing analyses:
 // evaluation is pure, so the fitness comes back bit-identical (verified —
 // a mismatch means the checkpoint belongs to a different problem or code
@@ -29,13 +33,14 @@ import (
 	"math/rand"
 
 	"digamma/internal/coopt"
-	"digamma/internal/mapping"
 	"digamma/internal/obs"
 )
 
 // CheckpointVersion is the format version stamped into every checkpoint;
-// decoding refuses other versions rather than guessing.
-const CheckpointVersion = 1
+// decoding refuses other versions rather than guessing. Version 2 stores
+// each island's population as AppendStates bytes; version 1 stored it as
+// JSON.
+const CheckpointVersion = 2
 
 // replaySource wraps the engine's deterministic rand source and counts
 // state advances. Both Int63 and Uint64 step the underlying generator
@@ -129,20 +134,9 @@ type IslandState struct {
 	PoolReuses   uint64 `json:"pool_reuses"`
 
 	// Pop is the population in install order (the order begin's
-	// sort sees, so tie-breaking behaves identically after resume).
-	Pop []IndividualState `json:"pop"`
-}
-
-// IndividualState is one population member: its genome and how it was
-// scored. Pruned individuals carry their fitness lower bound and are
-// rebuilt without re-running the cost model; everything else is
-// re-evaluated on resume (evaluation is pure, so the fitness must come
-// back identical — checked).
-type IndividualState struct {
-	Fanouts []int             `json:"fanouts"`
-	Maps    []mapping.Mapping `json:"maps"`
-	Fitness float64           `json:"fitness"`
-	Pruned  bool              `json:"pruned,omitempty"`
+	// sort sees, so tie-breaking behaves identically after resume), as
+	// AppendStates bytes.
+	Pop []byte `json:"pop"`
 }
 
 // Marshal serializes the checkpoint as JSON.
@@ -228,9 +222,7 @@ func (is *island) snapshotState() IslandState {
 		LayersReused: is.layersReused,
 		PoolGets:     gets + is.poolGetBias,
 		PoolReuses:   reuses + is.poolReuseBias,
-		// Deep-copy through Clone so the snapshot never aliases the
-		// arena-backed genome blocks a later generation mutates.
-		Pop: encodeIndividuals(is.cur),
+		Pop:          appendIndividuals(nil, is.cur),
 	}
 }
 
@@ -253,14 +245,18 @@ const maxDrawsPerSample = 64
 // restored — the per-island slice of Engine.restore. A malformed snapshot
 // is an error, never a panic.
 func (is *island) restoreState(st *IslandState) error {
-	if len(st.Pop) < is.elites || len(st.Pop) > is.pop {
-		return fmt.Errorf("core: checkpoint island %d holds %d individuals, outside [%d,%d]", is.id, len(st.Pop), is.elites, is.pop)
+	pop, err := DecodeStates(st.Pop)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint island %d population: %w", is.id, err)
 	}
-	if st.Samples < len(st.Pop) || st.Samples > is.budget {
-		return fmt.Errorf("core: checkpoint island %d spent %d samples, outside [%d,%d]", is.id, st.Samples, len(st.Pop), is.budget)
+	if len(pop) < is.elites || len(pop) > is.pop {
+		return fmt.Errorf("core: checkpoint island %d holds %d individuals, outside [%d,%d]", is.id, len(pop), is.elites, is.pop)
+	}
+	if st.Samples < len(pop) || st.Samples > is.budget {
+		return fmt.Errorf("core: checkpoint island %d spent %d samples, outside [%d,%d]", is.id, st.Samples, len(pop), is.budget)
 	}
 	levels := max(is.cfg.MaxLevels, is.prob.Space.Levels)
-	for _, ind := range st.Pop {
+	for _, ind := range pop {
 		levels = max(levels, len(ind.Fanouts))
 	}
 	blocks := uint64(len(is.prob.Space.Layers)*levels + 1)
@@ -268,8 +264,8 @@ func (is *island) restoreState(st *IslandState) error {
 		return fmt.Errorf("core: checkpoint island %d RNG position %d exceeds the ceiling %d for %d samples", is.id, st.Draws, ceiling, st.Samples)
 	}
 	is.cur = is.cur[:0]
-	for pi := range st.Pop {
-		ind, err := is.rebuild(&st.Pop[pi])
+	for pi := range pop {
+		ind, err := is.rebuild(&pop[pi])
 		if err != nil {
 			return fmt.Errorf("core: checkpoint island %d individual %d: %w", is.id, pi, err)
 		}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"digamma/internal/mapping"
@@ -52,25 +56,41 @@ func fuzzCheckpoint(t *testing.T) []byte {
 	return blob
 }
 
+// mutatePop returns a corruption that decodes island i's population,
+// lets mutate change the states and re-encodes them, so a malformed genome
+// reaches resume as well-formed bytes and tests rebuild, not the decoder.
+func mutatePop(i int, mutate func(pop []IndividualState)) func(ck *Checkpoint) {
+	return func(ck *Checkpoint) {
+		pop, err := DecodeStates(ck.Islands[i].Pop)
+		if err != nil {
+			panic(err) // the fuzz run's own checkpoint always decodes
+		}
+		mutate(pop)
+		ck.Islands[i].Pop = AppendStates(nil, pop)
+	}
+}
+
 // checkpointCorruptions are hand-made malformations of a valid checkpoint,
 // each of which resume must refuse with an error. They double as the
 // committed seed corpus of FuzzCheckpointResume.
 var checkpointCorruptions = map[string]func(ck *Checkpoint){
-	"short-maps":       func(ck *Checkpoint) { ck.Islands[0].Pop[0].Maps = []mapping.Mapping{} },
-	"no-fanouts":       func(ck *Checkpoint) { ck.Islands[0].Pop[0].Fanouts = nil },
-	"zero-fanout":      func(ck *Checkpoint) { ck.Islands[0].Pop[1].Fanouts[0] = 0 },
-	"ragged-layer":     func(ck *Checkpoint) { m := &ck.Islands[1].Pop[0].Maps[0]; m.Levels = m.Levels[:len(m.Levels)-1] },
-	"zero-tile":        func(ck *Checkpoint) { ck.Islands[0].Pop[0].Maps[0].Levels[0].Tiles[0] = 0 },
-	"bad-spatial":      func(ck *Checkpoint) { ck.Islands[0].Pop[0].Maps[0].Levels[0].Spatial = 99 },
-	"pruned-malformed": func(ck *Checkpoint) { ck.Islands[0].Pop[0].Pruned = true; ck.Islands[0].Pop[0].Maps = nil },
-	"wrong-fitness":    func(ck *Checkpoint) { ck.Islands[0].Pop[0].Fitness++ },
-	"empty-pop":        func(ck *Checkpoint) { ck.Islands[0].Pop = nil },
-	"runaway-draws":    func(ck *Checkpoint) { ck.Islands[0].Draws = 1 << 62 },
-	"negative-samples": func(ck *Checkpoint) { ck.Samples = -1 << 40 },
-	"island-overspent": func(ck *Checkpoint) { ck.Islands[1].Samples += 1 << 20; ck.Samples += 1 << 20; ck.FullEvals += 1 << 20 },
-	"split-mismatch":   func(ck *Checkpoint) { ck.FullEvals++ },
-	"short-history":    func(ck *Checkpoint) { ck.History = ck.History[:0] },
-	"missing-island":   func(ck *Checkpoint) { ck.Islands = ck.Islands[:1] },
+	"short-maps":        mutatePop(0, func(pop []IndividualState) { pop[0].Maps = []mapping.Mapping{} }),
+	"no-fanouts":        mutatePop(0, func(pop []IndividualState) { pop[0].Fanouts = nil }),
+	"zero-fanout":       mutatePop(0, func(pop []IndividualState) { pop[1].Fanouts[0] = 0 }),
+	"ragged-layer":      mutatePop(1, func(pop []IndividualState) { m := &pop[0].Maps[0]; m.Levels = m.Levels[:len(m.Levels)-1] }),
+	"zero-tile":         mutatePop(0, func(pop []IndividualState) { pop[0].Maps[0].Levels[0].Tiles[0] = 0 }),
+	"bad-spatial":       mutatePop(0, func(pop []IndividualState) { pop[0].Maps[0].Levels[0].Spatial = 99 }),
+	"pruned-malformed":  mutatePop(0, func(pop []IndividualState) { pop[0].Pruned = true; pop[0].Maps = nil }),
+	"wrong-fitness":     mutatePop(0, func(pop []IndividualState) { pop[0].Fitness++ }),
+	"empty-pop":         func(ck *Checkpoint) { ck.Islands[0].Pop = AppendStates(nil, nil) },
+	"pop-truncated":     func(ck *Checkpoint) { p := ck.Islands[0].Pop; ck.Islands[0].Pop = p[:len(p)-1] },
+	"pop-trailing-byte": func(ck *Checkpoint) { ck.Islands[0].Pop = append(ck.Islands[0].Pop, 0) },
+	"runaway-draws":     func(ck *Checkpoint) { ck.Islands[0].Draws = 1 << 62 },
+	"negative-samples":  func(ck *Checkpoint) { ck.Samples = -1 << 40 },
+	"island-overspent":  func(ck *Checkpoint) { ck.Islands[1].Samples += 1 << 20; ck.Samples += 1 << 20; ck.FullEvals += 1 << 20 },
+	"split-mismatch":    func(ck *Checkpoint) { ck.FullEvals++ },
+	"short-history":     func(ck *Checkpoint) { ck.History = ck.History[:0] },
+	"missing-island":    func(ck *Checkpoint) { ck.Islands = ck.Islands[:1] },
 }
 
 // TestResumeMalformedCheckpoint: every corruption of a valid checkpoint is
@@ -101,6 +121,34 @@ func TestResumeMalformedCheckpoint(t *testing.T) {
 	e.Resume = ck
 	if _, err := e.Run(fuzzBudget); err != nil {
 		t.Fatalf("valid checkpoint: %v", err)
+	}
+}
+
+// TestCommittedValidSeedResumes: the committed corpus's valid seed
+// resumes without error. A format change that forgets to regenerate the
+// corpus would leave every seed refused by the version check alone, so
+// the fuzz target would test nothing; this fails by name instead.
+func TestCommittedValidSeedResumes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointResume", "valid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(quoted, ")") {
+		t.Fatalf("valid seed is not a one-value []byte corpus file")
+	}
+	blob, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := UnmarshalCheckpoint([]byte(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := fuzzEngine(t)
+	e.Resume = ck
+	if _, err := e.Run(fuzzBudget); err != nil {
+		t.Fatalf("committed valid seed: %v", err)
 	}
 }
 

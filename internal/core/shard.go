@@ -160,24 +160,6 @@ func Inboxes(route []int, exports [][]byte) [][]MigrantBatch {
 	return inbox
 }
 
-// encodeIndividuals serializes a selection in order, deep-copying each
-// genome through Clone so the encoded state never aliases arena-backed
-// blocks a later generation mutates. Checkpoints use it; migration
-// encodes straight from the selection instead (appendIndividuals).
-func encodeIndividuals(sel []individual) []IndividualState {
-	out := make([]IndividualState, len(sel))
-	for i, ind := range sel {
-		g := ind.genome.Clone()
-		out[i] = IndividualState{
-			Fanouts: g.Fanouts,
-			Maps:    g.Maps,
-			Fitness: ind.eval.Fitness,
-			Pruned:  ind.eval.Pruned,
-		}
-	}
-	return out
-}
-
 // rebuild turns one decoded individual — a checkpointed population member
 // or a migrant off the wire — back into a live one in this island's pool.
 // The genome must be canonical for the island's problem (a malformed one

@@ -10,10 +10,11 @@ import (
 	"digamma/internal/workload"
 )
 
-// The binary state encoding is how island elites cross the wire: the
-// distributed protocol ships migrants and final bests in it, and the
-// coordinator forwards the bytes without decoding them. Checkpoints keep
-// their JSON form. Layout, all integers varint-encoded (encoding/binary):
+// The binary state encoding is the one byte form of an individual: the
+// distributed protocol ships migrants and final bests in it, the
+// coordinator forwards the bytes without decoding them, and checkpoints
+// store each island's population in it. Layout, all integers
+// varint-encoded (encoding/binary):
 //
 //	uvarint  number of states, then per state:
 //	uvarint  number of fanouts, then each fanout as a zig-zag varint
@@ -29,6 +30,18 @@ import (
 // must be minimal, the pruned byte 0 or 1, and no bytes may trail. A
 // decoded list therefore re-encodes to the bytes it came from, which is
 // what keeps the coordinator's byte-for-byte replay check meaningful.
+
+// IndividualState is one decoded population member: its genome and how
+// it was scored. Pruned individuals carry their fitness lower bound and
+// are rebuilt without re-running the cost model; everything else is
+// re-evaluated when installed (evaluation is pure, so the fitness must
+// come back identical — checked).
+type IndividualState struct {
+	Fanouts []int
+	Maps    []mapping.Mapping
+	Fitness float64
+	Pruned  bool
+}
 
 // Smallest encodings, which bound every decoded count by the bytes left:
 // a state with no fanouts and no mappings, and one mapping level.

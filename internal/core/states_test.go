@@ -99,6 +99,7 @@ func TestStatesRoundTrip(t *testing.T) {
 func TestAppendIndividualsMatchesStates(t *testing.T) {
 	p := zooProblem(t, "bert")
 	var sel []individual
+	var states []IndividualState
 	for _, st := range randomStates(p, 7, 4, 3) {
 		g := p.Space.Repair(space.Genome{Fanouts: st.Fanouts, Maps: st.Maps})
 		ev, err := p.EvaluateCanonical(g)
@@ -106,8 +107,10 @@ func TestAppendIndividualsMatchesStates(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel = append(sel, individual{g, ev})
+		c := g.Clone()
+		states = append(states, IndividualState{Fanouts: c.Fanouts, Maps: c.Maps, Fitness: ev.Fitness, Pruned: ev.Pruned})
 	}
-	if got, want := appendIndividuals(nil, sel), AppendStates(nil, encodeIndividuals(sel)); !bytes.Equal(got, want) {
+	if got, want := appendIndividuals(nil, sel), AppendStates(nil, states); !bytes.Equal(got, want) {
 		t.Fatalf("appendIndividuals wrote %d bytes, AppendStates %d, and they differ", len(got), len(want))
 	}
 }

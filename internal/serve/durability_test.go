@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"digamma/internal/core"
 	"digamma/internal/faults"
 )
 
@@ -277,6 +279,118 @@ func TestCrashRecoveryResumeDeterminism(t *testing.T) {
 			t.Fatalf("recovered result differs from uninterrupted run:\n%s\nvs\n%s", gotJSON, wantJSON)
 		}
 	})
+}
+
+// TestRecoverStaleCheckpointRecomputes is the upgrade path across a
+// checkpoint format change: a job checkpoints, the server crashes, and
+// its checkpoint file is rewritten in the version-1 form (the population
+// as JSON states, not state-encoded bytes). The reopened store refuses
+// the stale checkpoint, and the job re-runs from its WAL record to a
+// result byte-identical to an uninterrupted run.
+func TestRecoverStaleCheckpointRecomputes(t *testing.T) {
+	req := OptimizeRequest{Model: "ncf", Budget: 6000, Seed: 12}
+	_, baseURL, _ := durableServer(t, Config{Workers: 1})
+	st, _ := submit(t, baseURL, req)
+	want := waitState(t, baseURL, st.ID, StateDone, time.Minute)
+	wantJSON, err := json.Marshal(want.Result)
+	if err != nil || want.Result == nil {
+		t.Fatalf("baseline result: %v (nil=%v)", err, want.Result == nil)
+	}
+
+	dir := t.TempDir()
+	open := func() *DiskStore {
+		ds, err := OpenDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	s1, url1, crash := durableServer(t, Config{Workers: 1, Store: open(), CheckpointEvery: 1})
+	st1, code := submit(t, url1, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s1.checkpointsWritten.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoints written before deadline")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	crash()
+	if s1.get(st1.ID).State().Terminal() {
+		t.Skip("search outran the crash; nothing to recover")
+	}
+
+	path := filepath.Join(dir, "ckpt", st1.ID+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1Checkpoint(t, data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	probe := open()
+	recs, err := probe.Recover()
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("recover: %d jobs, err %v", len(recs), err)
+	}
+	if recs[0].Terminal != nil || recs[0].Resume != nil {
+		t.Fatalf("stale checkpoint recovered as terminal=%v resume=%v, want a fresh run", recs[0].Terminal != nil, recs[0].Resume != nil)
+	}
+	if err := probe.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, url2, _ := durableServer(t, Config{Workers: 1, Store: open(), CheckpointEvery: 1})
+	if got := s2.jobsRecovered.Load(); got != 1 {
+		t.Fatalf("jobs recovered = %d, want 1", got)
+	}
+	got := waitState(t, url2, st1.ID, StateDone, time.Minute)
+	gotJSON, err := json.Marshal(got.Result)
+	if err != nil || got.Result == nil {
+		t.Fatalf("recomputed result: %v (nil=%v)", err, got.Result == nil)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("recomputed result differs from uninterrupted run:\n%s\nvs\n%s", gotJSON, wantJSON)
+	}
+}
+
+// v1Checkpoint rewrites a checkpoint in the version-1 form: the same
+// envelope with each island's population as a JSON list of states.
+func v1Checkpoint(t *testing.T, data []byte) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var ck map[string]any
+	if err := dec.Decode(&ck); err != nil {
+		t.Fatal(err)
+	}
+	ck["version"] = 1
+	for _, island := range ck["islands"].([]any) {
+		is := island.(map[string]any)
+		raw, err := base64.StdEncoding.DecodeString(is["pop"].(string))
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, err := core.DecodeStates(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop := make([]map[string]any, len(states))
+		for i, st := range states {
+			pop[i] = map[string]any{"fanouts": st.Fanouts, "maps": st.Maps, "fitness": st.Fitness}
+			if st.Pruned {
+				pop[i]["pruned"] = true
+			}
+		}
+		is["pop"] = pop
+	}
+	out, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRecoveredTerminalServesDedup: a completed job survives the crash as

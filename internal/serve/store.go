@@ -36,11 +36,13 @@ type Store interface {
 	// where K independent submits pay K. Atomic like LogAccepted: the
 	// whole batch is recoverable or none of it is.
 	LogBatch(rec BatchRecord) error
-	// SaveTerminal durably records a job's terminal state (atomically:
-	// recovery sees the whole record or none of it).
+	// SaveTerminal records a job's terminal state. It need not be atomic
+	// or durable: recovery treats a missing or undecodable record as
+	// "never finished" and re-runs the job to its deterministic result.
 	SaveTerminal(rec TerminalRecord) error
-	// SaveCheckpoint atomically replaces the job's latest resumable
-	// engine checkpoint.
+	// SaveCheckpoint replaces the job's latest resumable engine
+	// checkpoint, with the same recovery contract as SaveTerminal: a torn
+	// checkpoint is ignored and the job starts over.
 	SaveCheckpoint(id string, ck *digamma.Checkpoint) error
 	// SaveReport atomically persists a terminal job's run-report JSON
 	// (GET /v1/jobs/{id}/report), so the phase/operator breakdown
@@ -129,16 +131,17 @@ const (
 // DiskStore persists jobs under a data directory:
 //
 //	wal.log           append-only CRC-framed JSONL of accepted JobRecords
-//	results/<id>.json TerminalRecord, written via temp file + rename
-//	ckpt/<id>.json    latest engine Checkpoint, written via temp file + rename
+//	results/<id>.json TerminalRecord, written in place (directWrite)
+//	ckpt/<id>.json    latest engine Checkpoint, overwritten in place (directWrite)
 //	report/<id>.json  run report (phase/operator breakdown), temp file + rename
 //
 // The WAL is the source of truth for acceptance: a record is fsynced
 // before the submit returns 202, so an accepted job survives any
-// subsequent crash. Results and checkpoints are atomically renamed into
-// place — recovery sees each file entirely or not at all, and a torn WAL
-// tail (a crash mid-append) is detected by its CRC frame and truncated
-// away without losing any earlier record.
+// subsequent crash, and a torn WAL tail (a crash mid-append) is detected
+// by its CRC frame and truncated away without losing any earlier record.
+// Results and checkpoints are written in place without fsync: a file torn
+// by a crash fails to decode at the next startup, and Recover re-runs its
+// job from the WAL record.
 type DiskStore struct {
 	dir string
 
@@ -241,39 +244,23 @@ func replayWAL(data []byte) ([]JobRecord, int) {
 	return records, off
 }
 
-func (s *DiskStore) LogAccepted(rec JobRecord) error {
-	if err := s.Faults.Hit(PointWAL); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	frame := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal == nil {
-		return fmt.Errorf("store: closed")
-	}
-	if _, err := s.wal.WriteString(frame); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	// Acceptance is a durability promise (the submit hands out a job ID
-	// the client may poll after a crash), so it is the one write worth an
-	// fsync on the request path.
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
+func (s *DiskStore) LogAccepted(rec JobRecord) error { return s.appendWAL(rec) }
 
 // LogBatch appends the whole batch as one CRC frame with one fsync — the
 // durability amortization batch submission exists for.
 func (s *DiskStore) LogBatch(rec BatchRecord) error {
+	rec.Kind = "batch"
+	return s.appendWAL(rec)
+}
+
+// appendWAL writes one record as a CRC frame and fsyncs it. Acceptance is
+// a durability promise (the submit hands out a job ID the client may poll
+// after a crash), so it is the one write worth an fsync on the request
+// path.
+func (s *DiskStore) appendWAL(rec any) error {
 	if err := s.Faults.Hit(PointWAL); err != nil {
 		return err
 	}
-	rec.Kind = "batch"
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
