@@ -1,14 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
-
-	"digamma/internal/obs"
 )
 
 // BatchRequest is the POST /v1/batches body: shared defaults plus N
@@ -101,6 +101,10 @@ type BatchEvent struct {
 	Completed int    `json:"completed"`
 	Total     int    `json:"total"`
 }
+
+// frame names the event's SSE frame and reports whether the stream ends
+// with it (the "done" event).
+func (ev BatchEvent) frame() (string, bool) { return ev.Type, ev.Type == "done" }
 
 // Batch is one accepted batch: its members in item order, completion
 // tracking and the event stream. Like Job, the done channel closes on the
@@ -217,122 +221,11 @@ func (s *Server) batchStatus(b *Batch, withResult bool) BatchStatus {
 	return st
 }
 
-// submitBatch fans N resolved specs (all one tenant) into the job
-// machinery as a single unit: one dedup pass, one admission check for the
-// whole batch, one WAL frame with one fsync, then the member enqueues —
-// the amortization that makes a K-item sweep cheaper than K independent
-// submits. Every spec must carry the same tenant (the handler enforces
-// it).
+// submitBatch accepts N resolved specs, all one tenant (the decoder
+// enforces it), as one unit through accept.
 func (s *Server) submitBatch(specs []*searchSpec) (*Batch, error) {
-	s.submitted.Add(uint64(len(specs)))
-	if s.draining.Load() {
-		s.rejected.Add(1)
-		return nil, errClosed
-	}
-	tenant := specs[0].req.Tenant
-
-	s.mu.Lock()
-	// Resolution pass: dedup each item against live/done jobs and against
-	// earlier items in this same batch (two identical items share one
-	// job — the later one resolves to the earlier's index, its job filled
-	// in after creation), then admit the fresh remainder in one check.
-	members := make([]batchMember, len(specs))
-	fresh := make([]int, 0, len(specs))    // indexes needing a new job
-	dupOf := make(map[int]int, len(specs)) // later item → earlier fresh item
-	firstAt := make(map[string]int, len(specs))
-	freshBudget := 0
-	for i, spec := range specs {
-		if j, ok := firstAt[spec.hash]; ok {
-			dupOf[i] = j
-			s.dedupHits.Add(1)
-			continue
-		}
-		if prev, ok := s.byHash[spec.hash]; ok {
-			if st := prev.State(); st != StateFailed && st != StateCancelled && st != StateDegraded {
-				members[i] = batchMember{job: prev, dedup: true}
-				firstAt[spec.hash] = i
-				s.dedupHits.Add(1)
-				continue
-			}
-		}
-		firstAt[spec.hash] = i
-		fresh = append(fresh, i)
-		freshBudget += spec.req.Budget
-	}
-	if err := s.sched.admit(tenant, len(fresh), freshBudget); err != nil {
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		if errors.Is(err, errTenantCap) {
-			s.tenantStats.addRejection(tenant)
-		}
-		return nil, err
-	}
-	s.bseq++
-	batchID := fmt.Sprintf("b%06d", s.bseq)
-	now := time.Now()
-	for _, i := range fresh {
-		s.seq++
-		job := newJob(fmt.Sprintf("j%06d", s.seq), specs[i])
-		job.trace = s.newTracer()
-		members[i] = batchMember{job: job}
-	}
-	for i, j := range dupOf {
-		members[i] = batchMember{job: members[j].job, dedup: true}
-	}
-	// One WAL frame for the whole batch: same ordering contract as the
-	// single-job path (admission before the append, publication after),
-	// one fsync instead of len(fresh).
-	rec := BatchRecord{ID: batchID, Tenant: tenant, CreatedAt: now}
-	for i, m := range members {
-		rec.Members = append(rec.Members, JobRecord{
-			ID: m.job.ID, Hash: m.job.Hash, CreatedAt: now, Req: specs[i].req,
-			Batch: batchID, BatchIndex: i, Dedup: m.dedup,
-		})
-	}
-	var walJob *Job // first fresh member's tracer times the shared append
-	if len(fresh) > 0 {
-		walJob = members[fresh[0]].job
-	}
-	var t0 time.Duration
-	if walJob != nil {
-		t0 = walJob.trace.Now()
-	}
-	err := s.store.LogBatch(rec)
-	if walJob != nil {
-		s.recordIO(walJob, obs.IOWALAppend, t0)
-	}
-	if err != nil {
-		s.seq -= uint64(len(fresh))
-		s.bseq--
-		s.mu.Unlock()
-		s.storeErrors.Add(1)
-		s.rejected.Add(1)
-		return nil, fmt.Errorf("persisting batch: %w", err)
-	}
-	// Admission passed under s.mu and all queue growth happens under s.mu,
-	// so these enqueues can only fail on a racing Close/Drain — in which
-	// case the IDs are burned (they are in the WAL; the next process
-	// recovers them) exactly like the single-job path.
-	for _, i := range fresh {
-		if !s.sched.enqueue(members[i].job, false) {
-			s.mu.Unlock()
-			s.rejected.Add(1)
-			return nil, errClosed
-		}
-	}
-	for _, i := range fresh {
-		job := members[i].job
-		s.jobs[job.ID] = job
-		s.byHash[job.Hash] = job
-	}
-	b := newBatch(batchID, tenant, members)
-	s.batches[batchID] = b
-	s.mu.Unlock()
-
-	s.watchBatch(b)
-	s.log.Info("batch accepted", "batch", batchID, "tenant", tenant,
-		"items", len(members), "fresh", len(fresh), "dedup", len(members)-len(fresh))
-	return b, nil
+	_, b, err := s.accept(specs, true)
+	return b, err
 }
 
 // watchBatch starts one watcher per member: each fires on its job's
@@ -427,43 +320,48 @@ func (s *Server) getBatch(id string) *Batch {
 	return s.batches[id]
 }
 
-func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
-	// A batch is at most MaxBatchItems inline workloads; 16 MiB bounds the
-	// decode the same way 4 MiB bounds a single submit.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+// decodeBatch turns a POST /v1/batches body into resolved specs without
+// starting anything: the strict decode, each item merged over the shared
+// defaults, and buildSpec under maxBudget, with at most maxItems items.
+// headerTenant is the X-Digamma-Tenant header. Every error wraps
+// errBadRequest.
+func decodeBatch(body io.Reader, headerTenant string, maxBudget, maxItems int) ([]*searchSpec, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req BatchRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
+		return nil, fmt.Errorf("%w body: %w", errBadRequest, err)
 	}
-	if req.Tenant == "" {
-		req.Tenant = r.Header.Get(TenantHeader)
+	switch {
+	case len(req.Items) == 0:
+		return nil, fmt.Errorf("%w: batch needs at least one item", errBadRequest)
+	case len(req.Items) > maxItems:
+		return nil, fmt.Errorf("%w: batch has %d items, this server caps batches at %d", errBadRequest, len(req.Items), maxItems)
 	}
-	if req.Tenant == "" {
-		req.Tenant = req.Defaults.Tenant
-	}
-	if len(req.Items) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("batch needs at least one item"))
-		return
-	}
-	if len(req.Items) > s.cfg.MaxBatchItems {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d items, this server caps batches at %d", len(req.Items), s.cfg.MaxBatchItems))
-		return
-	}
+	// One batch, one tenant: items cannot submit on another tenant's
+	// behalf.
+	tenant := cmp.Or(req.Tenant, headerTenant, req.Defaults.Tenant)
 	specs := make([]*searchSpec, len(req.Items))
 	for i, item := range req.Items {
 		merged := mergeRequest(req.Defaults, item)
-		// One batch, one tenant: items cannot submit on another tenant's
-		// behalf.
-		merged.Tenant = req.Tenant
-		spec, err := buildSpec(merged, s.cfg.MaxBudget)
+		merged.Tenant = tenant
+		spec, err := buildSpec(merged, maxBudget)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
-			return
+			return nil, fmt.Errorf("item %d: %w", i, err)
 		}
 		specs[i] = spec
+	}
+	return specs, nil
+}
+
+func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
+	// A batch is at most MaxBatchItems inline workloads; 16 MiB bounds the
+	// decode the same way 4 MiB bounds a single submit.
+	specs, err := decodeBatch(http.MaxBytesReader(w, r.Body, 16<<20), r.Header.Get(TenantHeader),
+		s.cfg.MaxBudget, s.cfg.MaxBatchItems)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	b, err := s.submitBatch(specs)
 	if err != nil {
@@ -506,56 +404,13 @@ func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.batchStatus(b, false))
 }
 
-// handleBatchEvents streams the batch's member-completion events as SSE:
-// history replays first, then live events until the "done" event or
-// client disconnect. Mirrors the per-job stream.
+// handleBatchEvents streams the batch's member-completion events as SSE
+// until the "done" event.
 func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	b := s.getBatch(r.PathValue("id"))
 	if b == nil {
 		writeError(w, http.StatusNotFound, errors.New("no such batch"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	replay, ch, unsub := b.Subscribe()
-	defer unsub()
-	for _, ev := range replay {
-		if done := writeBatchSSE(w, ev); done {
-			fl.Flush()
-			return
-		}
-	}
-	fl.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			fmt.Fprintf(w, "event: error\ndata: {\"error\":\"server shutting down\"}\n\n")
-			fl.Flush()
-			return
-		case ev := <-ch:
-			done := writeBatchSSE(w, ev)
-			fl.Flush()
-			if done {
-				return
-			}
-		}
-	}
-}
-
-// writeBatchSSE emits one batch event frame, reporting whether it was the
-// terminal "done" event.
-func writeBatchSSE(w http.ResponseWriter, ev BatchEvent) bool {
-	payload, _ := json.Marshal(ev)
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, payload)
-	return ev.Type == "done"
+	streamSSE(w, r, s.baseCtx.Done(), b.Subscribe, map[string]string{"error": "server shutting down"})
 }

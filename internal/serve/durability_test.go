@@ -595,3 +595,65 @@ func TestSSEShutdownError(t *testing.T) {
 		t.Fatalf("last event = %+v, want shutdown error", ev)
 	}
 }
+
+// TestTerminalFollowsPersistence: a job turns terminal only after its
+// record write has returned, its run report is attached and its tenant's
+// budget is released. The record write is held 500 ms, so a state shown
+// ahead of it would find /report still 404 and the tenant's next submit
+// still over its cap.
+func TestTerminalFollowsPersistence(t *testing.T) {
+	store, _ := diskStore(t)
+	store.Faults = faults.New(1)
+	store.Faults.Set(PointResult, faults.Knob{Every: 1, Delay: 500 * time.Millisecond})
+	_, url := testServer(t, Config{Workers: 1, TenantBudgetCap: 1000, Store: store})
+	// Each job's budget fits the cap only once the one before it is
+	// released.
+	req := func(seed int64) OptimizeRequest {
+		return OptimizeRequest{Model: "ncf", Budget: 600, Seed: seed, Tenant: "metered"}
+	}
+	first, code := submit(t, url, req(1))
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: HTTP %d", code)
+	}
+	waitState(t, url, first.ID, StateDone, time.Minute)
+	if code, body := getBody(t, url+"/v1/jobs/"+first.ID+"/report"); code != http.StatusOK {
+		t.Errorf("report once done: HTTP %d: %s", code, body)
+	}
+	second, code := submit(t, url, req(2))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after done: HTTP %d, want 202", code)
+	}
+
+	// The same through the SSE stream: when the terminal event arrives,
+	// the report is served and the budget is free.
+	resp, err := http.Get(url + "/v1/jobs/" + second.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			t.Fatalf("event %q: %v", data, err)
+		}
+		if ev.Type != "state" || !ev.State.Terminal() {
+			continue
+		}
+		if ev.State != StateDone {
+			t.Fatalf("terminal event %+v, want done", ev)
+		}
+		if code, body := getBody(t, url+"/v1/jobs/"+second.ID+"/report"); code != http.StatusOK {
+			t.Errorf("report at the terminal event: HTTP %d: %s", code, body)
+		}
+		if _, code := submit(t, url, req(3)); code != http.StatusAccepted {
+			t.Errorf("submit at the terminal event: HTTP %d, want 202", code)
+		}
+		return
+	}
+	t.Fatalf("stream ended without a terminal event: %v", sc.Err())
+}

@@ -53,6 +53,10 @@ type Event struct {
 	Error         string  `json:"error,omitempty"`
 }
 
+// frame names the event's SSE frame and reports whether the stream ends
+// with it (a terminal state).
+func (ev Event) frame() (string, bool) { return ev.Type, ev.Type == "state" && ev.State.Terminal() }
+
 // Job is one submitted search: its resolved spec, lifecycle state, result,
 // and progress-event history with live subscribers. All mutable fields are
 // guarded by mu; the event history is append-only so subscribers replay it
@@ -111,7 +115,10 @@ type Job struct {
 	started      time.Time
 	finished     time.Time
 	cancel       context.CancelFunc
-	events       feed[Event]
+	// claimed marks a queued job a cancel took over: it stays queued until
+	// settled, but no worker may start it.
+	claimed bool
+	events  feed[Event]
 	// runReport is the structured run report built when the job reaches a
 	// terminal state (GET /v1/jobs/{id}/report).
 	runReport *JobReport
@@ -132,17 +139,6 @@ func newJob(id string, spec *searchSpec) *Job {
 
 // Done returns a channel closed once the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// closeDoneLocked releases Done waiters. Every terminal transition is
-// guarded against double entry, but the select keeps a future refactor
-// from turning a second close into a panic.
-func (j *Job) closeDoneLocked() {
-	select {
-	case <-j.done:
-	default:
-		close(j.done)
-	}
-}
 
 // State snapshots the current lifecycle phase.
 func (j *Job) State() State {
@@ -165,12 +161,12 @@ func (j *Job) Subscribe() (replay []Event, ch chan Event, unsub func()) {
 }
 
 // setRunning transitions queued → running and installs the cancel hook.
-// It returns false when the job was cancelled while queued (the worker
-// must skip it).
+// It returns false when a cancel claimed the job while it was queued (the
+// worker must skip it; the cancel settles it).
 func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.claimed {
 		return false
 	}
 	j.state = StateRunning
@@ -188,48 +184,41 @@ func (j *Job) setRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish records a terminal state. It is a no-op if the job is already
-// terminal (e.g. cancel racing with completion — first transition wins).
-func (j *Job) finish(state State, result *digamma.Evaluation, err error) bool {
+// finish makes a terminal state visible — Status, the SSE state event and
+// Done — from the job's terminal record and, for a job this process ran,
+// its live evaluation. Server.settle calls it as its last step; recovery
+// calls it for jobs whose record survived a restart. Only a job without
+// an evaluation keeps the record's report: per job, the report costs more
+// memory than the evaluation it is built from.
+func (j *Job) finish(rec TerminalRecord, result *digamma.Evaluation) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
+	j.state, j.err, j.finished, j.result = rec.State, rec.Error, rec.FinishedAt, result
+	if result == nil {
+		j.resultReport = rec.Result
 	}
-	j.state = state
-	j.finished = time.Now()
-	j.result = result
-	if err != nil {
-		j.err = err.Error()
-	}
-	j.events.publishLocked(Event{Type: "state", State: state, Error: j.err})
-	j.closeDoneLocked()
-	return true
+	j.events.publishLocked(Event{Type: "state", State: rec.State, Error: rec.Error})
+	close(j.done)
 }
 
-// requestCancel implements DELETE /v1/jobs/{id}: a queued job is finished
-// as cancelled immediately; a running one has its search context
-// cancelled (the engine notices at the next generation boundary and the
-// worker records the terminal state). Returns the state observed and
-// whether this call finalized the job itself (so the caller knows to
-// run terminal bookkeeping).
-func (j *Job) requestCancel() (State, bool) {
+// requestCancel implements DELETE /v1/jobs/{id}: a queued job is claimed,
+// so no worker will run it, and the caller settles it; a running one has
+// its search context cancelled (the engine notices at the next generation
+// boundary and the worker settles the job). Reports whether this call
+// claimed the job.
+func (j *Job) requestCancel() bool {
 	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateCancelled
-		j.finished = time.Now()
-		j.err = "cancelled while queued"
-		j.events.publishLocked(Event{Type: "state", State: StateCancelled, Error: j.err})
-		j.closeDoneLocked()
+	if j.state == StateQueued && !j.claimed {
+		j.claimed = true
 		j.mu.Unlock()
-		return StateCancelled, true
+		return true
 	}
-	state, cancel := j.state, j.cancel
+	cancel := j.cancel
 	j.mu.Unlock()
-	if state == StateRunning && cancel != nil {
+	if cancel != nil {
 		cancel()
 	}
-	return state, false
+	return false
 }
 
 // Status is the job's wire representation (GET /v1/jobs/{id}).
@@ -310,40 +299,6 @@ func (j *Job) Status(withResult bool) Status {
 	return st
 }
 
-// restoreTerminal rehydrates a recovered job straight into its persisted
-// terminal state (no worker involved): status, error, result report and
-// the terminal state event subscribers would otherwise never see.
-func (j *Job) restoreTerminal(rec *TerminalRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = rec.State
-	j.err = rec.Error
-	j.resultReport = rec.Result
-	j.finished = rec.FinishedAt
-	j.events.publishLocked(Event{Type: "state", State: rec.State, Error: rec.Error})
-	j.closeDoneLocked()
-}
-
-// terminalRecord snapshots the job's persisted wire state for the store.
-func (j *Job) terminalRecord() TerminalRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	rec := TerminalRecord{
-		ID:         j.ID,
-		Hash:       j.Hash,
-		State:      j.state,
-		Error:      j.err,
-		FinishedAt: j.finished,
-	}
-	switch {
-	case j.result != nil:
-		rec.Result = report.FromEvaluation(j.result)
-	case j.resultReport != nil:
-		rec.Result = j.resultReport
-	}
-	return rec
-}
-
 // Result returns the evaluation of a done job (nil otherwise).
 func (j *Job) Result() *digamma.Evaluation {
 	j.mu.Lock()
@@ -364,11 +319,4 @@ func (j *Job) setReport(rep *JobReport) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.runReport = rep
-}
-
-// times snapshots the lifecycle timestamps for report building.
-func (j *Job) times() (created, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.created, j.started, j.finished
 }

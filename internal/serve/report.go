@@ -37,13 +37,14 @@ type JobReport struct {
 	PoolReuseRate float64 `json:"pool_reuse_rate"`
 }
 
-// buildReport reduces a job's flight recorder and counters to its report.
-// Safe to call while the job is still running (a live, partial view).
-func (s *Server) buildReport(j *Job) *JobReport {
+// buildReport reduces a job's flight recorder and counters to its report
+// in the given state. A zero finished time measures the wall-clock up to
+// now: the live, partial view of a running job.
+func (s *Server) buildReport(j *Job, state State, finished time.Time) *JobReport {
 	rep := &JobReport{
 		ID:          j.ID,
 		RequestHash: j.Hash,
-		State:       j.State(),
+		State:       state,
 		Model:       j.spec.model.Name,
 		Platform:    j.spec.req.Platform,
 		Budget:      j.spec.req.Budget,
@@ -56,13 +57,14 @@ func (s *Server) buildReport(j *Job) *JobReport {
 		LayersReused:  j.layersReused.Load(),
 		PoolReuseRate: hitRate(j.poolReuses.Load(), j.poolGets.Load()-j.poolReuses.Load()),
 	}
-	_, started, finished := j.times()
+	j.mu.Lock()
+	started := j.started
+	j.mu.Unlock()
 	if !started.IsZero() {
-		end := finished
-		if end.IsZero() {
-			end = time.Now()
+		if finished.IsZero() {
+			finished = time.Now()
 		}
-		rep.WallSeconds = end.Sub(started).Seconds()
+		rep.WallSeconds = finished.Sub(started).Seconds()
 	}
 	return rep
 }
@@ -81,7 +83,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if j.trace != nil && j.State() == StateRunning {
-		writeJSON(w, http.StatusOK, s.buildReport(j))
+		writeJSON(w, http.StatusOK, s.buildReport(j, StateRunning, time.Time{}))
 		return
 	}
 	if data, err := s.store.LoadReport(j.ID); err == nil && len(data) > 0 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -195,29 +196,6 @@ func (sc *scheduler) enqueue(j *Job, force bool) bool {
 	return true
 }
 
-// dropQueued removes a cancelled job from its tenant's backlog, freeing
-// its queue slot and budget immediately (the worker never sees it).
-func (sc *scheduler) dropQueued(j *Job) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	t := sc.tenants[j.Tenant]
-	if t == nil {
-		return
-	}
-	for i, q := range t.queue {
-		if q == j {
-			t.queue = append(t.queue[:i], t.queue[i+1:]...)
-			t.outstanding -= j.cost
-			sc.queued--
-			if len(t.queue) == 0 {
-				sc.deactivateLocked(t)
-				sc.gcLocked(t)
-			}
-			return
-		}
-	}
-}
-
 // deactivateLocked removes an empty tenant from the rotation, keeping the
 // cursor on the same next-to-serve tenant.
 func (sc *scheduler) deactivateLocked(t *tenantQ) {
@@ -307,8 +285,10 @@ func (sc *scheduler) dispatchLocked(t *tenantQ) *Job {
 	return j
 }
 
-// release settles a dispatched job's accounting once it leaves the system
-// (terminal, or left recoverable by a drain).
+// release settles a job's accounting once it leaves the system (terminal,
+// or left recoverable by a drain): a job still queued — cancelled before a
+// worker took it — gives back its queue slot, a dispatched one its running
+// slot, and either way its budget.
 func (sc *scheduler) release(j *Job) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -316,8 +296,16 @@ func (sc *scheduler) release(j *Job) {
 	if t == nil {
 		return
 	}
-	t.running--
 	t.outstanding -= j.cost
+	if i := slices.Index(t.queue, j); i >= 0 {
+		t.queue = slices.Delete(t.queue, i, i+1)
+		sc.queued--
+		if len(t.queue) == 0 {
+			sc.deactivateLocked(t)
+		}
+	} else {
+		t.running--
+	}
 	sc.gcLocked(t)
 }
 

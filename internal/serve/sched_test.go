@@ -269,7 +269,7 @@ func TestTenantBudgetCap(t *testing.T) {
 	store, _ := diskStore(t)
 	store.Faults = faults.New(1)
 	store.Faults.Set(PointResult, faults.Knob{Every: 1, Delay: 2 * time.Second})
-	s, url := testServer(t, Config{Workers: 1, QueueDepth: 16, TenantBudgetCap: 1000, Store: store})
+	_, url := testServer(t, Config{Workers: 1, QueueDepth: 16, TenantBudgetCap: 1000, Store: store})
 
 	hog, code := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 50})
 	if code != http.StatusAccepted {
@@ -290,12 +290,6 @@ func TestTenantBudgetCap(t *testing.T) {
 	store.Faults.Set(PointResult, faults.Knob{})
 	waitState(t, url, hog.ID, StateDone, time.Minute)
 	waitState(t, url, blocker.ID, StateDone, time.Minute)
-	// The finished job releases its budget when its worker settles the
-	// accounting, after the terminal record and report reach the disk.
-	deadline := time.Now().Add(time.Minute)
-	for s.sched.admit("thrifty", 1, 300) != nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	if _, code := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 300, Seed: 4, Tenant: "thrifty"}); code != http.StatusAccepted {
 		t.Errorf("post-completion submit: HTTP %d, want 202", code)
 	}
@@ -363,4 +357,50 @@ func TestTenantHeader(t *testing.T) {
 		t.Errorf("status tenant %q, want acme", st.Tenant)
 	}
 	waitState(t, url, st.ID, StateDone, time.Minute)
+}
+
+// TestCancelRacesDispatch: cancels racing the workers' dispatch — each
+// job cancelled twice at once while two workers drain the queue — settle
+// every job exactly once and give back every queue slot, running slot
+// and budget unit, whichever side reaches a job first.
+func TestCancelRacesDispatch(t *testing.T) {
+	const n = 24
+	s, _ := testServer(t, Config{Workers: 2, QueueDepth: n, TenantBudgetCap: n * 300})
+	jobs := make([]*Job, n)
+	for i := range jobs {
+		spec, err := buildSpec(OptimizeRequest{Model: "ncf", Budget: 300, Seed: int64(i + 1), Tenant: "racer"}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jobs[i], _, err = s.submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.cancelJob(j)
+			}()
+		}
+	}
+	wg.Wait()
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("job %s never settled (state %s)", j.ID, j.State())
+		}
+		if st := j.State(); st != StateCancelled && st != StateDone {
+			t.Errorf("job %s settled %s, want cancelled or done", j.ID, st)
+		}
+	}
+	if load := s.sched.snapshot()["racer"]; load != (tenantSnapshot{}) {
+		t.Errorf("scheduler still holds %+v for the tenant", load)
+	}
+	if err := s.sched.admit("racer", n, n*300); err != nil {
+		t.Errorf("full budget not free after every job settled: %v", err)
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"digamma/internal/cost"
 	"digamma/internal/faults"
 	"digamma/internal/obs"
+	"digamma/internal/report"
 	"digamma/internal/workload"
 )
 
@@ -298,7 +299,7 @@ func (s *Server) recoverJobs() error {
 		}
 		s.jobs[job.ID] = job
 		if rj.Terminal != nil {
-			job.restoreTerminal(rj.Terminal)
+			job.finish(*rj.Terminal, nil)
 			s.finished = append(s.finished, job.ID)
 			// Only full, successful results serve dedup hits again;
 			// degraded results are partial, and failed/cancelled never
@@ -397,24 +398,25 @@ func (s *Server) worker() {
 		if job == nil {
 			return
 		}
-		s.runJob(job)
-		// Settle the tenant's running/outstanding accounting whether the
-		// job finished, was cancelled, or was left recoverable by a drain.
-		s.sched.release(job)
+		if s.runJob(job) {
+			// A drain left the job non-terminal: settle the accounting
+			// here, as settle does for every terminal job.
+			s.sched.release(job)
+		}
 	}
 }
 
 // runJob executes one search with cancellation, checkpointing and progress
-// plumbed in, then records the terminal state and server-level metrics.
-// A drain or Close that interrupts the search leaves the job non-terminal:
-// the WAL still lists it as accepted-but-unfinished, so the next process
-// recovers it — from its final checkpoint when checkpointing is on —
-// instead of marking it cancelled.
-func (s *Server) runJob(j *Job) {
+// plumbed in, then settles its outcome. A drain or Close that interrupts
+// the search leaves the job non-terminal and runJob reports it: the WAL
+// still lists it as accepted-but-unfinished, so the next process recovers
+// it — from its final checkpoint when checkpointing is on — instead of
+// marking it cancelled.
+func (s *Server) runJob(j *Job) (interrupted bool) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	if !j.setRunning(cancel) {
-		return // cancelled while queued
+		return false // claimed by a cancel while queued, which settles it
 	}
 	s.tenantStats.observeQueueWait(j.Tenant, time.Since(j.created).Seconds())
 	log := s.jobLog(j)
@@ -455,7 +457,7 @@ func (s *Server) runJob(j *Job) {
 		opts.OnCheckpoint = func(ck *digamma.Checkpoint) {
 			t0 := j.trace.Now()
 			err := s.store.SaveCheckpoint(j.ID, ck)
-			s.recordIO(j, obs.IOCkptSave, t0)
+			s.recordIO(j.trace, obs.IOCkptSave, t0)
 			if err != nil {
 				s.storeErrors.Add(1)
 				log.Warn("checkpoint write failed", "err", err)
@@ -483,55 +485,82 @@ func (s *Server) runJob(j *Job) {
 		opts.Resume = nil
 		ev, err = s.searchGuarded(runCtx, j, opts)
 	}
-	backend := j.spec.req.Fidelity
+	finished := time.Now()
+	var state State
 	switch {
 	case err == nil:
-		s.recordLatency(time.Since(begin).Seconds(), backend)
-		s.foldTelemetry(j)
-		s.tenantStats.addEvals(j.Tenant, uint64(j.cost))
-		j.finish(StateDone, ev, nil)
+		state = StateDone
 	case s.baseCtx.Err() != nil:
 		// Drain/Close interrupted the search: leave the job non-terminal so
 		// a durable store recovers it on restart.
 		log.Info("job interrupted by shutdown, left recoverable")
-		return
+		return true
 	case ev != nil && errors.Is(err, context.DeadlineExceeded):
+		state = StateDegraded
 		s.jobsDegraded.Add(1)
-		s.recordLatency(time.Since(begin).Seconds(), backend)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		state, ev = StateCancelled, nil
+	default:
+		state, ev = StateFailed, nil
+	}
+	wall := finished.Sub(begin).Seconds()
+	if ev != nil {
+		s.recordLatency(wall, j.spec.req.Fidelity)
 		s.foldTelemetry(j)
 		s.tenantStats.addEvals(j.Tenant, uint64(j.cost))
-		j.finish(StateDegraded, ev, err)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.finish(StateCancelled, nil, err)
-	default:
-		j.finish(StateFailed, nil, err)
 	}
-	log.Info("job finished", "state", string(j.State()),
-		"wall_seconds", time.Since(begin).Seconds(), "err", err)
-	s.noteFinished(j)
-	s.persistTerminal(j)
-	s.finishReport(j)
+	log.Info("job finished", "state", string(state), "wall_seconds", wall, "err", err)
+	s.settle(j, state, ev, err, finished)
+	return false
 }
 
-// recordIO records one store write into the job's trace and the
+// settle makes a job terminal: every outcome of a run and every cancel
+// while queued takes this one path. The state becomes visible last, so a
+// client that sees it finds the terminal record written, the run report
+// served and the tenant's budget free. finished is when the search
+// returned (or the cancel landed); the terminal record carries it. Store
+// failures are counted, not fatal: the in-memory state stays
+// authoritative for this process.
+func (s *Server) settle(j *Job, state State, ev *digamma.Evaluation, err error, finished time.Time) {
+	rec := TerminalRecord{ID: j.ID, Hash: j.Hash, State: state, FinishedAt: finished}
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	if ev != nil {
+		rec.Result = report.FromEvaluation(ev)
+	}
+	t0 := j.trace.Now()
+	werr := s.store.SaveTerminal(rec)
+	s.recordIO(j.trace, obs.IOResult, t0)
+	if werr != nil {
+		s.storeErrors.Add(1)
+		s.jobLog(j).Warn("result write failed", "err", werr)
+	}
+	s.noteFinished(j)
+	s.finishReport(j, state, finished)
+	s.sched.release(j)
+	j.finish(rec, ev)
+}
+
+// recordIO records one store write into a job's trace and the
 // /metrics histogram for its op.
-func (s *Server) recordIO(j *Job, op string, t0 time.Duration) {
-	if j.trace == nil {
+func (s *Server) recordIO(tr *obs.Tracer, op string, t0 time.Duration) {
+	if tr == nil {
 		return
 	}
-	dur := j.trace.Now() - t0
-	j.trace.Record(obs.Span{Name: op, Cat: obs.CatIO, Island: -1, Gen: -1, Start: t0, Dur: dur})
+	dur := tr.Now() - t0
+	tr.Record(obs.Span{Name: op, Cat: obs.CatIO, Island: -1, Gen: -1, Start: t0, Dur: dur})
 	if h := s.ioHist[op]; h != nil {
 		h.Observe(dur.Seconds())
 	}
 }
 
-// finishReport closes out a terminal job's observability: folds its phase
+// finishReport closes out a settling job's observability: folds its phase
 // spans into the /metrics histograms, builds the structured run report,
 // attaches it for GET /v1/jobs/{id}/report and persists it next to the
-// result. Runs after persistTerminal so the result_save span is in the
-// report's I/O table.
-func (s *Server) finishReport(j *Job) {
+// result. Runs after the terminal record's write so the result_save span
+// is in the report's I/O table.
+func (s *Server) finishReport(j *Job, state State, finished time.Time) {
 	if j.trace == nil {
 		return
 	}
@@ -543,13 +572,13 @@ func (s *Server) finishReport(j *Job) {
 			h.Observe(sp.Dur.Seconds())
 		}
 	}
-	rep := s.buildReport(j)
+	rep := s.buildReport(j, state, finished)
 	j.setReport(rep)
 	data, err := json.Marshal(rep)
 	if err == nil {
 		t0 := j.trace.Now()
 		err = s.store.SaveReport(j.ID, data)
-		s.recordIO(j, obs.IOReport, t0)
+		s.recordIO(j.trace, obs.IOReport, t0)
 	}
 	if err != nil {
 		s.storeErrors.Add(1)
@@ -584,81 +613,150 @@ func (s *Server) foldTelemetry(j *Job) {
 	s.poolReuses.Add(j.poolReuses.Load())
 }
 
-// persistTerminal writes a terminal job's record to the store, so recovery
-// serves its result instead of re-running it. Store failures are counted,
-// not fatal: the in-memory state stays authoritative for this process.
-func (s *Server) persistTerminal(j *Job) {
-	t0 := j.trace.Now()
-	err := s.store.SaveTerminal(j.terminalRecord())
-	s.recordIO(j, obs.IOResult, t0)
+// submit accepts one spec — a batch of one, without the batch. The bool
+// reports a dedup hit.
+func (s *Server) submit(spec *searchSpec) (*Job, bool, error) {
+	members, _, err := s.accept([]*searchSpec{spec}, false)
 	if err != nil {
-		s.storeErrors.Add(1)
-		s.jobLog(j).Warn("result write failed", "err", err)
+		return nil, false, err
 	}
+	return members[0].job, members[0].dedup, nil
 }
 
-// submit registers a job for the spec, deduplicating against any live or
-// fully-completed job with the same canonical hash (failed, cancelled and
-// degraded jobs don't block a retry — a degraded result is partial, so a
-// resubmit deserves the full budget). The bool reports a dedup hit.
-func (s *Server) submit(spec *searchSpec) (*Job, bool, error) {
-	s.submitted.Add(1)
+// accept is the one admission path: a plain submit (one spec) and a batch
+// (N specs, all one tenant) both enter the job machinery here, as a
+// single unit. Each item dedups against a live or fully completed job with
+// the same canonical hash, or against an earlier item of the same request
+// (failed, cancelled and degraded jobs don't block a retry — a degraded
+// result is partial, so a resubmit deserves the full budget). The fresh
+// remainder then takes one admission check, one WAL frame with one fsync,
+// the enqueues and publication — the amortization that makes a K-item
+// sweep cheaper than K submits. A plain submit that dedups returns
+// without touching the WAL; a batch is always minted and logged, its dedup
+// members as references.
+//
+// Ordering, all under s.mu: admission first (a rejected request must
+// never reach the WAL), then the WAL append (once a client can observe an
+// ID, a crash must not forget the job), then the enqueues and map
+// publication. If a job were visible before it was enqueued, a concurrent
+// identical submit could dedup onto a job whose enqueue then fails,
+// handing out an ID that would 404 forever. All queue growth happens here
+// under s.mu, so the scheduler's state can only shrink between the
+// admission check and the enqueues — which therefore cannot fail for
+// capacity, only for a racing Close/Drain.
+func (s *Server) accept(specs []*searchSpec, batch bool) ([]batchMember, *Batch, error) {
+	s.submitted.Add(uint64(len(specs)))
 	if s.draining.Load() {
 		s.rejected.Add(1)
-		return nil, false, errors.New("server is draining")
+		return nil, nil, errClosed
 	}
+	tenant := specs[0].req.Tenant
 	s.mu.Lock()
-	if prev, ok := s.byHash[spec.hash]; ok {
-		if st := prev.State(); st != StateFailed && st != StateCancelled && st != StateDegraded {
-			s.mu.Unlock()
+	members := make([]batchMember, len(specs))
+	firstAt := make(map[string]int, len(specs)) // hash → its first item
+	var fresh []int                             // items needing a new job
+	freshBudget := 0
+	for i, spec := range specs {
+		if _, ok := firstAt[spec.hash]; ok {
+			// Shares the earlier item's job, filled in once it exists.
+			members[i].dedup = true
 			s.dedupHits.Add(1)
-			return prev, true, nil
+			continue
 		}
+		firstAt[spec.hash] = i
+		if prev, ok := s.byHash[spec.hash]; ok {
+			if st := prev.State(); st != StateFailed && st != StateCancelled && st != StateDegraded {
+				members[i] = batchMember{job: prev, dedup: true}
+				s.dedupHits.Add(1)
+				continue
+			}
+		}
+		fresh = append(fresh, i)
+		freshBudget += spec.req.Budget
 	}
-	s.seq++
-	job := newJob(fmt.Sprintf("j%06d", s.seq), spec)
-	job.trace = s.newTracer()
-	// Ordering, all under s.mu: admission first (a rejected submit must
-	// never reach the WAL), then the WAL append (once a client can observe
-	// the ID, a crash must not forget the job), then the enqueue and map
-	// publication. If the job were visible before it was enqueued, a
-	// concurrent identical submit could dedup onto it in the instant
-	// before a rollback, handing out an ID that would 404 forever. All
-	// queue growth happens here under s.mu, so the scheduler's state can
-	// only shrink between the admission check and the enqueue — which
-	// therefore cannot fail for capacity, only for a racing Close/Drain.
-	if err := s.sched.admit(spec.req.Tenant, 1, spec.req.Budget); err != nil {
-		s.seq--
+	if !batch && len(fresh) == 0 {
+		s.mu.Unlock()
+		return members, nil, nil
+	}
+	if err := s.sched.admit(tenant, len(fresh), freshBudget); err != nil {
 		s.mu.Unlock()
 		s.rejected.Add(1)
 		if errors.Is(err, errTenantCap) {
-			s.tenantStats.addRejection(spec.req.Tenant)
+			s.tenantStats.addRejection(tenant)
 		}
-		return nil, false, err
+		return nil, nil, err
 	}
-	t0 := job.trace.Now()
-	err := s.store.LogAccepted(JobRecord{ID: job.ID, Hash: job.Hash, CreatedAt: job.created, Req: spec.req})
-	s.recordIO(job, obs.IOWALAppend, t0)
+	// IDs are minted past the sequences and taken only once the WAL holds
+	// them, so a failed append leaves nothing to roll back.
+	now := time.Now()
+	for k, i := range fresh {
+		job := newJob(fmt.Sprintf("j%06d", s.seq+uint64(k+1)), specs[i])
+		job.created, job.trace = now, s.newTracer()
+		members[i].job = job
+	}
+	var batchID string
+	if batch {
+		batchID = fmt.Sprintf("b%06d", s.bseq+1)
+	}
+	recs := make([]JobRecord, len(members))
+	for i := range members {
+		if members[i].job == nil {
+			members[i].job = members[firstAt[specs[i].hash]].job
+		}
+		m := members[i]
+		recs[i] = JobRecord{ID: m.job.ID, Hash: m.job.Hash, CreatedAt: now, Req: specs[i].req,
+			Batch: batchID, BatchIndex: i, Dedup: m.dedup}
+	}
+	var tr *obs.Tracer // the first fresh job's recorder times the append
+	if len(fresh) > 0 {
+		tr = members[fresh[0]].job.trace
+	}
+	t0 := tr.Now()
+	var err error
+	if batch {
+		err = s.store.LogBatch(BatchRecord{ID: batchID, Tenant: tenant, CreatedAt: now, Members: recs})
+	} else {
+		err = s.store.LogAccepted(recs[0])
+	}
+	s.recordIO(tr, obs.IOWALAppend, t0)
 	if err != nil {
-		s.seq--
 		s.mu.Unlock()
 		s.storeErrors.Add(1)
 		s.rejected.Add(1)
-		return nil, false, fmt.Errorf("persisting job: %w", err)
+		return nil, nil, fmt.Errorf("persisting request: %w", err)
 	}
-	if !s.sched.enqueue(job, false) {
-		// The ID is burned — it is in the WAL, and recovery after the
-		// shutdown in progress will pick the job up; don't reuse the seq.
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		return nil, false, errClosed
+	s.seq += uint64(len(fresh))
+	for _, i := range fresh {
+		if !s.sched.enqueue(members[i].job, false) {
+			// The IDs are burned — they are in the WAL, and recovery after
+			// the shutdown in progress will pick the jobs up.
+			s.mu.Unlock()
+			s.rejected.Add(1)
+			return nil, nil, errClosed
+		}
 	}
-	s.jobs[job.ID] = job
-	s.byHash[spec.hash] = job
+	for _, i := range fresh {
+		job := members[i].job
+		s.jobs[job.ID] = job
+		s.byHash[job.Hash] = job
+	}
+	var b *Batch
+	if batch {
+		s.bseq++
+		b = newBatch(batchID, tenant, members)
+		s.batches[batchID] = b
+	}
 	s.mu.Unlock()
-	s.jobLog(job).Info("job accepted", "model", spec.model.Name, "tenant", spec.req.Tenant,
-		"budget", spec.req.Budget, "seed", spec.req.Seed, "fidelity", spec.req.Fidelity)
-	return job, false, nil
+	if batch {
+		s.watchBatch(b)
+		s.log.Info("batch accepted", "batch", batchID, "tenant", tenant,
+			"items", len(members), "fresh", len(fresh), "dedup", len(members)-len(fresh))
+	} else {
+		spec := specs[0]
+		s.jobLog(members[0].job).Info("job accepted", "model", spec.model.Name, "tenant", tenant,
+			"budget", spec.req.Budget, "seed", spec.req.Seed, "fidelity", spec.req.Fidelity)
+	}
+	return members, b, nil
 }
 
 // noteFinished enters a terminal job into the eviction order and trims
@@ -844,30 +942,36 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Status(false))
 }
 
-// cancelJob requests one job's cancellation, settling a queued job's
-// scheduler slot and terminal persistence immediately (shared by the job
-// DELETE handler and batch-wide DELETE).
+// cancelJob requests one job's cancellation (shared by the job DELETE
+// handler and batch-wide DELETE). A job claimed while queued is settled
+// here and now — its record written, its queue slot and tenant budget
+// freed — rather than when a worker eventually meets it.
 func (s *Server) cancelJob(j *Job) {
-	_, finalized := j.requestCancel()
-	if finalized {
-		// Cancelled while queued: free the queue slot and tenant budget now
-		// rather than when a worker eventually drains the dead entry, and
-		// persist the terminal state so recovery doesn't resurrect the job.
-		s.sched.dropQueued(j)
-		s.noteFinished(j)
-		s.persistTerminal(j)
+	if j.requestCancel() {
+		s.settle(j, StateCancelled, nil, errors.New("cancelled while queued"), time.Now())
 	}
 }
 
-// handleEvents streams a job's progress as Server-Sent Events: the full
-// history replays first, then live events until a terminal state event or
-// client disconnect.
+// handleEvents streams a job's progress as Server-Sent Events until a
+// terminal state event.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.get(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, errors.New("no such job"))
 		return
 	}
+	streamSSE(w, r, s.baseCtx.Done(), j.Subscribe, Event{Type: "error", Error: "server shutting down"})
+}
+
+// streamSSE serves one event feed as Server-Sent Events, the loop behind
+// the job and batch streams: the full history replays first, then live
+// events follow until one ends the stream, the client disconnects or a
+// write fails. On shutdown the stream ends with an "error" frame carrying
+// shutdownData, so the client can tell a server-side stop from its
+// subject finishing (a job left non-terminal may be recovered and resumed
+// after a restart).
+func streamSSE[E interface{ frame() (string, bool) }](w http.ResponseWriter, r *http.Request,
+	shutdown <-chan struct{}, subscribe func() ([]E, chan E, func()), shutdownData any) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
@@ -878,14 +982,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	replay, ch, unsub := j.Subscribe()
+	// send writes one frame, reporting whether the stream goes on.
+	send := func(ev E) bool {
+		name, last := ev.frame()
+		return writeSSE(w, name, ev) == nil && !last
+	}
+	replay, ch, unsub := subscribe()
 	defer unsub()
 	for _, ev := range replay {
-		done, err := writeSSE(w, ev)
-		if err != nil {
-			return // client went away mid-replay; stop writing
-		}
-		if done {
+		if !send(ev) {
 			fl.Flush()
 			return
 		}
@@ -895,29 +1000,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-s.baseCtx.Done():
-			// Shutdown: tell the client the stream is ending for a
-			// server-side reason, not because the job reached a terminal
-			// state (it may be recovered and resumed after a restart).
-			_, _ = writeSSE(w, Event{Type: "error", Error: "server shutting down"})
+		case <-shutdown:
+			_ = writeSSE(w, "error", shutdownData) // the stream ends either way
 			fl.Flush()
 			return
 		case ev := <-ch:
-			done, err := writeSSE(w, ev)
+			more := send(ev)
 			fl.Flush()
-			if err != nil || done {
+			if !more {
 				return
 			}
 		}
 	}
 }
 
-// writeSSE emits one event frame, reporting whether it was terminal and
-// any write error (a disconnected client) so the handler stops streaming.
-func writeSSE(w http.ResponseWriter, ev Event) (terminal bool, err error) {
-	payload, _ := json.Marshal(ev)
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, payload)
-	return ev.Type == "state" && ev.State.Terminal(), err
+// writeSSE emits one event frame with v's JSON as its data, returning any
+// write error (a disconnected client).
+func writeSSE(w http.ResponseWriter, name string, v any) error {
+	payload, _ := json.Marshal(v)
+	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, payload)
+	return err
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
