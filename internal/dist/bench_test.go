@@ -99,16 +99,21 @@ func boundaryExports(b *testing.B) ([][]core.IndividualState, []int) {
 
 // BenchmarkBoundaryWire is the wire rung of the distributed ladder: one
 // migration boundary of an 8-island resnet50 run on two workers, with no
-// search around it. The workers encode their round acks, the coordinator
-// decodes them and forwards the exports as migrant batches, and the
-// workers decode the migrants down to the elites they would install.
-// Every frame goes through the real framing; wire_B/boundary counts the
-// frame bytes written.
+// search around it. Each worker encodes its binary round ack, carrying
+// the islands' exports and the completions of the boundary before; the
+// coordinator decodes the acks and forwards the exports in the next
+// round requests as deliveries; the workers decode those rounds down to
+// the elites they would install. Every frame goes through the real
+// framing; wire_B/boundary counts the frame bytes written.
 func BenchmarkBoundaryWire(b *testing.B) {
 	const workers = 2
 	exports, route := boundaryExports(b)
 	k := len(exports)
 	hist := make([]float64, core.DefaultMigrateEvery)
+	owned := make([][]int, workers)
+	for id := 0; id < k; id++ {
+		owned[id%workers] = append(owned[id%workers], id)
+	}
 	var wire bytes.Buffer
 	fc := &frameConn{rw: pipeConn{Reader: &wire, Writer: &wire}}
 	written := 0
@@ -116,18 +121,19 @@ func BenchmarkBoundaryWire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		written = 0
-		for w := 0; w < workers; w++ {
+		for _, own := range owned {
 			ack := roundAck{Seq: 1}
-			for id := w; id < k; id += workers {
+			for _, id := range own {
+				ack.Completions = append(ack.Completions, core.ShardReport{Island: id, Gen: 5, Samples: 240})
 				ack.Reports = append(ack.Reports, core.ShardReport{Island: id, Gen: 9, Samples: 400, Hist: hist, Exports: core.AppendStates(nil, exports[id])})
 			}
-			if err := fc.writeMsg(mtRoundAck, ack); err != nil {
+			if err := fc.writeMsg(mtRoundAck, &ack); err != nil {
 				b.Fatal(err)
 			}
 		}
 		written += wire.Len()
 		logged := make([][]byte, k)
-		for w := 0; w < workers; w++ {
+		for range owned {
 			var ack roundAck
 			if err := fc.expect(mtRoundAck, &ack); err != nil {
 				b.Fatal(err)
@@ -137,19 +143,16 @@ func BenchmarkBoundaryWire(b *testing.B) {
 			}
 		}
 		inbox := core.Inboxes(route, logged)
-		for w := 0; w < workers; w++ {
-			msg := migrantsMsg{Seq: 2}
-			for id := w; id < k; id += workers {
-				msg.Deliveries = append(msg.Deliveries, delivery{ID: id, Batches: inbox[id]})
-			}
-			if err := fc.writeMsg(mtMigrants, msg); err != nil {
+		for _, own := range owned {
+			msg := roundMsg{Seq: 2, IDs: own, Bodies: len(hist), Boundary: true, Deliveries: deliveries(own, inbox)}
+			if err := fc.writeMsg(mtRound, &msg); err != nil {
 				b.Fatal(err)
 			}
 		}
 		written += wire.Len()
-		for w := 0; w < workers; w++ {
-			var msg migrantsMsg
-			if err := fc.expect(mtMigrants, &msg); err != nil {
+		for range owned {
+			var msg roundMsg
+			if err := fc.expect(mtRound, &msg); err != nil {
 				b.Fatal(err)
 			}
 			for _, d := range msg.Deliveries {

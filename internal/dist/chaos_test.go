@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,23 +24,41 @@ func chaosSpec(t *testing.T, seed int64) Spec {
 }
 
 // TestWorkerLossRecoveredBitIdentical kills one of three workers at
-// varying points in the protocol — the injector fires a connection drop
-// on the worker's Nth frame operation — and asserts the re-homed run
-// still reproduces the in-process result bit for bit. Every≥3 keeps the
-// handshake (one read + one write) clean so the coordinator commits.
+// each kind of request — adopt, a round that delivers nothing, a round
+// that delivers the previous boundary's migrants, and a finalize that
+// delivers the last boundary's — once as it reads the request and once
+// as it writes the ack, and asserts the re-homed run still reproduces the
+// in-process result bit for bit. The drop points come from workerOps, so
+// they follow the protocol's frame count.
 func TestWorkerLossRecoveredBitIdentical(t *testing.T) {
+	const budget = 480
 	spec := chaosSpec(t, 7)
-	ref := runLocal(t, spec, 480)
-	for _, every := range []int{3, 4, 7, 13, 29} {
-		inj := faults.New(1)
-		inj.Set(FaultConn, faults.Knob{Every: every})
-		faulty := startWorker(t, WorkerOptions{Workers: 1, Faults: inj})
-		w2 := startWorker(t, WorkerOptions{Workers: 1})
-		w3 := startWorker(t, WorkerOptions{Workers: 1})
-		got := runDist(t, spec, 480, []string{faulty, w2, w3}, nil)
-		sameResult(t, "conn-drop", got, ref)
-		if _, fired := inj.Counts(FaultConn); fired == 0 {
-			t.Fatalf("every=%d: conn fault never fired", every)
+	ref := runLocal(t, spec, budget)
+	segs := segmentsOf(t, spec, budget)
+	delivering := slices.IndexFunc(segs, func(s *core.Segment) bool { return s.Boundary }) + 1
+	if delivering == 0 || delivering == len(segs) || !segs[len(segs)-1].Boundary {
+		t.Fatal("run shape lacks a delivering round or a delivering finalize")
+	}
+	for _, req := range []struct {
+		name string
+		op   int // the worker's read of the request
+	}{
+		{"adopt", workerOps(0) - 1},
+		{"plain-round", workerOps(0) + 1},
+		{"delivering-round", workerOps(delivering) + 1},
+		{"delivering-finalize", workerOps(len(segs)) + 1},
+	} {
+		for _, op := range []int{req.op, req.op + 1} {
+			inj := faults.New(1)
+			inj.Set(FaultConn, faults.Knob{Every: op})
+			faulty := startWorker(t, WorkerOptions{Workers: 1, Faults: inj})
+			w2 := startWorker(t, WorkerOptions{Workers: 1})
+			w3 := startWorker(t, WorkerOptions{Workers: 1})
+			got := runDist(t, spec, budget, []string{faulty, w2, w3}, nil)
+			sameResult(t, fmt.Sprintf("%s/op%d", req.name, op), got, ref)
+			if _, fired := inj.Counts(FaultConn); fired != 1 {
+				t.Fatalf("%s: conn fault fired %d times at op %d, want once", req.name, fired, op)
+			}
 		}
 	}
 }
@@ -99,16 +118,9 @@ func segmentsOf(t *testing.T, spec Spec, budget int) []*core.Segment {
 
 // workerOps counts the frame reads and writes of a worker that owns an
 // island in every wave, through the first n segments: hello and adopt,
-// then one request and one ack per round and per migrant delivery.
-func workerOps(segs []*core.Segment, n int) int {
-	ops := 4
-	for _, seg := range segs[:n] {
-		ops += 2
-		if seg.Boundary {
-			ops += 2
-		}
-	}
-	return ops
+// then one round request and one ack per segment.
+func workerOps(n int) int {
+	return 4 + 2*n
 }
 
 // dropAt runs the chaos spec over two workers, the first of which drops
@@ -134,7 +146,7 @@ func TestFinalizeDropRecoveredBitIdentical(t *testing.T) {
 	spec := chaosSpec(t, 7)
 	ref := runLocal(t, spec, 480)
 	segs := segmentsOf(t, spec, 480)
-	got, logs, err := dropAt(t, spec, 480, workerOps(segs, len(segs))+1, &Coordinator{})
+	got, logs, err := dropAt(t, spec, 480, workerOps(len(segs))+1, &Coordinator{})
 	if err != nil {
 		t.Fatalf("dist run: %v (log: %s)", err, logs)
 	}
@@ -154,7 +166,7 @@ func TestLateDropRecoveredBitIdentical(t *testing.T) {
 	if len(segs) <= done {
 		t.Fatalf("run has %d segments, want > %d", len(segs), done)
 	}
-	got, logs, err := dropAt(t, spec, budget, workerOps(segs, done)+1, &Coordinator{})
+	got, logs, err := dropAt(t, spec, budget, workerOps(done)+1, &Coordinator{})
 	if err != nil {
 		t.Fatalf("dist run: %v (log: %s)", err, logs)
 	}
@@ -169,7 +181,6 @@ func TestLateDropRecoveredBitIdentical(t *testing.T) {
 // check must fail the run instead of returning a result.
 func TestCorruptLogReplayDiverges(t *testing.T) {
 	spec := chaosSpec(t, 7)
-	segs := segmentsOf(t, spec, 480)
 	flipped := false
 	c := &Coordinator{logged: func(exports [][]byte) {
 		if flipped {
@@ -181,7 +192,7 @@ func TestCorruptLogReplayDiverges(t *testing.T) {
 		exports[0][len(exports[0])/2] ^= 1
 		flipped = true
 	}}
-	res, logs, err := dropAt(t, spec, 480, workerOps(segs, 3)+1, c)
+	res, logs, err := dropAt(t, spec, 480, workerOps(3)+1, c)
 	if err == nil || !strings.Contains(err.Error(), "replay diverged") {
 		t.Fatalf("run returned %v, err %v; want a replay divergence (log: %s)", res != nil, err, logs)
 	}

@@ -27,13 +27,13 @@ import (
 //
 // Failure model: a connection error marks the worker dead and its
 // islands are re-homed onto survivors: adopted fresh and replayed through
-// the coordinator's log of completed segments, with the logged migrants
-// delivered again and every replayed export checked byte-for-byte against
-// the log (the replay is the same pure computation, so it is
-// bit-identical). Workers never ship island snapshots; the log costs only
-// the run's export bytes. Worker-reported errors are fatal — they
-// are deterministic (divergent cost model, protocol misuse) and would
-// replay identically anywhere. Losing every worker is fatal too: by then
+// the coordinator's log of segments, with the logged migrants delivered
+// again and every replayed export checked byte-for-byte against the log
+// (the replay is the same pure computation, so it is bit-identical).
+// Workers never ship island snapshots; the log costs only the run's
+// export bytes. Worker-reported errors are fatal — they are
+// deterministic (divergent cost model, protocol misuse) and would replay
+// identically anywhere. Losing every worker is fatal too: by then
 // the engine's RNG has advanced, so an in-process restart could not be
 // bit-identical.
 type Coordinator struct {
@@ -53,8 +53,8 @@ type Coordinator struct {
 	// Log receives re-homing and decline diagnostics; nil silences them.
 	Log *log.Logger
 
-	// logged, when set, observes each boundary's exports as they join the
-	// replay log; tests use it to corrupt the log.
+	// logged, when set, observes each boundary's logged exports once its
+	// migrants were delivered; tests use it to corrupt the replay log.
 	logged func(exports [][]byte)
 }
 
@@ -80,8 +80,8 @@ type run struct {
 	owner    []int // island → index into peers
 	rehomeAt int   // rotating cursor balancing re-homed islands
 
-	// log holds every completed segment in order: the script that
-	// rebuilds a lost island on a survivor.
+	// log holds every segment whose round wave completed, in order: the
+	// script that rebuilds a lost island on a survivor.
 	log []logEntry
 
 	hist []float64
@@ -99,11 +99,30 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// logEntry is one completed segment and, at a migration boundary, every
-// island's phase-A exports as its worker encoded them.
+// logEntry is one segment and, at a migration boundary, every island's
+// exports as its worker encoded them: the migrants the next round (or
+// the finalize) delivers.
 type logEntry struct {
 	seg     *core.Segment
 	exports [][]byte
+}
+
+// pending returns the last logged segment when it ended on a migration
+// boundary: every island stands mid-boundary, and the next wave delivers
+// its migrants. Otherwise it returns nil.
+func (r *run) pending() *logEntry {
+	if n := len(r.log); n > 0 && r.log[n-1].seg.Boundary {
+		return &r.log[n-1]
+	}
+	return nil
+}
+
+// delivered tells the test hook that a wave has delivered prev's
+// migrants to every island.
+func (r *run) delivered(prev *logEntry) {
+	if prev != nil && r.c.logged != nil {
+		r.c.logged(prev.exports)
+	}
 }
 
 // Run implements core.Placement.
@@ -318,12 +337,11 @@ func (r *run) liveCount() int {
 
 // rehome moves every listed island whose owner is dead onto a live peer,
 // rotating across survivors, adopts it there fresh and replays it through
-// the log, so it stands at the end of the last completed segment exactly
-// as it did before the loss. Losses during the replay re-home again.
-// Returns every listed island that was rebuilt; on return all listed
-// islands have live owners.
-func (r *run) rehome(ids []int) ([]int, error) {
-	var moved []int
+// the log, so it stands where live islands stand: at the end of the last
+// logged segment, mid-boundary if that segment ended on one. Losses
+// during the replay re-home again. On return all listed islands have
+// live owners.
+func (r *run) rehome(ids []int) error {
 	for {
 		var lost []int
 		for _, id := range ids {
@@ -332,25 +350,22 @@ func (r *run) rehome(ids []int) ([]int, error) {
 			}
 		}
 		if len(lost) == 0 {
-			return moved, nil
+			return nil
 		}
 		for _, id := range lost {
 			w, err := r.pickLive()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			r.c.logf("dist: re-homing island %d: %s → %s, replaying %d segments",
 				id, r.peers[r.owner[id]].addr, r.peers[w].addr, len(r.log))
 			r.owner[id] = w
-			if !slices.Contains(moved, id) {
-				moved = append(moved, id)
-			}
 		}
 		if err := r.adopt(lost); err != nil {
-			return nil, err
+			return err
 		}
 		if err := r.replay(lost); err != nil {
-			return nil, err
+			return err
 		}
 	}
 }
@@ -384,38 +399,32 @@ func (r *run) adopt(ids []int) error {
 }
 
 // replay drives freshly adopted islands through every logged segment
-// with the same waves a live run uses, delivering the logged migrants
-// and checking each replayed export byte-for-byte against the log.
-// Islands whose new owner dies mid-replay drop out; rehome moves them
-// again.
+// with the same round waves a live run sends, each delivering the
+// previous boundary's logged migrants, and checks each replayed export
+// byte-for-byte against the log. The last boundary's migrants are left
+// to the wave that follows, as they are for live islands. Islands whose
+// new owner dies mid-replay drop out; rehome moves them again.
 func (r *run) replay(ids []int) error {
-	k := len(r.owner)
-	for _, ent := range r.log {
-		reports := make([]*core.ShardReport, k)
-		if err := r.advanceWave(ids, ent.seg, reports); err != nil {
+	var prev *logEntry
+	for i := range r.log {
+		ent := &r.log[i]
+		reports := make([]*core.ShardReport, len(r.owner))
+		if err := r.roundWave(ids, ent.seg, prev, reports); err != nil {
 			return err
 		}
 		ids = reported(ids, reports)
+		prev = nil
 		if ent.seg.Boundary {
 			if err := checkReplay(ids, reports, ent.exports); err != nil {
 				return err
 			}
-			reports = make([]*core.ShardReport, k)
-			if err := r.deliverWave(ids, ent.exports, reports); err != nil {
-				return err
-			}
-			ids = reported(ids, reports)
-		}
-		for _, id := range ids {
-			if err := checkSamples(reports[id], ent.seg); err != nil {
-				return err
-			}
+			prev = ent
 		}
 	}
 	return nil
 }
 
-// checkReplay compares replayed phase-A exports with the logged ones
+// checkReplay compares replayed boundary exports with the logged ones
 // byte for byte. Replay is the same pure computation as the original
 // round, so any difference means nondeterminism: the run fails instead
 // of continuing from a population that never existed.
@@ -448,36 +457,54 @@ func (r *run) groupByOwner(ids []int) map[int][]int {
 	return byOwner
 }
 
-// advanceWave runs one phase-A wave for the listed islands: roundMsg to
-// every owner, then all acks. Islands on workers that fail stay
-// report-less for the caller's retry loop; worker-reported errors are
-// fatal.
-func (r *run) advanceWave(ids []int, seg *core.Segment, reports []*core.ShardReport) error {
+// roundWave sends one round for seg to the owners of the listed islands,
+// then reads all acks and files their reports by island. When prev ended
+// on a migration boundary, the round first delivers its migrants. Islands
+// on workers that fail stay report-less for the caller's retry loop;
+// worker-reported errors are fatal.
+func (r *run) roundWave(ids []int, seg *core.Segment, prev *logEntry, reports []*core.ShardReport) error {
 	r.seq++
-	return r.wave(ids, mtRound, mtRoundAck, "round", seg.Bodies, reports, func(own []int) any {
-		return roundMsg{Seq: r.seq, IDs: own, Bodies: seg.Bodies, Boundary: seg.Boundary}
+	inbox := r.inbox(prev)
+	return exchange(r, ids, mtRound, mtRoundAck, func(own []int) any {
+		return &roundMsg{Seq: r.seq, IDs: own, Bodies: seg.Bodies, Boundary: seg.Boundary, Deliveries: deliveries(own, inbox)}
+	}, func(p *peer, own []int, ack *roundAck) error {
+		if err := r.checkAck(ack, own, seg, prev); err != nil {
+			return fmt.Errorf("dist: worker %s: round %d: %w", p.addr, r.seq, err)
+		}
+		for i := range ack.Reports {
+			reports[ack.Reports[i].Island] = &ack.Reports[i]
+		}
+		return nil
 	})
 }
 
-// deliverWave runs one phase-B wave: every listed island receives its
-// migrant batches — the source islands' logged export bytes, forwarded
-// verbatim (empty for islands the ring routes nothing to: the boundary's
-// second sort must still run) — and completes its boundary body.
-func (r *run) deliverWave(ids []int, exports [][]byte, final []*core.ShardReport) error {
-	r.seq++
-	inbox := core.Inboxes(r.route, exports)
-	return r.wave(ids, mtMigrants, mtMigrantsAck, "migrants", 0, final, func(own []int) any {
-		msg := migrantsMsg{Seq: r.seq}
-		for _, id := range own {
-			msg.Deliveries = append(msg.Deliveries, delivery{ID: id, Batches: inbox[id]})
-		}
-		return msg
-	})
+// inbox routes prev's logged exports to their destinations, or returns
+// nil when prev is nil: no boundary pending.
+func (r *run) inbox(prev *logEntry) [][]core.MigrantBatch {
+	if prev == nil {
+		return nil
+	}
+	return core.Inboxes(r.route, prev.exports)
+}
+
+// deliveries addresses each listed island its migrant batches — the
+// source islands' logged export bytes, forwarded verbatim, and none for
+// islands the ring routes nothing to: the boundary's second sort must
+// still run. With no inbox there is nothing to deliver.
+func deliveries(ids []int, inbox [][]core.MigrantBatch) []delivery {
+	if inbox == nil {
+		return nil
+	}
+	out := make([]delivery, len(ids))
+	for i, id := range ids {
+		out[i] = delivery{ID: id, Batches: inbox[id]}
+	}
+	return out
 }
 
 // exchange sends every live owner of the listed islands the request msg
 // builds for its share, then reads each owner's ack and hands it to
-// handle. Sending to all owners before reading any ack keeps every phase
+// handle. Sending to all owners before reading any ack keeps every wave
 // worker-concurrent. Owners already dead (a replay can list islands whose
 // adoption failed) are skipped. Transport failures mark the owner dead
 // and leave its islands for the caller's retry loop; handle's errors are
@@ -517,46 +544,65 @@ func exchange[A any](r *run, ids []int, typ, ackTyp byte, msg func(own []int) an
 	return nil
 }
 
-// wave exchanges a round or migrants request and files the acks' reports
-// by island. bodies is the history length a full-fidelity island's
-// report must carry: the segment's bodies in phase A, 0 in phase B.
-func (r *run) wave(ids []int, typ, ackTyp byte, what string, bodies int, reports []*core.ShardReport, msg func(own []int) any) error {
-	return exchange(r, ids, typ, ackTyp, msg, func(p *peer, own []int, ack *roundAck) error {
-		if err := r.checkAck(ack, own, bodies); err != nil {
-			return fmt.Errorf("dist: worker %s: %s %d: %w", p.addr, what, r.seq, err)
-		}
-		for i := range ack.Reports {
-			reports[ack.Reports[i].Island] = &ack.Reports[i]
-		}
-		return nil
-	})
-}
-
-// checkAck validates a round or migrants ack against its request: it
-// reports exactly the requested islands, each once, and every
-// full-fidelity island's report carries bodies history entries (scouts
-// carry none).
-func (r *run) checkAck(ack *roundAck, ids []int, bodies int) error {
+// checkAck validates a round ack against its request: its completions
+// pass checkCompletions, it reports exactly the requested islands, each
+// once, every full-fidelity island's report carries one history entry
+// per body of the segment (scouts carry none), and an island whose
+// segment ended without a boundary stands at the schedule's counts.
+func (r *run) checkAck(ack *roundAck, ids []int, seg *core.Segment, prev *logEntry) error {
 	if ack.Err != "" {
 		return errors.New(ack.Err)
 	}
-	got := make([]int, len(ack.Reports))
-	for i, rep := range ack.Reports {
-		got[i] = rep.Island
-	}
-	if err := sameIslands(got, ids); err != nil {
+	if err := checkCompletions(ack.Completions, ids, prev); err != nil {
 		return err
 	}
-	for _, rep := range ack.Reports {
-		want := bodies
+	if err := sameIslands(islandsOf(ack.Reports), ids); err != nil {
+		return err
+	}
+	for i := range ack.Reports {
+		rep := &ack.Reports[i]
+		want := seg.Bodies
 		if r.scouts[rep.Island] {
 			want = 0
 		}
 		if len(rep.Hist) != want {
 			return fmt.Errorf("island %d reports %d history entries, want %d", rep.Island, len(rep.Hist), want)
 		}
+		if !seg.Boundary {
+			if err := checkSamples(rep, seg); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// checkCompletions validates the boundary completions of an ack: with
+// prev pending, exactly the requested islands, each once, each standing
+// at the schedule's counts for prev's segment; with nothing pending,
+// none.
+func checkCompletions(got []core.ShardReport, ids []int, prev *logEntry) error {
+	var want []int
+	if prev != nil {
+		want = ids
+	}
+	if err := sameIslands(islandsOf(got), want); err != nil {
+		return fmt.Errorf("boundary completions: %w", err)
+	}
+	for i := range got {
+		if err := checkSamples(&got[i], prev.seg); err != nil {
+			return fmt.Errorf("boundary completions: %w", err)
+		}
+	}
+	return nil
+}
+
+func islandsOf(reps []core.ShardReport) []int {
+	ids := make([]int, len(reps))
+	for i := range reps {
+		ids[i] = reps[i].Island
+	}
+	return ids
 }
 
 // sameIslands checks that an ack reported exactly the requested islands.
@@ -570,23 +616,25 @@ func sameIslands(got, want []int) error {
 	return nil
 }
 
-// runSegment executes one coordinator round: phase A (advance all
-// islands through the segment's bodies, re-homing losses), progress and
-// migration observation, and — at a boundary — phase B (deliver
-// migrants, complete the boundary body). The completed segment then
-// joins the replay log.
+// runSegment executes one segment as one round wave: every island
+// completes the pending boundary, if any, with the migrants the wave
+// delivers, then advances through the segment's bodies; losses re-home
+// and retry. Then come progress and migration observation, and the
+// segment joins the replay log. Its own boundary's migrants, if it ends
+// on one, ride the next wave.
 func (r *run) runSegment(seg *core.Segment) error {
 	k := len(r.owner)
+	prev := r.pending()
 	reports := make([]*core.ShardReport, k)
 	for missing := missingOf(reports); len(missing) > 0; missing = missingOf(reports) {
-		if _, err := r.rehome(missing); err != nil {
+		if err := r.rehome(missing); err != nil {
 			return err
 		}
-		if err := r.advanceWave(missing, seg, reports); err != nil {
+		if err := r.roundWave(missing, seg, prev, reports); err != nil {
 			return err
 		}
 	}
-
+	r.delivered(prev)
 	r.emitSegment(seg, reports)
 
 	ent := logEntry{seg: seg}
@@ -599,40 +647,8 @@ func (r *run) runSegment(seg *core.Segment) error {
 		if err := r.e.ObserveMigration(seg.StartGen+seg.Bodies-1, ent.exports); err != nil {
 			return err
 		}
-		final := make([]*core.ShardReport, k)
-		for missing := missingOf(final); len(missing) > 0; missing = missingOf(final) {
-			// Losses between the two phases: a re-homed island stands at
-			// the segment's start, so its phase A is replayed — checked
-			// against the exports just collected — before its migrants
-			// can be delivered.
-			moved, err := r.rehome(missing)
-			if err != nil {
-				return err
-			}
-			if len(moved) > 0 {
-				replayed := make([]*core.ShardReport, k)
-				if err := r.advanceWave(moved, seg, replayed); err != nil {
-					return err
-				}
-				if err := checkReplay(reported(moved, replayed), replayed, ent.exports); err != nil {
-					return err
-				}
-			}
-			if err := r.deliverWave(missing, ent.exports, final); err != nil {
-				return err
-			}
-		}
-		reports = final
-	}
-	for _, rep := range reports {
-		if err := checkSamples(rep, seg); err != nil {
-			return err
-		}
 	}
 	r.log = append(r.log, ent)
-	if seg.Boundary && r.c.logged != nil {
-		r.c.logged(ent.exports)
-	}
 	return nil
 }
 
@@ -646,13 +662,14 @@ func missingOf(reports []*core.ShardReport) []int {
 	return out
 }
 
-// checkSamples cross-checks a completed island against the schedule.
+// checkSamples cross-checks an island that completed seg against the
+// schedule.
 func checkSamples(rep *core.ShardReport, seg *core.Segment) error {
 	if want := seg.IslandSamples[rep.Island]; rep.Samples != want {
-		return fmt.Errorf("dist: island %d spent %d samples, schedule says %d", rep.Island, rep.Samples, want)
+		return fmt.Errorf("island %d spent %d samples, schedule says %d", rep.Island, rep.Samples, want)
 	}
 	if want := seg.StartGen + seg.Bodies - 1; rep.Gen != want {
-		return fmt.Errorf("dist: island %d completed %d generations, schedule says %d", rep.Island, rep.Gen, want)
+		return fmt.Errorf("island %d completed %d generations, schedule says %d", rep.Island, rep.Gen, want)
 	}
 	return nil
 }
@@ -695,12 +712,14 @@ func (r *run) emitSegment(seg *core.Segment, reports []*core.ShardReport) {
 	}
 }
 
-// finalize collects every island's final report and assembles the
+// finalize collects every island's final report — completing the
+// run's last boundary first when it ended on one — and assembles the
 // Result exactly as Engine.finalize would: populations sorted, the
 // global best re-evaluated locally (pure, so bit-identical) and
 // detached, counters summed, History closed with the final best.
 func (r *run) finalize() (*core.Result, error) {
 	k := len(r.owner)
+	prev := r.pending()
 	finals := make([]*core.ShardFinal, k)
 	for {
 		var missing []int
@@ -712,13 +731,14 @@ func (r *run) finalize() (*core.Result, error) {
 		if len(missing) == 0 {
 			break
 		}
-		if _, err := r.rehome(missing); err != nil {
+		if err := r.rehome(missing); err != nil {
 			return nil, err
 		}
-		if err := r.finalizeWave(missing, finals); err != nil {
+		if err := r.finalizeWave(missing, prev, finals); err != nil {
 			return nil, err
 		}
 	}
+	r.delivered(prev)
 
 	res := &core.Result{Generations: r.gens}
 	winner := -1
@@ -787,13 +807,17 @@ func (r *run) finalize() (*core.Result, error) {
 }
 
 // finalizeWave requests final reports for the listed islands from their
-// owners.
-func (r *run) finalizeWave(ids []int, finals []*core.ShardFinal) error {
+// owners, delivering prev's migrants first when it is pending.
+func (r *run) finalizeWave(ids []int, prev *logEntry, finals []*core.ShardFinal) error {
+	inbox := r.inbox(prev)
 	return exchange(r, ids, mtFinalize, mtFinalizeAck, func(own []int) any {
-		return finalizeMsg{IDs: own}
+		return &finalizeMsg{IDs: own, Deliveries: deliveries(own, inbox)}
 	}, func(p *peer, own []int, ack *finalizeAck) error {
 		if ack.Err != "" {
 			return fmt.Errorf("dist: worker %s: finalize: %s", p.addr, ack.Err)
+		}
+		if err := checkCompletions(ack.Completions, own, prev); err != nil {
+			return fmt.Errorf("dist: worker %s: finalize: %w", p.addr, err)
 		}
 		got := make([]int, len(ack.Finals))
 		for i, fin := range ack.Finals {

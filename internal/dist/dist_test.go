@@ -147,10 +147,12 @@ func TestLoopbackBitIdentical(t *testing.T) {
 }
 
 // TestWorkerSurvivesBadIslandIDs: island ids and migrant sources arrive in
-// frames, so a round, migrants or finalize request naming an island
-// outside the run — or a batch from one — must come back as an ack error
+// frames, so a round or finalize request naming an island outside the
+// run — or delivering a batch from one — must come back as an ack error
 // while the session keeps serving: a panic in the session goroutine
-// would take down the worker process and every session it serves.
+// would take down the worker process and every session it serves. So
+// must a delivery for an island the request does not list, and a round
+// or finalize that leaves an island's pending boundary undelivered.
 func TestWorkerSurvivesBadIslandIDs(t *testing.T) {
 	spec := testSpec(t, "ncf", 1, func(c *core.Config) {
 		c.Islands = 2
@@ -191,32 +193,51 @@ func TestWorkerSurvivesBadIslandIDs(t *testing.T) {
 		t.Fatal(adopted.Err)
 	}
 	for _, id := range []int{2, -1} {
-		var round roundAck
-		call(mtRound, mtRoundAck, roundMsg{Seq: 1, IDs: []int{id}, Bodies: 1}, &round)
-		var migrants roundAck
-		call(mtMigrants, mtMigrantsAck, migrantsMsg{Seq: 1, Deliveries: []delivery{{ID: id}}}, &migrants)
+		var round, delivering roundAck
+		call(mtRound, mtRoundAck, &roundMsg{Seq: 1, IDs: []int{id}, Bodies: 1}, &round)
+		call(mtRound, mtRoundAck, &roundMsg{Seq: 1, IDs: []int{id}, Bodies: 1, Deliveries: []delivery{{ID: id}}}, &delivering)
 		var fin finalizeAck
 		call(mtFinalize, mtFinalizeAck, finalizeMsg{IDs: []int{id}}, &fin)
-		if round.Err == "" || migrants.Err == "" || fin.Err == "" {
-			t.Errorf("island %d: round/migrants/finalize errors %q/%q/%q, want all set", id, round.Err, migrants.Err, fin.Err)
+		if round.Err == "" || delivering.Err == "" || fin.Err == "" {
+			t.Errorf("island %d: round/delivering round/finalize errors %q/%q/%q, want all set", id, round.Err, delivering.Err, fin.Err)
 		}
 	}
 	var boundary roundAck
-	call(mtRound, mtRoundAck, roundMsg{Seq: 2, IDs: []int{0}, Bodies: 2, Boundary: true}, &boundary)
+	call(mtRound, mtRoundAck, &roundMsg{Seq: 2, IDs: []int{0}, Bodies: 2, Boundary: true}, &boundary)
 	if boundary.Err != "" || len(boundary.Reports) != 1 {
 		t.Fatalf("valid boundary round after bad ids: %q, %d reports", boundary.Err, len(boundary.Reports))
 	}
+	exports := boundary.Reports[0].Exports
 	for _, from := range []int{2, -1} {
 		var ack roundAck
-		bad := delivery{ID: 0, Batches: []core.MigrantBatch{{From: from, Elites: boundary.Reports[0].Exports}}}
-		call(mtMigrants, mtMigrantsAck, migrantsMsg{Seq: 3, Deliveries: []delivery{bad}}, &ack)
+		bad := delivery{ID: 0, Batches: []core.MigrantBatch{{From: from, Elites: exports}}}
+		call(mtRound, mtRoundAck, &roundMsg{Seq: 3, IDs: []int{0}, Bodies: 1, Deliveries: []delivery{bad}}, &ack)
 		if ack.Err == "" {
 			t.Errorf("batch from island %d accepted", from)
 		}
 	}
+	for _, c := range []struct {
+		name string
+		msg  *roundMsg
+	}{
+		{"unlisted delivery", &roundMsg{Seq: 4, Bodies: 1, Deliveries: []delivery{{ID: 0}}}},
+		{"missing delivery", &roundMsg{Seq: 4, IDs: []int{0}, Bodies: 1}},
+	} {
+		var ack roundAck
+		call(mtRound, mtRoundAck, c.msg, &ack)
+		if ack.Err == "" || len(ack.Completions)+len(ack.Reports) > 0 {
+			t.Errorf("round with a %s: error %q, %d completions, %d reports; want an error alone", c.name, ack.Err, len(ack.Completions), len(ack.Reports))
+		}
+	}
+	var unlisted, missing finalizeAck
+	call(mtFinalize, mtFinalizeAck, finalizeMsg{Deliveries: []delivery{{ID: 0}}}, &unlisted)
+	call(mtFinalize, mtFinalizeAck, finalizeMsg{IDs: []int{0}}, &missing)
+	if unlisted.Err == "" || missing.Err == "" {
+		t.Errorf("finalize with an unlisted/missing delivery: errors %q/%q, want both set", unlisted.Err, missing.Err)
+	}
 	var done roundAck
-	call(mtMigrants, mtMigrantsAck, migrantsMsg{Seq: 4, Deliveries: []delivery{{ID: 0}}}, &done)
-	if done.Err != "" || len(done.Reports) != 1 {
-		t.Errorf("valid boundary completion after bad batches: %q, %d reports", done.Err, len(done.Reports))
+	call(mtRound, mtRoundAck, &roundMsg{Seq: 5, IDs: []int{0}, Bodies: 1, Deliveries: []delivery{{ID: 0, Batches: []core.MigrantBatch{{From: 1, Elites: exports}}}}}, &done)
+	if done.Err != "" || len(done.Completions) != 1 || len(done.Reports) != 1 {
+		t.Errorf("valid delivering round after bad requests: %q, %d completions, %d reports", done.Err, len(done.Completions), len(done.Reports))
 	}
 }

@@ -1,15 +1,17 @@
 // Package dist is the multi-process island backend: a coordinator
 // (core.Placement) that shards a run's K islands across W worker
-// processes speaking a CRC-framed, length-prefixed TCP protocol of JSON
-// messages. Island elites ride in them as opaque bytes in core's binary
-// state encoding (core.AppendStates), which the coordinator forwards
-// without decoding.
+// processes speaking a CRC-framed, length-prefixed TCP protocol. The
+// once-per-search messages (hello, adopt, finalize) are JSON; the
+// per-segment round and round-ack frames have a strict binary body.
+// Island elites ride in both as opaque bytes in core's binary state
+// encoding (core.AppendStates), which the coordinator forwards without
+// decoding.
 //
 // Frame layout (all integers big-endian):
 //
 //	uint32  n        payload length (1 ≤ n ≤ 64 MiB)
 //	byte    type     message type (payload[0])
-//	[]byte  body     JSON document (payload[1:])
+//	[]byte  body     binary (round, round-ack) or JSON (payload[1:])
 //	uint32  crc      IEEE CRC-32 of the whole payload
 //
 // A short read or CRC mismatch is a torn frame: the connection is
@@ -28,6 +30,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"strconv"
 	"time"
 
 	"digamma/internal/core"
@@ -35,11 +39,11 @@ import (
 )
 
 // ProtoVersion is the wire protocol version; hellos carrying any other
-// version are refused at handshake time. Version 3 ships elites in the
-// binary state encoding, where version 2 shipped JSON. Neither carries
-// island snapshots: lost islands are rebuilt by replaying the
-// coordinator's log.
-const ProtoVersion = 3
+// version are refused at handshake time. Version 4 carries a boundary's
+// migrants in the next round (or finalize) request and gives round
+// frames a binary body. No version carries island snapshots: lost
+// islands are rebuilt by replaying the coordinator's log.
+const ProtoVersion = 4
 
 // maxFrame bounds a frame payload: far above any round of elite exports
 // the engine produces, small enough to refuse a corrupt length prefix
@@ -58,11 +62,9 @@ const (
 	mtHelloAck                    // worker → coordinator: derived config sum
 	mtAdopt                       // coordinator → worker: own islands (fresh or re-homed)
 	mtAdoptAck                    //
-	mtRound                       // coordinator → worker: advance islands N bodies
-	mtRoundAck                    // worker → coordinator: hist, counters, exports
-	mtMigrants                    // coordinator → worker: boundary elite deliveries
-	mtMigrantsAck                 // worker → coordinator: post-boundary counters
-	mtFinalize                    // coordinator → worker: sort + report bests
+	mtRound                       // coordinator → worker: deliver migrants, advance islands N bodies
+	mtRoundAck                    // worker → coordinator: completions, hist, counters, exports
+	mtFinalize                    // coordinator → worker: deliver migrants, sort + report bests
 	mtFinalizeAck                 //
 )
 
@@ -113,24 +115,6 @@ type adoptAck struct {
 	Err string `json:"err,omitempty"`
 }
 
-// roundMsg advances the listed islands through Bodies generation bodies;
-// when Boundary is set the last body stops at the migration exchange and
-// the ack carries the islands' elite exports.
-type roundMsg struct {
-	Seq      int   `json:"seq"`
-	IDs      []int `json:"ids"`
-	Bodies   int   `json:"bodies"`
-	Boundary bool  `json:"boundary,omitempty"`
-}
-
-// roundAck answers a round or migrants request with one report per
-// requested island.
-type roundAck struct {
-	Seq     int                `json:"seq"`
-	Reports []core.ShardReport `json:"reports,omitempty"`
-	Err     string             `json:"err,omitempty"`
-}
-
 // delivery routes migrant batches to one destination island; an empty
 // batch list still completes the island's boundary (the second sort).
 type delivery struct {
@@ -138,18 +122,298 @@ type delivery struct {
 	Batches []core.MigrantBatch `json:"batches,omitempty"`
 }
 
-type migrantsMsg struct {
-	Seq        int        `json:"seq"`
-	Deliveries []delivery `json:"deliveries"`
+// roundMsg advances the listed islands through Bodies generation bodies.
+// When the islands stand at a migration boundary, Deliveries carries one
+// delivery per island and the worker completes the boundary before it
+// advances. When Boundary is set the last body stops at the next
+// migration exchange and the ack carries the islands' elite exports.
+type roundMsg struct {
+	Seq        int
+	IDs        []int
+	Bodies     int
+	Boundary   bool
+	Deliveries []delivery
 }
 
+// roundAck answers a round: one completion per delivery and one report
+// per requested island.
+type roundAck struct {
+	Seq         int
+	Completions []core.ShardReport
+	Reports     []core.ShardReport
+	Err         string
+}
+
+// finalizeMsg asks for the listed islands' final reports; when the run
+// ended on a migration boundary, Deliveries completes it first.
 type finalizeMsg struct {
-	IDs []int `json:"ids"`
+	IDs        []int      `json:"ids"`
+	Deliveries []delivery `json:"deliveries,omitempty"`
 }
 
 type finalizeAck struct {
-	Finals []core.ShardFinal `json:"finals,omitempty"`
-	Err    string            `json:"err,omitempty"`
+	Completions []core.ShardReport `json:"completions,omitempty"`
+	Finals      []core.ShardFinal  `json:"finals,omitempty"`
+	Err         string             `json:"err,omitempty"`
+}
+
+// binaryBody is a message with a binary body: the per-segment round and
+// round-ack. Every other message is JSON.
+type binaryBody interface {
+	appendBinary(b []byte) []byte
+	decodeBinary(body []byte) error
+}
+
+// binaryType reports whether frames of type typ carry a binary body.
+func binaryType(typ byte) bool { return typ == mtRound || typ == mtRoundAck }
+
+// appendBody appends the body of a typ message to b, in the codec the
+// type uses.
+func appendBody(b []byte, typ byte, v any) ([]byte, error) {
+	if !binaryType(typ) {
+		body, err := json.Marshal(v)
+		return append(b, body...), err
+	}
+	m, ok := v.(binaryBody)
+	if !ok {
+		return nil, fmt.Errorf("%T has no binary body", v)
+	}
+	return m.appendBinary(b), nil
+}
+
+// decodeBody decodes a typ message's body into v.
+func decodeBody(typ byte, body []byte, v any) error {
+	var err error
+	if !binaryType(typ) {
+		err = json.Unmarshal(body, v)
+	} else if m, ok := v.(binaryBody); ok {
+		err = m.decodeBinary(body)
+	} else {
+		err = fmt.Errorf("%T has no binary body", v)
+	}
+	if err != nil {
+		return fmt.Errorf("dist: decode %d: %w", typ, err)
+	}
+	return nil
+}
+
+// Binary bodies, integers as varints (encoding/binary: counts unsigned,
+// everything else zig-zag), flags as one byte 0 or 1, byte strings as a
+// count and the bytes:
+//
+//	round:      seq, bodies, boundary flag, IDs (count, ids),
+//	            deliveries (count, then per delivery: id,
+//	            batches (count, then per batch: from, elites bytes))
+//	round-ack:  seq, err bytes, completions, reports
+//	            (each a count of reports, then per report: island, gen,
+//	            samples, hist (count, 8-byte little-endian IEEE-754 bits
+//	            each), exports bytes)
+//
+// Decoding is strict, as core.DecodeStates is: every count must fit in
+// the bytes left, varints must be minimal, flags 0 or 1, and no bytes
+// may trail, so a body has exactly one byte form. Empty lists and byte
+// strings decode as nil. Decoded byte strings alias the frame.
+
+func (m *roundMsg) appendBinary(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(m.Seq))
+	b = binary.AppendVarint(b, int64(m.Bodies))
+	b = appendFlag(b, m.Boundary)
+	b = binary.AppendUvarint(b, uint64(len(m.IDs)))
+	for _, id := range m.IDs {
+		b = binary.AppendVarint(b, int64(id))
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Deliveries)))
+	for _, d := range m.Deliveries {
+		b = binary.AppendVarint(b, int64(d.ID))
+		b = binary.AppendUvarint(b, uint64(len(d.Batches)))
+		for _, batch := range d.Batches {
+			b = binary.AppendVarint(b, int64(batch.From))
+			b = appendBlob(b, batch.Elites)
+		}
+	}
+	return b
+}
+
+func (m *roundMsg) decodeBinary(body []byte) error {
+	r := wireReader{b: body}
+	m.Seq, m.Bodies, m.Boundary = r.int(), r.int(), r.flag()
+	m.IDs = makeN[int](r.count(1))
+	for i := range m.IDs {
+		m.IDs[i] = r.int()
+	}
+	m.Deliveries = makeN[delivery](r.count(2))
+	for i := range m.Deliveries {
+		d := &m.Deliveries[i]
+		d.ID = r.int()
+		d.Batches = makeN[core.MigrantBatch](r.count(2))
+		for j := range d.Batches {
+			d.Batches[j] = core.MigrantBatch{From: r.int(), Elites: r.blob()}
+		}
+	}
+	return r.done()
+}
+
+func (m *roundAck) appendBinary(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(m.Seq))
+	b = appendBlob(b, []byte(m.Err))
+	b = appendReports(b, m.Completions)
+	return appendReports(b, m.Reports)
+}
+
+func (m *roundAck) decodeBinary(body []byte) error {
+	r := wireReader{b: body}
+	m.Seq = r.int()
+	m.Err = string(r.blob())
+	m.Completions = r.reports()
+	m.Reports = r.reports()
+	return r.done()
+}
+
+// reportMinBytes is the smallest encoded report: island, gen, samples,
+// an empty hist and no exports.
+const reportMinBytes = 5
+
+func appendReports(b []byte, reps []core.ShardReport) []byte {
+	b = binary.AppendUvarint(b, uint64(len(reps)))
+	for i := range reps {
+		rep := &reps[i]
+		b = binary.AppendVarint(b, int64(rep.Island))
+		b = binary.AppendVarint(b, int64(rep.Gen))
+		b = binary.AppendVarint(b, int64(rep.Samples))
+		b = binary.AppendUvarint(b, uint64(len(rep.Hist)))
+		for _, h := range rep.Hist {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(h))
+		}
+		b = appendBlob(b, rep.Exports)
+	}
+	return b
+}
+
+func (r *wireReader) reports() []core.ShardReport {
+	reps := makeN[core.ShardReport](r.count(reportMinBytes))
+	for i := range reps {
+		rep := &reps[i]
+		rep.Island, rep.Gen, rep.Samples = r.int(), r.int(), r.int()
+		rep.Hist = makeN[float64](r.count(8))
+		for j := range rep.Hist {
+			if h := r.bytes(8); h != nil {
+				rep.Hist[j] = math.Float64frombits(binary.LittleEndian.Uint64(h))
+			}
+		}
+		rep.Exports = r.blob()
+	}
+	return reps
+}
+
+func appendFlag(b []byte, f bool) []byte {
+	if f {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendBlob(b, blob []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(blob))), blob...)
+}
+
+// makeN returns a slice of n zero values, nil when n is 0.
+func makeN[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// wireReader consumes a binary body front to back. The first failure
+// sticks: every later read returns zero values and count returns 0, so
+// nothing is sized from a value read after it.
+type wireReader struct {
+	b   []byte // the bytes not yet consumed
+	err error
+}
+
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *wireReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n <= 0:
+		r.fail("malformed varint")
+		return 0
+	case n > 1 && r.b[n-1] == 0: // only a one-byte varint may end in a zero byte
+		r.fail("non-minimal varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// int reads a zig-zag varint, the encoding binary.AppendVarint writes.
+func (r *wireReader) int() int {
+	u := r.uvarint()
+	v := int64(u>>1) ^ -int64(u&1)
+	if strconv.IntSize < 64 && int64(int(v)) != v {
+		r.fail("integer out of range")
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a length whose items each take at least size bytes, so it
+// can never exceed what the remaining input could hold.
+func (r *wireReader) count(size int) int {
+	v := r.uvarint()
+	if r.err == nil && v > uint64(len(r.b)/size) {
+		r.fail("count %d exceeds the %d bytes left", v, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
+func (r *wireReader) bytes(n int) []byte {
+	if r.err == nil && len(r.b) < n {
+		r.fail("truncated")
+	}
+	if r.err != nil {
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// blob reads a counted byte string, nil when empty. Its capacity ends
+// with it, so an append cannot spill into the rest of the frame.
+func (r *wireReader) blob() []byte {
+	if n := r.count(1); n > 0 {
+		return r.bytes(n)
+	}
+	return nil
+}
+
+func (r *wireReader) flag() bool {
+	f := r.bytes(1)
+	if f != nil && f[0] > 1 {
+		r.fail("flag byte %d", f[0])
+	}
+	return f != nil && f[0] == 1
+}
+
+// done reports the first failure, or trailing bytes after a clean read.
+func (r *wireReader) done() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	return r.err
 }
 
 // frameConn is the shared framing layer: a connection plus the faults
@@ -157,23 +421,21 @@ type finalizeAck struct {
 type frameConn struct {
 	rw  io.ReadWriteCloser
 	inj *faults.Injector
+	out []byte // the last frame written, reused for the next
 }
 
 // writeMsg frames and writes one message. Chaos points fire here: a
 // FaultConn hit fails the write outright, a FaultTorn hit ships a
 // truncated frame so the peer's CRC check trips.
 func (fc *frameConn) writeMsg(typ byte, v any) error {
-	body, err := json.Marshal(v)
+	frame, err := appendBody(append(fc.out[:0], 0, 0, 0, 0, typ), typ, v)
 	if err != nil {
 		return fmt.Errorf("dist: encode %d: %w", typ, err)
 	}
-	payload := make([]byte, 1+len(body))
-	payload[0] = typ
-	copy(payload[1:], body)
-	frame := make([]byte, 4+len(payload)+4)
+	payload := frame[4:]
 	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
-	binary.BigEndian.PutUint32(frame[4+len(payload):], crc32.ChecksumIEEE(payload))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	fc.out = frame
 
 	fc.inj.Hit(FaultSlow) // sleeps the knob's Delay; outcome ignored
 	if err := fc.inj.Hit(FaultConn); err != nil {
@@ -191,9 +453,9 @@ func (fc *frameConn) writeMsg(typ byte, v any) error {
 	return nil
 }
 
-// readMsg reads and validates one frame, returning its type and JSON
-// body. Length or CRC violations return ErrTorn-wrapped errors. The body
-// is read incrementally, so allocation tracks the bytes received rather
+// readMsg reads and validates one frame, returning its type and body.
+// Length or CRC violations return ErrTorn-wrapped errors. The body is
+// read incrementally, so allocation tracks the bytes received rather
 // than the length prefix's claim.
 func (fc *frameConn) readMsg() (byte, []byte, error) {
 	fc.inj.Hit(FaultSlow)
@@ -232,10 +494,7 @@ func (fc *frameConn) expect(typ byte, v any) error {
 	if got != typ {
 		return fmt.Errorf("dist: expected message %d, got %d", typ, got)
 	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("dist: decode %d: %w", typ, err)
-	}
-	return nil
+	return decodeBody(typ, body, v)
 }
 
 // deadlined sets a deadline on connections that support one (net.Conn);

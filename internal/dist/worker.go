@@ -1,14 +1,14 @@
 package dist
 
 import (
-	"encoding/json"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net"
 	"runtime"
-	"sort"
+	"slices"
 
 	"digamma/internal/core"
 	"digamma/internal/faults"
@@ -130,7 +130,7 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 	switch typ {
 	case mtAdopt:
 		var msg adoptMsg
-		if err := decode(typ, body, &msg); err != nil {
+		if err := decodeBody(typ, body, &msg); err != nil {
 			return err
 		}
 		var ack adoptAck
@@ -144,61 +144,33 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 
 	case mtRound:
 		var msg roundMsg
-		if err := decode(typ, body, &msg); err != nil {
+		if err := decodeBody(typ, body, &msg); err != nil {
 			return err
 		}
 		ack := roundAck{Seq: msg.Seq}
-		// Ascending island order: the per-island step sequence is
-		// independent, but deterministic ordering keeps shared-cache
-		// effects and failure replay reproducible.
-		ids := append([]int(nil), msg.IDs...)
-		sort.Ints(ids)
-		for _, id := range ids {
-			rep, err := runner.Advance(id, msg.Bodies, msg.Boundary)
-			if err != nil {
-				ack.Err = err.Error()
-				ack.Reports = nil
-				break
-			}
-			ack.Reports = append(ack.Reports, *rep)
+		var err error
+		if ack.Completions, err = deliver(runner, msg.IDs, msg.Deliveries); err == nil {
+			ack.Reports, err = eachIsland(msg.IDs, func(id int) (*core.ShardReport, error) {
+				return runner.Advance(id, msg.Bodies, msg.Boundary)
+			})
 		}
-		return fc.writeMsg(mtRoundAck, ack)
-
-	case mtMigrants:
-		var msg migrantsMsg
-		if err := decode(typ, body, &msg); err != nil {
-			return err
+		if err != nil {
+			ack = roundAck{Seq: msg.Seq, Err: err.Error()}
 		}
-		ack := roundAck{Seq: msg.Seq}
-		dels := msg.Deliveries
-		sort.Slice(dels, func(i, j int) bool { return dels[i].ID < dels[j].ID })
-		for _, d := range dels {
-			rep, err := runner.CompleteBoundary(d.ID, d.Batches)
-			if err != nil {
-				ack.Err = err.Error()
-				ack.Reports = nil
-				break
-			}
-			ack.Reports = append(ack.Reports, *rep)
-		}
-		return fc.writeMsg(mtMigrantsAck, ack)
+		return fc.writeMsg(mtRoundAck, &ack)
 
 	case mtFinalize:
 		var msg finalizeMsg
-		if err := decode(typ, body, &msg); err != nil {
+		if err := decodeBody(typ, body, &msg); err != nil {
 			return err
 		}
 		var ack finalizeAck
-		ids := append([]int(nil), msg.IDs...)
-		sort.Ints(ids)
-		for _, id := range ids {
-			fin, err := runner.Finalize(id)
-			if err != nil {
-				ack.Err = err.Error()
-				ack.Finals = nil
-				break
-			}
-			ack.Finals = append(ack.Finals, *fin)
+		var err error
+		if ack.Completions, err = deliver(runner, msg.IDs, msg.Deliveries); err == nil {
+			ack.Finals, err = eachIsland(msg.IDs, runner.Finalize)
+		}
+		if err != nil {
+			ack = finalizeAck{Err: err.Error()}
 		}
 		return fc.writeMsg(mtFinalizeAck, ack)
 
@@ -207,9 +179,40 @@ func dispatch(fc *frameConn, runner *core.ShardRunner, typ byte, body []byte) er
 	}
 }
 
-func decode(typ byte, body []byte, v any) error {
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("dist: decode %d: %w", typ, err)
+// deliver completes the pending migration boundary of every island a
+// delivery names, each one of the request's ids, in ascending island
+// order. An island left mid-boundary without a delivery fails the step
+// that follows.
+func deliver(runner *core.ShardRunner, ids []int, dels []delivery) ([]core.ShardReport, error) {
+	for _, d := range dels {
+		if !slices.Contains(ids, d.ID) {
+			return nil, fmt.Errorf("dist: delivery for island %d, which the request does not list", d.ID)
+		}
 	}
-	return nil
+	slices.SortFunc(dels, func(a, b delivery) int { return cmp.Compare(a.ID, b.ID) })
+	out := make([]core.ShardReport, 0, len(dels))
+	for _, d := range dels {
+		rep, err := runner.CompleteBoundary(d.ID, d.Batches)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, *rep)
+	}
+	return out, nil
+}
+
+// eachIsland runs step on the ids in ascending island order and collects
+// its results. The per-island step sequence is independent, but
+// deterministic ordering keeps shared-cache effects and failure replay
+// reproducible.
+func eachIsland[T any](ids []int, step func(id int) (*T, error)) ([]T, error) {
+	out := make([]T, 0, len(ids))
+	for _, id := range slices.Sorted(slices.Values(ids)) {
+		v, err := step(id)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, *v)
+	}
+	return out, nil
 }

@@ -53,8 +53,9 @@ go test -run '^$' -bench 'BenchmarkDistIslands$' \
     -benchtime "$BENCHTIME" ./internal/dist/ | tee -a "$RAW"
 
 # Wire rung under the distributed row: one 8-island resnet50 migration
-# boundary through the real framing, with no search around it (round acks
-# encoded, decoded and forwarded as migrants, migrants decoded to elites).
+# boundary through the real framing, with no search around it (binary round
+# acks encoded and decoded, their exports forwarded as the next rounds'
+# deliveries, deliveries decoded to elites).
 go test -run '^$' -bench 'BenchmarkBoundaryWire$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/dist/ | tee -a "$RAW"
 
