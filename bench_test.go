@@ -182,11 +182,23 @@ func BenchmarkOptimizers(b *testing.B) {
 	}
 }
 
+// coldProblem builds a fresh edge-latency problem for one search
+// iteration with the timer stopped. Every search benchmark searches a
+// freshly built problem — as a served job does — so no iteration starts
+// from an evaluation cache an earlier one warmed, and building the
+// problem is not timed.
+func coldProblem(b *testing.B, model workload.Model) *coopt.Problem {
+	b.StopTimer()
+	defer b.StartTimer()
+	p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
 // BenchmarkDiGammaSearch measures the genetic engine end-to-end on the
-// smallest and a mid-size model. Every iteration searches a freshly built
-// problem — as a served job does — so no iteration starts from an
-// evaluation cache an earlier one warmed; building the problem is not
-// timed.
+// smallest and a mid-size model, each iteration on a cold problem.
 func BenchmarkDiGammaSearch(b *testing.B) {
 	for _, name := range []string{"ncf", "resnet18"} {
 		b.Run(name, func(b *testing.B) {
@@ -197,12 +209,7 @@ func BenchmarkDiGammaSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+				p := coldProblem(b, model)
 				if _, err := core.Optimize(p, 400, int64(i+1)); err != nil {
 					b.Fatal(err)
 				}
@@ -222,13 +229,9 @@ func BenchmarkDiGammaSearchTraced(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.New(p, core.DefaultConfig(), rand.New(rand.NewSource(int64(i+1))))
+				eng, err := core.New(coldProblem(b, model), core.DefaultConfig(), rand.New(rand.NewSource(int64(i+1))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -254,10 +257,6 @@ func BenchmarkDiGammaSearchDelta(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
-	if err != nil {
-		b.Fatal(err)
-	}
 	variants := []struct {
 		name   string
 		mutate func(*core.Config)
@@ -274,7 +273,7 @@ func BenchmarkDiGammaSearchDelta(b *testing.B) {
 			reused := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.New(p, cfg, rand.New(rand.NewSource(int64(i+1))))
+				eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(int64(i+1))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -300,16 +299,12 @@ func BenchmarkDiGammaSearchPruned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
-	if err != nil {
-		b.Fatal(err)
-	}
 	cfg := core.DefaultConfig()
 	cfg.Prune = true
 	fullEvals := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := core.New(p, cfg, rand.New(rand.NewSource(int64(i+1))))
+		eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(int64(i+1))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -346,16 +341,12 @@ func BenchmarkDiGammaSearchIslands(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p, err := coopt.NewProblem(model, arch.Edge(), coopt.Latency)
-				if err != nil {
-					b.Fatal(err)
-				}
 				cfg := core.DefaultConfig()
 				cfg.Islands = islands
 				bestSum, counted := 0.0, 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eng, err := core.New(p, cfg, rand.New(rand.NewSource(int64(i%fitSeeds)+1)))
+					eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(int64(i%fitSeeds)+1)))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -3,6 +3,7 @@ package evalstore
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -17,34 +18,35 @@ import (
 
 // On-disk layout (documented in docs/evalstore-format.md):
 //
-//	<dir>/seg-%06d.seg   append-only entry segments
-//	<dir>/results.json   warm-start result index (atomic whole-file rewrite)
+//	<dir>/seg-%06d.seg   append-only segments: analyses and warm-start results
 //
 // Each segment starts with an 8-byte magic, then CRC-framed records:
 //
 //	[crc32-IEEE(payload) u32le][len(payload) u32le][payload]
 //
-// exactly the WAL's framing discipline with a binary payload instead of
-// JSON. The first record is a header ('H' + fingerprint); every later
-// record is an entry ('E' + 16-byte key + result codec bytes). Replay
-// stops at the first bad frame and truncates the file back to the valid
-// prefix — a torn tail from a crash mid-append costs its own entries,
-// nothing before them. A segment whose header carries a different
-// cost-model fingerprint is deleted whole: the model changed, so every
-// entry in it is stale by definition.
+// exactly the WAL's framing discipline. The first record is a header
+// ('H' + fingerprint); every later record is an entry ('E' + 16-byte key
+// + result codec bytes) or a warm-start result ('R' + JSON ResultRecord).
+// Replay stops at the first bad frame and truncates the file back to the
+// valid prefix — a torn tail from a crash mid-append costs its own
+// records, nothing before them. A segment whose header carries a
+// different cost-model fingerprint is deleted whole: the model changed,
+// so every entry and result in it is stale by definition.
 
 const (
 	// segMagic versions the segment format AND the key scheme: entries are
 	// stored under raw Keys, so a key-derivation change must bump the
 	// magic — old segments then read as foreign files and are deleted at
 	// open instead of loading entries that could never hit again.
-	// "2" = Murmur3-probe keys (was "1": SHA-256 probe keys).
-	segMagic       = "DGEVSTR2"
+	// "3" = 'R' result records in the segments ("2": Murmur3-probe keys,
+	// results in a separate results.json; "1": SHA-256 probe keys). A
+	// "2" reader would truncate a "3" segment at its first 'R' frame.
+	segMagic       = "DGEVSTR3"
 	recHeader      = 'H'
 	recEntry       = 'E'
+	recResult      = 'R'
 	defaultSegMax  = 8 << 20
 	segPattern     = "seg-*.seg"
-	resultsFile    = "results.json"
 	maxPayload     = 1 << 20 // frames larger than this are corruption
 	flushEveryRecs = 256     // bound the unflushed tail a crash can lose
 )
@@ -68,15 +70,16 @@ type diskTier struct {
 	w       *bufio.Writer
 	size    int64
 	seq     int
-	pending int // records since last flush
+	pending int    // records since last flush
+	frame   []byte // scratch for the frame being written
 
 	loaded   int // entries recovered at open
 	segments int // live segment files
 }
 
 // openDisk attaches the persistent tier: replays every valid segment into
-// s, prunes stale or unreadable ones, loads the result index, and opens
-// the newest segment (or a fresh one) for appending.
+// s (entries and the result index), prunes stale or unreadable ones, and
+// opens the newest segment (or a fresh one) for appending.
 func openDisk(o Options, s *Store) (*diskTier, error) {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = defaultSegMax
@@ -112,8 +115,11 @@ func openDisk(o Options, s *Store) (*diskTier, error) {
 		}
 	}
 
-	if err := loadResultIndex(filepath.Join(o.Dir, resultsFile), &s.results); err != nil {
-		d.log.Warn("evalstore: result index unreadable; starting empty", "err", err)
+	// Stores written before results moved into the segments kept them in
+	// results.json; those records are not migrated (their segments were
+	// discarded above for the old magic).
+	if err := os.Remove(filepath.Join(o.Dir, "results.json")); err == nil {
+		d.log.Warn("evalstore: removed results.json left by an older format; warm-start records start empty")
 	}
 
 	// Resume appending to the newest segment while it has headroom;
@@ -174,12 +180,40 @@ func (d *diskTier) newSegment(seq int) error {
 	return nil
 }
 
-// append frames one entry onto the active segment, rotating first when it
-// is full. Callers hold Store.diskMu.
+// append frames one entry onto the active segment. Callers hold
+// Store.diskMu.
 func (d *diskTier) append(k Key, r *cost.Result) error {
 	if err := d.faults.Hit(PointAppend); err != nil {
 		return err
 	}
+	payload := make([]byte, 0, 256)
+	payload = append(payload, recEntry)
+	payload = appendUint(payload, k.Hi)
+	payload = appendUint(payload, k.Lo)
+	payload = appendResult(payload, r)
+	return d.writeFrame(payload)
+}
+
+// appendRecord frames one warm-start result onto the active segment and
+// flushes it to the OS, so a record survives the process once
+// RecordResult returns. Callers hold Store.diskMu.
+func (d *diskTier) appendRecord(rec ResultRecord) error {
+	if err := d.faults.Hit(PointIndex); err != nil {
+		return err
+	}
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	if err := d.writeFrame(append([]byte{recResult}, payload...)); err != nil {
+		return err
+	}
+	return d.flush()
+}
+
+// writeFrame appends one framed payload to the active segment, rotating
+// first when it is full.
+func (d *diskTier) writeFrame(payload []byte) error {
 	if d.size >= d.max {
 		if err := d.flush(); err != nil {
 			return err
@@ -194,16 +228,11 @@ func (d *diskTier) append(k Key, r *cost.Result) error {
 			return err
 		}
 	}
-	payload := make([]byte, 0, 256)
-	payload = append(payload, recEntry)
-	payload = appendUint(payload, k.Hi)
-	payload = appendUint(payload, k.Lo)
-	payload = appendResult(payload, r)
-	frame := appendFrame(nil, payload)
-	if _, err := d.w.Write(frame); err != nil {
+	d.frame = appendFrame(d.frame[:0], payload)
+	if _, err := d.w.Write(d.frame); err != nil {
 		return err
 	}
-	d.size += int64(len(frame))
+	d.size += int64(len(d.frame))
 	d.pending++
 	if d.pending >= flushEveryRecs {
 		return d.flush()
@@ -241,9 +270,11 @@ func appendFrame(b, payload []byte) []byte {
 // errSegment marks whole-segment rejection (vs a recoverable torn tail).
 var errSegment = errors.New("evalstore: bad segment")
 
-// replaySegment loads one segment's entries into s, truncating any torn
-// tail back to the valid prefix. Returns the entry count and the file's
-// (post-truncation) size; an error rejects the whole segment.
+// replaySegment loads one segment's entries into s and folds its result
+// records into the index in file order (the order they were added live),
+// truncating any torn tail back to the valid prefix. Returns the entry
+// count and the file's (post-truncation) size; an error rejects the whole
+// segment.
 func (d *diskTier) replaySegment(path string, s *Store) (n int, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -276,20 +307,25 @@ func (d *diskTier) replaySegment(path string, s *Store) (n int, size int64, err 
 			off, valid = next, next
 			continue
 		}
-		if len(payload) < 17 || payload[0] != recEntry {
-			break // treat as torn tail: CRC passed but shape is wrong
+		switch {
+		case len(payload) >= 17 && payload[0] == recEntry:
+			if r, err := decodeResult(payload[17:]); err == nil {
+				s.load(Key{
+					Hi: binary.LittleEndian.Uint64(payload[1:9]),
+					Lo: binary.LittleEndian.Uint64(payload[9:17]),
+				}, r)
+				n++
+				off, valid = next, next
+				continue
+			}
+		case len(payload) >= 1 && payload[0] == recResult:
+			if rec, err := decodeRecord(payload[1:]); err == nil {
+				s.results.add(rec)
+				off, valid = next, next
+				continue
+			}
 		}
-		k := Key{
-			Hi: binary.LittleEndian.Uint64(payload[1:9]),
-			Lo: binary.LittleEndian.Uint64(payload[9:17]),
-		}
-		r, derr := decodeResult(payload[17:])
-		if derr != nil {
-			break
-		}
-		s.load(k, r)
-		n++
-		off, valid = next, next
+		break // torn tail: the CRC passed but the record does not decode
 	}
 	if !sawHeader {
 		return 0, 0, fmt.Errorf("%w: no valid header record", errSegment)

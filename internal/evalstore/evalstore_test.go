@@ -1,11 +1,16 @@
 package evalstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"log/slog"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -377,8 +382,9 @@ func TestFaultDemotesToMemory(t *testing.T) {
 	}
 }
 
-// TestFaultIndexWrite: a failing result-index write warns and drops the
-// persisted index, but the in-memory index still answers Nearest.
+// TestFaultIndexWrite: a failing result append demotes the store to
+// memory-only, as a failing entry append does. The in-memory index still
+// answers Nearest, and the segment left on disk holds no torn record.
 func TestFaultIndexWrite(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(1)
@@ -386,7 +392,7 @@ func TestFaultIndexWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	s.Put(testKey(0), testResult(0))
 	inj.Set(PointIndex, faults.Knob{Every: 1})
 	s.RecordResult(ResultRecord{Identity: "id", Layers: []string{"a"}, Maps: []MappingRecord{{}}, Fitness: 1})
 	if _, fired := inj.Counts(PointIndex); fired == 0 {
@@ -395,8 +401,184 @@ func TestFaultIndexWrite(t *testing.T) {
 	if _, _, ok := s.Nearest("id", []string{"a"}); !ok {
 		t.Error("in-memory result index lost on persist failure")
 	}
-	if _, err := os.Stat(filepath.Join(dir, resultsFile)); !os.IsNotExist(err) {
-		t.Error("partial index file left behind")
+	if st := s.Stats(); st.Segments != 0 {
+		t.Errorf("disk tier still attached after failure: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	re, err := Open(Options{Dir: dir, Log: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Loaded != 1 || st.Results != 0 {
+		t.Errorf("reopen after a failed result append: %+v, want the one entry and no results", st)
+	}
+	if strings.Contains(logs.String(), "torn") {
+		t.Errorf("reopen found a torn record:\n%s", logs.String())
+	}
+}
+
+// TestResultReplayEquivalence: a reopened store rebuilds exactly the
+// index the live store had, record for record, from a seeded sequence of
+// fitter replacements, less-fit no-ops, ties and evictions past the
+// limit, spread over rotated segments between analysis entries.
+func TestResultReplayEquivalence(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Dir: dir, MaxSegmentBytes: 2048, resultLimit: 12}
+	s, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	identities := []string{"latency|edge", "latency|cloud"}
+	randomLayers := func() []string {
+		layers := make([]string, 1+rng.Intn(3))
+		for j := range layers {
+			layers[j] = fmt.Sprintf("l%d", rng.Intn(6))
+		}
+		return layers
+	}
+	var fitter, noop, tie, evicted int
+	for i := 0; i < 400; i++ {
+		rec := ResultRecord{
+			Identity: identities[rng.Intn(len(identities))],
+			Layers:   randomLayers(),
+			Fanouts:  []int{1 + rng.Intn(8), 1 + rng.Intn(8)},
+			Fitness:  float64(rng.Intn(6)),
+		}
+		for range rec.Layers {
+			rec.Maps = append(rec.Maps, NewMappingRecord(mappingFor(1+rng.Intn(3))))
+		}
+		known := false
+		for _, old := range s.results.recs {
+			if old.Identity == rec.Identity && sameLayers(old.Layers, rec.Layers) {
+				known = true
+				switch {
+				case rec.Fitness < old.Fitness:
+					fitter++
+				case rec.Fitness == old.Fitness:
+					tie++
+				default:
+					noop++
+				}
+			}
+		}
+		if !known && len(s.results.recs) == o.resultLimit {
+			evicted++
+		}
+		s.RecordResult(rec)
+		if i%3 == 0 {
+			s.Put(testKey(i), testResult(i))
+		}
+	}
+	if fitter == 0 || noop == 0 || tie == 0 || evicted == 0 {
+		t.Fatalf("sequence misses a case: %d fitter, %d no-op, %d tie, %d evicting", fitter, noop, tie, evicted)
+	}
+	live := append([]ResultRecord(nil), s.results.recs...)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Segments < 2 {
+		t.Errorf("expected rotation under a 2 KiB cap, got %d segments", st.Segments)
+	}
+	if !reflect.DeepEqual(re.results.recs, live) {
+		t.Fatalf("replayed index differs from the live one:\n got %+v\nwant %+v", re.results.recs, live)
+	}
+	for i := 0; i < 200; i++ {
+		id, layers := identities[rng.Intn(len(identities))], randomLayers()
+		wantRec, wantOverlap, wantOK := s.Nearest(id, layers)
+		gotRec, gotOverlap, gotOK := re.Nearest(id, layers)
+		if gotOK != wantOK || gotOverlap != wantOverlap || !reflect.DeepEqual(gotRec, wantRec) {
+			t.Fatalf("Nearest(%q, %v) after reopen = %+v/%d/%v, live %+v/%d/%v",
+				id, layers, gotRec, gotOverlap, gotOK, wantRec, wantOverlap, wantOK)
+		}
+	}
+}
+
+// TestResultSurvivesProcessDeath: once RecordResult returns, its record
+// has reached the OS. A second Open on the directory, with the first
+// store never closed, sees every record and the entries put before it.
+func TestResultSurvivesProcessDeath(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 5
+	for i := 0; i < n; i++ {
+		s.Put(testKey(i), testResult(i))
+		s.RecordResult(ResultRecord{
+			Identity: "id",
+			Layers:   []string{fmt.Sprintf("layer%d", i)},
+			Fanouts:  []int{i + 1},
+			Maps:     []MappingRecord{NewMappingRecord(mappingFor(2))},
+			Fitness:  float64(100 + i),
+		})
+	}
+
+	re, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Results != n || st.Loaded != n {
+		t.Fatalf("second open saw %+v, want %d results and %d entries", st, n, n)
+	}
+	for i := 0; i < n; i++ {
+		rec, _, ok := re.Nearest("id", []string{fmt.Sprintf("layer%d", i)})
+		if !ok || rec.Fitness != float64(100+i) {
+			t.Errorf("record %d not visible to a second open: ok=%v rec=%+v", i, ok, rec)
+		}
+	}
+}
+
+// TestUpgradeDiscardsV2Layout: a directory written by the previous format
+// (a DGEVSTR2 segment plus a results.json index) opens empty, and both
+// files are removed; neither is migrated.
+func TestUpgradeDiscardsV2Layout(t *testing.T) {
+	dir := t.TempDir()
+	oldSeg := filepath.Join(dir, "seg-000005.seg")
+	data := appendFrame([]byte("DGEVSTR2"), appendString([]byte{recHeader}, cost.Fingerprint))
+	entry := appendUint(appendUint([]byte{recEntry}, testKey(1).Hi), testKey(1).Lo)
+	data = appendFrame(data, appendResult(entry, testResult(1)))
+	if err := os.WriteFile(oldSeg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldIndex := filepath.Join(dir, "results.json")
+	index := `[{"identity":"id","layers":["a"],"fanouts":[4],"maps":[{"levels":null}],"fitness":1}]`
+	if err := os.WriteFile(oldIndex, []byte(index), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Loaded != 0 || st.Results != 0 {
+		t.Errorf("old layout loaded: %+v", st)
+	}
+	if _, ok := s.Get(testKey(1)); ok {
+		t.Error("entry from a DGEVSTR2 segment served")
+	}
+	if _, _, ok := s.Nearest("id", []string{"a"}); ok {
+		t.Error("record from results.json migrated")
+	}
+	for _, path := range []string{oldSeg, oldIndex} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived open", filepath.Base(path))
+		}
 	}
 }
 
@@ -443,21 +625,37 @@ func TestConcurrentSharing(t *testing.T) {
 }
 
 // TestResultIndexSemantics: best-fitness replacement for an exact
-// workload, FIFO eviction at the limit, and earliest-wins ties.
+// workload (an equally fit record replaces too), FIFO eviction at the
+// limit, and earliest-wins overlap ties. add reports exactly the changes,
+// which are what a disk-backed store appends.
 func TestResultIndexSemantics(t *testing.T) {
 	ix := resultIndex{limit: 3}
 	rec := func(id string, layers []string, fit float64) ResultRecord {
 		maps := make([]MappingRecord, len(layers))
 		return ResultRecord{Identity: id, Layers: layers, Maps: maps, Fitness: fit}
 	}
-	ix.add(rec("id", []string{"a", "b"}, 10))
-	ix.add(rec("id", []string{"a", "b"}, 20)) // worse: ignored
+	if !ix.add(rec("id", []string{"a", "b"}, 10)) {
+		t.Fatal("new record reported no change")
+	}
+	if ix.add(rec("id", []string{"a", "b"}, 20)) { // worse: ignored
+		t.Fatal("worse duplicate reported a change")
+	}
 	if r, _, ok := ix.nearest("id", []string{"a"}); !ok || r.Fitness != 10 {
 		t.Fatalf("worse duplicate replaced the incumbent: %+v", r)
 	}
-	ix.add(rec("id", []string{"a", "b"}, 5)) // better: replaces
+	if !ix.add(rec("id", []string{"a", "b"}, 5)) { // better: replaces
+		t.Fatal("better duplicate reported no change")
+	}
 	if r, _, ok := ix.nearest("id", []string{"a"}); !ok || r.Fitness != 5 {
 		t.Fatalf("better duplicate ignored: %+v", r)
+	}
+	tie := rec("id", []string{"a", "b"}, 5)
+	tie.Fanouts = []int{9}
+	if !ix.add(tie) { // as fit: replaces, the newer genome wins
+		t.Fatal("equally fit duplicate reported no change")
+	}
+	if r, _, ok := ix.nearest("id", []string{"a"}); !ok || len(r.Fanouts) != 1 || r.Fanouts[0] != 9 {
+		t.Fatalf("equally fit duplicate ignored: %+v", r)
 	}
 	// Ties on overlap keep the earliest record.
 	ix.add(rec("id", []string{"a", "c"}, 7))

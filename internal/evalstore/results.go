@@ -2,9 +2,8 @@ package evalstore
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
+	"errors"
+	"math"
 	"sync"
 
 	"digamma/internal/mapping"
@@ -73,8 +72,8 @@ func NewMappingRecord(m mapping.Mapping) MappingRecord {
 }
 
 // Mapping rebuilds the mapping block. Stored records come from the same
-// codebase, but the index is a JSON file on disk: out-of-range values are
-// clamped to valid dims so a tampered or stale record yields a merely
+// codebase, but they are read back from JSON on disk: out-of-range values
+// are clamped to valid dims so a tampered or stale record yields a merely
 // arbitrary genome, never a panic. Callers repair the result against
 // their own space before use.
 func (mr MappingRecord) Mapping() mapping.Mapping {
@@ -116,27 +115,28 @@ func (ix *resultIndex) len() int {
 	return len(ix.recs)
 }
 
-// add appends (or refreshes) a record, returning a snapshot to persist.
-// A record with the same identity and layer set replaces the old one
-// only when it is at least as fit — the index keeps the best known
+// add appends (or refreshes) a record and reports whether the index
+// changed. A record with the same identity and layer set replaces the old
+// one only when it is at least as fit — the index keeps the best known
 // genome per exact workload.
-func (ix *resultIndex) add(rec ResultRecord) []ResultRecord {
+func (ix *resultIndex) add(rec ResultRecord) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for i := range ix.recs {
 		old := &ix.recs[i]
 		if old.Identity == rec.Identity && sameLayers(old.Layers, rec.Layers) {
-			if rec.Fitness <= old.Fitness {
-				*old = rec
+			if rec.Fitness > old.Fitness {
+				return false
 			}
-			return append([]ResultRecord(nil), ix.recs...)
+			*old = rec
+			return true
 		}
 	}
 	ix.recs = append(ix.recs, rec)
 	if ix.limit > 0 && len(ix.recs) > ix.limit {
 		ix.recs = append(ix.recs[:0], ix.recs[len(ix.recs)-ix.limit:]...)
 	}
-	return append([]ResultRecord(nil), ix.recs...)
+	return true
 }
 
 func sameLayers(a, b []string) bool {
@@ -194,22 +194,45 @@ func overlapCount(query, stored []string) int {
 	return n
 }
 
-// RecordResult files a completed search into the warm-start index and —
-// when the store is disk-backed — persists the index atomically
-// (temp + fsync + rename, so a crash leaves either the old index or the
-// new one, never a torn file).
+// valid reports whether rec is fileable: one mapping block per layer and
+// a finite fitness (the replacement rule compares fitnesses, and JSON has
+// no form for NaN or ±Inf).
+func (rec *ResultRecord) valid() bool {
+	return len(rec.Layers) > 0 && len(rec.Maps) == len(rec.Layers) &&
+		!math.IsNaN(rec.Fitness) && !math.IsInf(rec.Fitness, 0)
+}
+
+// decodeRecord parses an 'R' segment record; a record RecordResult would
+// have refused is an error.
+func decodeRecord(b []byte) (ResultRecord, error) {
+	var rec ResultRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		return ResultRecord{}, err
+	}
+	if !rec.valid() {
+		return ResultRecord{}, errors.New("evalstore: malformed result record")
+	}
+	return rec, nil
+}
+
+// RecordResult files a completed search into the warm-start index. When
+// the index changed and the store is disk-backed, the record is appended
+// to the active segment and flushed to the OS (not fsynced: like the
+// entries, it survives a process kill but not a power loss). diskMu is
+// held from the index update through the append, so concurrent records
+// reach the segment in the order they changed the index and replay
+// rebuilds the same index.
 func (s *Store) RecordResult(rec ResultRecord) {
-	if len(rec.Layers) == 0 || len(rec.Maps) != len(rec.Layers) {
+	if !rec.valid() {
 		return
 	}
-	snapshot := s.results.add(rec)
 	s.diskMu.Lock()
 	defer s.diskMu.Unlock()
-	if s.disk == nil {
+	if !s.results.add(rec) || s.disk == nil {
 		return
 	}
-	if err := s.writeResultIndex(snapshot); err != nil {
-		s.log.Warn("evalstore: result index write failed", "err", err)
+	if err := s.disk.appendRecord(rec); err != nil {
+		s.detachDisk(err)
 	}
 }
 
@@ -217,54 +240,4 @@ func (s *Store) RecordResult(rec ResultRecord) {
 // for a new search (see resultIndex.nearest).
 func (s *Store) Nearest(identity string, layers []string) (ResultRecord, int, bool) {
 	return s.results.nearest(identity, layers)
-}
-
-// writeResultIndex persists the index snapshot. Caller holds diskMu.
-func (s *Store) writeResultIndex(recs []ResultRecord) error {
-	if err := s.faults.Hit(PointIndex); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(recs, "", " ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.disk.dir, resultsFile)
-	tmp, err := os.CreateTemp(s.disk.dir, resultsFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err = tmp.Write(data); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(name, path)
-	}
-	if err != nil {
-		os.Remove(name)
-	}
-	return err
-}
-
-// loadResultIndex restores a persisted index; a missing file is empty,
-// an unreadable one is reported (and ignored — it will be rewritten).
-func loadResultIndex(path string, ix *resultIndex) error {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var recs []ResultRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return fmt.Errorf("evalstore: parsing %s: %w", filepath.Base(path), err)
-	}
-	ix.mu.Lock()
-	ix.recs = recs
-	ix.mu.Unlock()
-	return nil
 }

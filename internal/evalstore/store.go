@@ -1,6 +1,7 @@
 package evalstore
 
 import (
+	"cmp"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,8 @@ type shard struct {
 // Options configures Open.
 type Options struct {
 	// Dir, when non-empty, backs the store with append-only segment files
-	// under this directory (created if missing) and persists the
-	// warm-start result index beside them. Empty = memory-only.
+	// under this directory (created if missing), which hold both the
+	// analyses and the warm-start result index. Empty = memory-only.
 	Dir string
 
 	// Fingerprint versions every persisted entry; segments recorded under
@@ -45,6 +46,10 @@ type Options struct {
 
 	// Log receives disk-tier warnings (slog.Default when nil).
 	Log *slog.Logger
+
+	// resultLimit caps the warm-start index (defaultResultLimit when 0);
+	// tests shrink it to reach eviction.
+	resultLimit int
 }
 
 // Store is the shared analysis tier. All methods are safe for concurrent
@@ -106,7 +111,7 @@ func Open(o Options) (*Store, error) {
 	for i := range s.shards {
 		s.shards[i].m = make(map[Key]*cost.Result)
 	}
-	s.results.limit = defaultResultLimit
+	s.results.limit = cmp.Or(o.resultLimit, defaultResultLimit)
 	if o.Dir == "" {
 		return s, nil
 	}
@@ -179,10 +184,16 @@ func (s *Store) appendDisk(k Key, r *cost.Result) {
 		return
 	}
 	if err := s.disk.append(k, r); err != nil {
-		s.log.Warn("evalstore: disk append failed; continuing memory-only", "err", err)
-		s.disk.close()
-		s.disk = nil
+		s.detachDisk(err)
 	}
+}
+
+// detachDisk demotes the store to memory-only after a failed write.
+// Caller holds diskMu.
+func (s *Store) detachDisk(err error) {
+	s.log.Warn("evalstore: disk write failed; continuing memory-only", "err", err)
+	s.disk.close()
+	s.disk = nil
 }
 
 // Sync flushes buffered segment writes to the OS (no fsync: the disk

@@ -33,6 +33,12 @@ go test -run '^$' -bench 'BenchmarkGeneration$' -cpu 1,2 \
     sed -E 's#^(BenchmarkGeneration/[a-z0-9]+)-([0-9]+)([[:space:]])#\1/cpu=\2\3#; s#^(BenchmarkGeneration/[a-z0-9]+)([[:space:]])#\1/cpu=1\2#' |
     tee -a "$RAW"
 
+# Warm-start index rung under the served rows: filing one finished search
+# into a disk-backed store whose index holds 48 or 1024 records of a
+# 12-layer model (one 'R' segment frame, flushed to the OS).
+go test -run '^$' -bench 'BenchmarkRecordResult$' \
+    -benchmem -benchtime "$BENCHTIME" ./internal/evalstore/ | tee -a "$RAW"
+
 # Serving rows: one end-to-end served search (submit → queue → run →
 # long-poll), the same search on the K-island engine (ISLANDS knob), one
 # dedup hit served straight from the result store, the near-duplicate
