@@ -25,14 +25,17 @@ type AnalysisStore = evalstore.Store
 // AnalysisStats is an AnalysisStore's counter snapshot.
 type AnalysisStats = evalstore.Stats
 
-// NewAnalysisStore returns a memory-only shared analysis tier.
+// NewAnalysisStore returns a memory-only shared analysis tier, bounded
+// by the store's default byte budget (oldest generations are dropped
+// whole once it is exceeded; see docs/evalstore-format.md).
 func NewAnalysisStore() *AnalysisStore { return evalstore.NewMemory() }
 
 // OpenAnalysisStore opens (creating if needed) a disk-backed shared
 // analysis tier rooted at dir. Entries persist across restarts in
 // CRC-framed append-only segments versioned by the cost-model
 // fingerprint; segments written by a different model version are
-// discarded at open. Disk failures demote the store to memory-only
+// discarded at open, and segments past the default byte budget are
+// dropped, oldest first. Disk failures demote the store to memory-only
 // operation — they never fail a search.
 func OpenAnalysisStore(dir string) (*AnalysisStore, error) {
 	return evalstore.Open(evalstore.Options{Dir: dir})

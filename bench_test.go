@@ -244,6 +244,17 @@ func BenchmarkDiGammaSearchTraced(b *testing.B) {
 	}
 }
 
+// benchSeeds is the fixed seed set the per-search count metrics average
+// over (reused/op, fullevals/op, bestfit/op): iteration i searches with
+// seed i mod benchSeeds + 1, the metric sums only the first pass, and a
+// run too short to cover every seed (e.g. the CI -benchtime 1x smoke)
+// reports no metric rather than an incomparable partial mean. A recorded
+// value therefore never depends on how many iterations a run took.
+const benchSeeds = 16
+
+// benchSeed is the search seed of benchmark iteration i.
+func benchSeed(i int) int64 { return int64(i%benchSeeds) + 1 }
+
 // BenchmarkDiGammaSearchDelta isolates the dirty-layer delta evaluation
 // path on the resnet18 search (bit-identical results by construction —
 // TestDeltaBitIdentical): "off" scores every bred candidate from scratch,
@@ -251,7 +262,7 @@ func BenchmarkDiGammaSearchTraced(b *testing.B) {
 // "on+prune" stacks the PR-3 roofline screen on top, and "on+islands=2"
 // runs the delta path under the PR-4 ring. The reused/op metric counts
 // the per-layer analyses per search that skipped hash, cache probe and
-// cost model entirely.
+// cost model entirely, averaged over the benchSeeds set.
 func BenchmarkDiGammaSearchDelta(b *testing.B) {
 	model, err := workload.ByName("resnet18")
 	if err != nil {
@@ -273,7 +284,7 @@ func BenchmarkDiGammaSearchDelta(b *testing.B) {
 			reused := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(int64(i+1))))
+				eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(benchSeed(i))))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -281,9 +292,13 @@ func BenchmarkDiGammaSearchDelta(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				reused += r.LayersReused
+				if i < benchSeeds {
+					reused += r.LayersReused
+				}
 			}
-			b.ReportMetric(float64(reused)/float64(b.N), "reused/op")
+			if b.N >= benchSeeds {
+				b.ReportMetric(float64(reused)/benchSeeds, "reused/op")
+			}
 		})
 	}
 }
@@ -293,7 +308,7 @@ func BenchmarkDiGammaSearchDelta(b *testing.B) {
 // incumbent skip full analysis. The custom fullevals/op metric records how
 // many design points actually paid for the cost model (the screened share
 // is the search's speedup headroom; TestPruneWindowSameBest pins the
-// same-final-best property).
+// same-final-best property), averaged over the benchSeeds set.
 func BenchmarkDiGammaSearchPruned(b *testing.B) {
 	model, err := workload.ByName("resnet18")
 	if err != nil {
@@ -304,7 +319,7 @@ func BenchmarkDiGammaSearchPruned(b *testing.B) {
 	fullEvals := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(int64(i+1))))
+		eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(benchSeed(i))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,28 +327,25 @@ func BenchmarkDiGammaSearchPruned(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fullEvals += r.FullEvals
+		if i < benchSeeds {
+			fullEvals += r.FullEvals
+		}
 	}
-	b.ReportMetric(float64(fullEvals)/float64(b.N), "fullevals/op")
+	if b.N >= benchSeeds {
+		b.ReportMetric(float64(fullEvals)/benchSeeds, "fullevals/op")
+	}
 }
 
 // BenchmarkDiGammaSearchIslands pits the island-model engine against the
 // single population at equal sampling budget (4000 samples — deep enough
 // for the ring's diversity to pay for its partitioned populations). Each
 // sub-benchmark reports wall-clock per search plus bestfit/op: the mean
-// best fitness at budget over a FIXED 16-seed set (seeds rotate i mod 16,
-// and the metric sums only the first pass) — lower is better. Runs too
-// short to cover all 16 seeds (e.g. the CI -benchtime 1x smoke) skip the
-// metric entirely rather than record an incomparable partial mean, so
-// every bestfit_per_op value in BENCH_core.json measures the same
-// statistic. The islands=2 rows ride the default migration period and
+// best fitness at budget over the benchSeeds set — lower is better. The
+// islands=2 rows ride the default migration period and
 // must land at or below their islands=1 rows' bestfit: the equal-budget
 // parity the island model is held to on resnet18 and mobilenetv2.
 func BenchmarkDiGammaSearchIslands(b *testing.B) {
-	const (
-		islandBudget = 4000
-		fitSeeds     = 16
-	)
+	const islandBudget = 4000
 	for _, name := range []string{"resnet18", "mobilenetv2"} {
 		for _, islands := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/islands=%d", name, islands), func(b *testing.B) {
@@ -343,10 +355,10 @@ func BenchmarkDiGammaSearchIslands(b *testing.B) {
 				}
 				cfg := core.DefaultConfig()
 				cfg.Islands = islands
-				bestSum, counted := 0.0, 0
+				bestSum := 0.0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(int64(i%fitSeeds)+1)))
+					eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(benchSeed(i))))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -354,13 +366,12 @@ func BenchmarkDiGammaSearchIslands(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if i < fitSeeds {
+					if i < benchSeeds {
 						bestSum += r.Best.Fitness
-						counted++
 					}
 				}
-				if counted == fitSeeds {
-					b.ReportMetric(bestSum/float64(counted), "bestfit/op")
+				if b.N >= benchSeeds {
+					b.ReportMetric(bestSum/benchSeeds, "bestfit/op")
 				}
 			})
 		}

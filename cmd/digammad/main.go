@@ -269,8 +269,9 @@ func main() {
 			}
 			cfg.Analysis = as
 			defer as.Close()
+			st := as.Stats()
 			logger.Info("analysis store open", "dir", dir,
-				"loaded", as.Stats().Loaded, "results", as.Stats().Results)
+				"loaded", st.Loaded, "evicted", st.Evicted, "results", st.Results)
 		}
 	}
 	if *selftest {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"digamma/internal/cost"
+	"digamma/internal/workload"
 )
 
 // The persistent tier must round-trip results exactly — a search warmed
@@ -45,6 +46,19 @@ func appendResult(b []byte, r *cost.Result) []byte {
 		b = appendFloat(b, lv.BufferWords.Outputs)
 	}
 	return b
+}
+
+// resultLen is len(appendResult(nil, r)): eight floats and the level
+// count, then per level its trip counts and eight more words.
+func resultLen(r *cost.Result) int {
+	return 9*8 + len(r.Levels)*(int(workload.NumDims)+8)*8
+}
+
+// entryFrameLen is the size of r's framed 'E' record: the frame header,
+// the record type, the key and the result. The store charges it to the
+// active generation whether or not a disk is attached.
+func entryFrameLen(r *cost.Result) int64 {
+	return int64(8 + 1 + 16 + resultLen(r))
 }
 
 // resultCodec reads fixed-width little-endian words off a record payload.

@@ -2,11 +2,12 @@ package evalstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -32,6 +33,10 @@ import (
 // records, nothing before them. A segment whose header carries a
 // different cost-model fingerprint is deleted whole: the model changed,
 // so every entry and result in it is stale by definition.
+//
+// Each segment is one generation of the store (see Store.grow): it opens
+// with the live warm-start index re-appended as 'R' records, and it is
+// deleted whole when its generation is dropped under the byte budget.
 
 const (
 	// segMagic versions the segment format AND the key scheme: entries are
@@ -62,57 +67,59 @@ const (
 type diskTier struct {
 	dir    string
 	fp     string
-	max    int64
 	faults *faults.Injector
 	log    *slog.Logger
 
 	f       *os.File
 	w       *bufio.Writer
-	size    int64
-	seq     int
 	pending int    // records since last flush
+	payload []byte // scratch for the entry being encoded
 	frame   []byte // scratch for the frame being written
-
-	loaded   int // entries recovered at open
-	segments int // live segment files
 }
 
-// openDisk attaches the persistent tier: replays every valid segment into
-// s (entries and the result index), prunes stale or unreadable ones, and
-// opens the newest segment (or a fresh one) for appending.
-func openDisk(o Options, s *Store) (*diskTier, error) {
-	if o.MaxSegmentBytes <= 0 {
-		o.MaxSegmentBytes = defaultSegMax
-	}
+// openDisk attaches the persistent tier. It keeps the newest segments
+// whose bytes fit the budget and deletes the older ones undecoded,
+// replays the kept ones oldest first into s (entries under their
+// segment's generation, and the result index), prunes stale or
+// unreadable ones, and resumes appending to the newest segment, or stages
+// a fresh one when it is full.
+func (s *Store) openDisk(o Options) error {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("evalstore: %w", err)
+		return fmt.Errorf("evalstore: %w", err)
 	}
-	d := &diskTier{dir: o.Dir, fp: o.Fingerprint, max: o.MaxSegmentBytes, faults: o.Faults, log: o.Log}
+	d := &diskTier{dir: o.Dir, fp: o.Fingerprint, faults: o.Faults, log: o.Log}
 
 	names, err := filepath.Glob(filepath.Join(o.Dir, segPattern))
 	if err != nil {
-		return nil, fmt.Errorf("evalstore: %w", err)
+		return fmt.Errorf("evalstore: %w", err)
 	}
 	sort.Strings(names)
-	lastSeq := 0
+	keep := d.retainFrom(names, s.maxBytes)
+	for _, path := range names[:keep] {
+		n := countEntries(path)
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("evalstore: removing segment past the budget: %w", err)
+		}
+		s.evicted += uint64(n)
+		d.log.Info("evalstore: dropped segment past the budget", "segment", filepath.Base(path), "entries", n)
+	}
 	var lastPath string
-	var lastSize int64
-	for _, path := range names {
-		n, size, err := d.replaySegment(path, s)
+	for _, path := range names[keep:] {
+		seq := segSeq(path)
+		n, size, err := d.replaySegment(path, seq, s)
 		if err != nil {
 			// Unusable segment (bad magic, wrong fingerprint, unreadable
 			// header): delete it so it cannot shadow fresh entries.
 			d.log.Warn("evalstore: discarding segment", "segment", filepath.Base(path), "reason", err)
 			if rmErr := os.Remove(path); rmErr != nil {
-				return nil, fmt.Errorf("evalstore: removing stale segment: %w", rmErr)
+				return fmt.Errorf("evalstore: removing stale segment: %w", rmErr)
 			}
 			continue
 		}
-		d.loaded += n
-		d.segments++
-		if seq := segSeq(path); seq > lastSeq {
-			lastSeq, lastPath, lastSize = seq, path, size
-		}
+		s.loaded += n
+		lastPath = path
+		s.gens = append(s.gens, generation{seq: seq, bytes: size - d.headerLen()})
+		s.bytes += size - d.headerLen()
 	}
 
 	// Stores written before results moved into the segments kept them in
@@ -124,36 +131,134 @@ func openDisk(o Options, s *Store) (*diskTier, error) {
 
 	// Resume appending to the newest segment while it has headroom;
 	// otherwise stage a fresh one.
-	if lastPath != "" && lastSize < d.max {
-		f, err := os.OpenFile(lastPath, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("evalstore: %w", err)
+	next := uint32(1)
+	if len(s.gens) > 0 {
+		last := s.gens[len(s.gens)-1]
+		if last.bytes < s.genBytes {
+			f, err := os.OpenFile(lastPath, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return fmt.Errorf("evalstore: %w", err)
+			}
+			d.f, d.w = f, bufio.NewWriter(f)
+			s.disk = d
+			s.setPromote()
+			return nil
 		}
-		d.f, d.w, d.size, d.seq = f, bufio.NewWriter(f), lastSize, lastSeq
-		return d, nil
+		next = last.seq + 1
 	}
-	if err := d.newSegment(lastSeq + 1); err != nil {
-		return nil, err
+	s.disk = d
+	if err := s.advance(next); err != nil {
+		d.close()
+		return err
 	}
-	return d, nil
+	return nil
+}
+
+// retainFrom returns the index of the oldest segment Open keeps: the
+// newest ones whose bytes after the header sum to at most maxBytes, by
+// file size alone. The newest segment is always kept.
+func (d *diskTier) retainFrom(names []string, maxBytes int64) int {
+	var total int64
+	for i := len(names) - 1; i >= 0; i-- {
+		if fi, err := os.Stat(names[i]); err == nil {
+			total += max(fi.Size()-d.headerLen(), 0)
+		}
+		if total > maxBytes && i < len(names)-1 {
+			return i + 1
+		}
+	}
+	return 0
+}
+
+// countEntries counts the 'E' frames of a segment cut at open from their
+// frame headers and type bytes, without checksumming or decoding any
+// payload.
+func countEntries(path string) int {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	if _, err := r.Discard(len(segMagic)); err != nil {
+		return 0
+	}
+	var hdr [9]byte // crc, length, record type
+	n := 0
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return n
+		}
+		size := binary.LittleEndian.Uint32(hdr[4:8])
+		if size == 0 || size > maxPayload {
+			return n
+		}
+		if hdr[8] == recEntry {
+			n++
+		}
+		if _, err := r.Discard(int(size) - 1); err != nil {
+			return n
+		}
+	}
 }
 
 // segSeq parses the sequence number out of seg-%06d.seg (0 if malformed).
-func segSeq(path string) int {
-	var n int
+func segSeq(path string) uint32 {
+	var n uint32
 	fmt.Sscanf(filepath.Base(path), "seg-%06d.seg", &n)
 	return n
+}
+
+func (d *diskTier) path(seq uint32) string {
+	return filepath.Join(d.dir, fmt.Sprintf("seg-%06d.seg", seq))
+}
+
+// headerLen is the size of a segment's magic and header frame under this
+// fingerprint: what a segment holds beyond its generation's bytes.
+func (d *diskTier) headerLen() int64 {
+	return int64(len(segMagic) + 8 + 1 + 8 + len(d.fp))
+}
+
+// rotate closes the active segment, if any, stages segment seq and
+// re-appends recs (the live warm-start index, as JSON) into it, flushed
+// to the OS before any older segment can be dropped. Returns the bytes
+// appended after the header. Callers hold Store.logMu.
+func (d *diskTier) rotate(seq uint32, recs [][]byte) (int64, error) {
+	if d.f != nil {
+		if err := d.flush(); err != nil {
+			return 0, err
+		}
+		if err := d.f.Sync(); err != nil {
+			return 0, err
+		}
+		if err := d.f.Close(); err != nil {
+			return 0, err
+		}
+		d.f, d.w = nil, nil
+	}
+	if err := d.newSegment(seq); err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, rec := range recs {
+		m, err := d.writeRecord(rec)
+		if err != nil {
+			return 0, err
+		}
+		n += m
+	}
+	return n, d.flush()
 }
 
 // newSegment stages segment seq atomically: magic + header record are
 // written and fsynced under a temp name before the rename makes the
 // segment live, so a crash mid-create can never leave a half-written
 // header in the scan path. The fd survives the rename (same inode).
-func (d *diskTier) newSegment(seq int) error {
+func (d *diskTier) newSegment(seq uint32) error {
 	if err := d.faults.Hit(PointRotate); err != nil {
 		return err
 	}
-	final := filepath.Join(d.dir, fmt.Sprintf("seg-%06d.seg", seq))
+	final := d.path(seq)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -175,69 +280,63 @@ func (d *diskTier) newSegment(seq int) error {
 		os.Remove(tmp)
 		return err
 	}
-	d.f, d.w, d.size, d.seq, d.pending = f, bufio.NewWriter(f), int64(len(hdr)), seq, 0
-	d.segments++
+	d.f, d.w, d.pending = f, bufio.NewWriter(f), 0
 	return nil
 }
 
-// append frames one entry onto the active segment. Callers hold
-// Store.diskMu.
+// remove deletes the segment of a dropped generation. Callers hold
+// Store.logMu.
+func (d *diskTier) remove(seq uint32) error {
+	return os.Remove(d.path(seq))
+}
+
+// append frames one entry onto the active segment, encoding it into a
+// scratch buffer the tier reuses. Callers hold Store.logMu.
 func (d *diskTier) append(k Key, r *cost.Result) error {
 	if err := d.faults.Hit(PointAppend); err != nil {
 		return err
 	}
-	payload := make([]byte, 0, 256)
-	payload = append(payload, recEntry)
-	payload = appendUint(payload, k.Hi)
-	payload = appendUint(payload, k.Lo)
-	payload = appendResult(payload, r)
-	return d.writeFrame(payload)
+	d.payload = append(d.payload[:0], recEntry)
+	d.payload = appendUint(d.payload, k.Hi)
+	d.payload = appendUint(d.payload, k.Lo)
+	d.payload = appendResult(d.payload, r)
+	_, err := d.writeFrame(d.payload)
+	return err
 }
 
-// appendRecord frames one warm-start result onto the active segment and
-// flushes it to the OS, so a record survives the process once
-// RecordResult returns. Callers hold Store.diskMu.
-func (d *diskTier) appendRecord(rec ResultRecord) error {
+// appendRecord frames one warm-start result (its JSON) onto the active
+// segment and flushes it to the OS, so a record survives the process once
+// RecordResult returns. Returns the bytes appended. Callers hold
+// Store.logMu.
+func (d *diskTier) appendRecord(raw []byte) (int64, error) {
 	if err := d.faults.Hit(PointIndex); err != nil {
-		return err
+		return 0, err
 	}
-	payload, err := json.Marshal(rec)
+	n, err := d.writeRecord(raw)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if err := d.writeFrame(append([]byte{recResult}, payload...)); err != nil {
-		return err
-	}
-	return d.flush()
+	return n, d.flush()
 }
 
-// writeFrame appends one framed payload to the active segment, rotating
-// first when it is full.
-func (d *diskTier) writeFrame(payload []byte) error {
-	if d.size >= d.max {
-		if err := d.flush(); err != nil {
-			return err
-		}
-		if err := d.f.Sync(); err != nil {
-			return err
-		}
-		if err := d.f.Close(); err != nil {
-			return err
-		}
-		if err := d.newSegment(d.seq + 1); err != nil {
-			return err
-		}
-	}
+// writeRecord frames one warm-start result: 'R' + the record as JSON.
+func (d *diskTier) writeRecord(raw []byte) (int64, error) {
+	d.payload = append(append(d.payload[:0], recResult), raw...)
+	return d.writeFrame(d.payload)
+}
+
+// writeFrame appends one framed payload to the active segment and
+// returns the frame's size.
+func (d *diskTier) writeFrame(payload []byte) (int64, error) {
 	d.frame = appendFrame(d.frame[:0], payload)
 	if _, err := d.w.Write(d.frame); err != nil {
-		return err
+		return 0, err
 	}
-	d.size += int64(len(d.frame))
 	d.pending++
 	if d.pending >= flushEveryRecs {
-		return d.flush()
+		return int64(len(d.frame)), d.flush()
 	}
-	return nil
+	return int64(len(d.frame)), nil
 }
 
 func (d *diskTier) flush() error {
@@ -270,12 +369,12 @@ func appendFrame(b, payload []byte) []byte {
 // errSegment marks whole-segment rejection (vs a recoverable torn tail).
 var errSegment = errors.New("evalstore: bad segment")
 
-// replaySegment loads one segment's entries into s and folds its result
-// records into the index in file order (the order they were added live),
-// truncating any torn tail back to the valid prefix. Returns the entry
-// count and the file's (post-truncation) size; an error rejects the whole
-// segment.
-func (d *diskTier) replaySegment(path string, s *Store) (n int, size int64, err error) {
+// replaySegment loads one segment's entries into s under generation seq
+// and folds its result records into the index in file order (the order
+// they were added live), truncating any torn tail back to the valid
+// prefix. Returns the entry count and the file's (post-truncation) size;
+// an error rejects the whole segment.
+func (d *diskTier) replaySegment(path string, seq uint32, s *Store) (n int, size int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %w", errSegment, err)
@@ -313,14 +412,18 @@ func (d *diskTier) replaySegment(path string, s *Store) (n int, size int64, err 
 				s.load(Key{
 					Hi: binary.LittleEndian.Uint64(payload[1:9]),
 					Lo: binary.LittleEndian.Uint64(payload[9:17]),
-				}, r)
+				}, r, seq)
 				n++
 				off, valid = next, next
 				continue
 			}
 		case len(payload) >= 1 && payload[0] == recResult:
+			if s.results.holds(payload[1:]) {
+				off, valid = next, next
+				continue
+			}
 			if rec, err := decodeRecord(payload[1:]); err == nil {
-				s.results.add(rec)
+				s.results.addRaw(rec, bytes.Clone(payload[1:]))
 				off, valid = next, next
 				continue
 			}

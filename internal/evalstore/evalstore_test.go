@@ -3,6 +3,7 @@ package evalstore
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
@@ -98,6 +99,9 @@ func TestCodecRoundTripExact(t *testing.T) {
 		}
 		if !sameResult(r, got) {
 			t.Fatalf("result %d did not round-trip exactly", i)
+		}
+		if n := len(appendResult(nil, r)); resultLen(r) != n {
+			t.Fatalf("result %d: resultLen = %d, encoding is %d bytes", i, resultLen(r), n)
 		}
 	}
 	// Truncated and oversized payloads must error, not panic.
@@ -425,10 +429,14 @@ func TestFaultIndexWrite(t *testing.T) {
 // TestResultReplayEquivalence: a reopened store rebuilds exactly the
 // index the live store had, record for record, from a seeded sequence of
 // fitter replacements, less-fit no-ops, ties and evictions past the
-// limit, spread over rotated segments between analysis entries.
+// limit, spread over rotated segments between analysis entries — and
+// across generations dropped under a small byte budget, whose segments
+// took the records first written to them. The reopened store holds
+// exactly the entries of the segments it kept, all of them resident in
+// the live store too.
 func TestResultReplayEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	o := Options{Dir: dir, MaxSegmentBytes: 2048, resultLimit: 12}
+	o := Options{Dir: dir, MaxSegmentBytes: 8192, MaxBytes: 24 << 10, resultLimit: 12}
 	s, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
@@ -471,14 +479,26 @@ func TestResultReplayEquivalence(t *testing.T) {
 			evicted++
 		}
 		s.RecordResult(rec)
-		if i%3 == 0 {
-			s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testResult(i))
+		if i%5 == 0 {
+			s.Put(testKey(i/2), testResult(i/2)) // re-put, resident or evicted
 		}
 	}
 	if fitter == 0 || noop == 0 || tie == 0 || evicted == 0 {
 		t.Fatalf("sequence misses a case: %d fitter, %d no-op, %d tie, %d evicting", fitter, noop, tie, evicted)
 	}
+	// Entries alone until every segment a record was appended to is gone:
+	// only the index re-appended at each rotation can rebuild it now.
+	lastRecorded := s.gens[len(s.gens)-1].seq
+	for i := 400; s.gens[0].seq <= lastRecorded; i++ {
+		s.Put(testKey(i), testResult(i))
+	}
+	st := s.Stats()
+	if st.Evicted == 0 || st.Bytes > o.MaxBytes {
+		t.Fatalf("no eviction under a %d-byte budget: %+v", o.MaxBytes, st)
+	}
 	live := append([]ResultRecord(nil), s.results.recs...)
+	liveKeys := residentKeys(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -489,10 +509,22 @@ func TestResultReplayEquivalence(t *testing.T) {
 	}
 	defer re.Close()
 	if st := re.Stats(); st.Segments < 2 {
-		t.Errorf("expected rotation under a 2 KiB cap, got %d segments", st.Segments)
+		t.Errorf("expected rotation under an 8 KiB cap, got %d segments", st.Segments)
 	}
 	if !reflect.DeepEqual(re.results.recs, live) {
 		t.Fatalf("replayed index differs from the live one:\n got %+v\nwant %+v", re.results.recs, live)
+	}
+	keys := residentKeys(re)
+	if onDisk := segmentKeys(t, dir); !reflect.DeepEqual(keys, onDisk) {
+		t.Fatalf("reopened store holds %d keys, its segments %d", len(keys), len(onDisk))
+	}
+	for k, i := range keys {
+		if j, ok := liveKeys[k]; !ok || j != i {
+			t.Fatalf("key of entry %d resident after reopen but not in the live store", i)
+		}
+		if got, _ := peek(re, k); !sameResult(got.r, testResult(i)) {
+			t.Fatalf("entry %d corrupted across reopen", i)
+		}
 	}
 	for i := 0; i < 200; i++ {
 		id, layers := identities[rng.Intn(len(identities))], randomLayers()
@@ -505,41 +537,121 @@ func TestResultReplayEquivalence(t *testing.T) {
 	}
 }
 
+// peek reads k's resident entry without counting a probe or promoting
+// it.
+func peek(s *Store, k Key) (entry, bool) {
+	sh := s.shardFor(k)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e, ok := sh.m[k]
+	return e, ok
+}
+
+// residentKeys maps every resident key to the testResult index it holds
+// (its Cycles field encodes it).
+func residentKeys(s *Store) map[Key]int {
+	keys := map[Key]int{}
+	for i := range s.shards {
+		for k, e := range s.shards[i].m {
+			keys[k] = int(e.r.Cycles - 1e15)
+		}
+	}
+	return keys
+}
+
+// segmentKeys decodes every 'E' frame of the segments in dir.
+func segmentKeys(t *testing.T, dir string) map[Key]int {
+	t.Helper()
+	keys := map[Key]int{}
+	segs, _ := filepath.Glob(filepath.Join(dir, segPattern))
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := len(segMagic); off < len(data); {
+			payload, next, ok := readFrame(data, off)
+			if !ok {
+				t.Fatalf("%s: broken frame at offset %d", filepath.Base(seg), off)
+			}
+			if payload[0] == recEntry {
+				r, err := decodeResult(payload[17:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := Key{Hi: binary.LittleEndian.Uint64(payload[1:9]), Lo: binary.LittleEndian.Uint64(payload[9:17])}
+				keys[k] = int(r.Cycles - 1e15)
+			}
+			off = next
+		}
+	}
+	return keys
+}
+
 // TestResultSurvivesProcessDeath: once RecordResult returns, its record
 // has reached the OS. A second Open on the directory, with the first
-// store never closed, sees every record and the entries put before it.
+// store never closed, sees every record and the entries put before it —
+// also when the segments the early records were first written to have
+// since been dropped under the byte budget.
 func TestResultSurvivesProcessDeath(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const n = 5
-	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testResult(i))
-		s.RecordResult(ResultRecord{
-			Identity: "id",
-			Layers:   []string{fmt.Sprintf("layer%d", i)},
-			Fanouts:  []int{i + 1},
-			Maps:     []MappingRecord{NewMappingRecord(mappingFor(2))},
-			Fitness:  float64(100 + i),
-		})
-	}
+	for _, tc := range []struct {
+		name   string
+		o      Options
+		filler int // entries put between records
+	}{
+		{"one segment", Options{}, 0},
+		{"across evictions", Options{MaxSegmentBytes: 4096, MaxBytes: 12 << 10}, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.o.Dir = dir
+			s, err := Open(tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			const n = 5
+			next := 0
+			for i := 0; i < n; i++ {
+				for j := 0; j <= tc.filler; j++ {
+					s.Put(testKey(next), testResult(next))
+					next++
+				}
+				s.RecordResult(ResultRecord{
+					Identity: "id",
+					Layers:   []string{fmt.Sprintf("layer%d", i)},
+					Fanouts:  []int{i + 1},
+					Maps:     []MappingRecord{NewMappingRecord(mappingFor(2))},
+					Fitness:  float64(100 + i),
+				})
+			}
+			live := s.Stats()
+			if tc.filler > 0 && live.Evicted == 0 {
+				t.Fatalf("no generation dropped: %+v", live)
+			}
 
-	re, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if st := re.Stats(); st.Results != n || st.Loaded != n {
-		t.Fatalf("second open saw %+v, want %d results and %d entries", st, n, n)
-	}
-	for i := 0; i < n; i++ {
-		rec, _, ok := re.Nearest("id", []string{fmt.Sprintf("layer%d", i)})
-		if !ok || rec.Fitness != float64(100+i) {
-			t.Errorf("record %d not visible to a second open: ok=%v rec=%+v", i, ok, rec)
-		}
+			re, err := Open(tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			st := re.Stats()
+			if st.Results != n || st.Loaded != live.Entries {
+				t.Fatalf("second open saw %+v, want %d results and the %d resident entries", st, n, live.Entries)
+			}
+			liveKeys := residentKeys(s)
+			for k, i := range residentKeys(re) {
+				if j, ok := liveKeys[k]; !ok || j != i {
+					t.Fatalf("entry %d resident after reopen, not in the live store", i)
+				}
+			}
+			for i := 0; i < n; i++ {
+				rec, _, ok := re.Nearest("id", []string{fmt.Sprintf("layer%d", i)})
+				if !ok || rec.Fitness != float64(100+i) {
+					t.Errorf("record %d not visible to a second open: ok=%v rec=%+v", i, ok, rec)
+				}
+			}
+		})
 	}
 }
 
@@ -578,6 +690,251 @@ func TestUpgradeDiscardsV2Layout(t *testing.T) {
 	for _, path := range []string{oldSeg, oldIndex} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("%s survived open", filepath.Base(path))
+		}
+	}
+}
+
+// TestEvictMemoryBudget: a memory-only store never holds more than its
+// budget. Generations are dropped whole and oldest first, so what stays
+// resident is the newest inserts, and Bytes is exactly their encoded
+// size.
+func TestEvictMemoryBudget(t *testing.T) {
+	const budget = 64 << 10
+	s, err := Open(Options{MaxBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		s.Put(testKey(i), testResult(i))
+		if st := s.Stats(); st.Bytes > budget {
+			t.Fatalf("after %d puts: %d resident bytes over a %d budget", i+1, st.Bytes, budget)
+		}
+	}
+	st := s.Stats()
+	if st.Evicted == 0 || uint64(st.Entries)+st.Evicted != n || st.Inserts != n {
+		t.Fatalf("stats after %d puts: %+v", n, st)
+	}
+	var bytes int64
+	oldest := n
+	for _, i := range residentKeys(s) {
+		bytes += entryFrameLen(testResult(i))
+		oldest = min(oldest, i)
+	}
+	if bytes != st.Bytes {
+		t.Errorf("resident entries encode to %d bytes, Stats.Bytes = %d", bytes, st.Bytes)
+	}
+	if oldest != n-st.Entries {
+		t.Errorf("resident entries are not the newest %d: oldest is %d", st.Entries, oldest)
+	}
+}
+
+// TestEvictedKeyReinserted: a key put again after its generation was
+// dropped lives in the newer generation and survives the drops that
+// follow, until its own generation goes.
+func TestEvictedKeyReinserted(t *testing.T) {
+	s, err := Open(Options{MaxSegmentBytes: 4096, MaxBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(-1)
+	s.Put(k, testResult(0))
+	next := 0
+	fill := func() { // enough puts to drop every generation present now
+		for end := next + 80; next < end; next++ {
+			s.Put(testKey(next), testResult(next))
+		}
+	}
+	fill()
+	if _, ok := peek(s, k); ok {
+		t.Fatal("key survived the drop of its generation")
+	}
+	s.Put(k, testResult(0))
+	e, _ := peek(s, k)
+	gen := e.gen
+	if s.gens[0].seq >= gen {
+		t.Fatal("no older generation left to drop")
+	}
+	for s.gens[0].seq < gen { // drop every generation older than the key's
+		s.Put(testKey(next), testResult(next))
+		next++
+		if _, ok := peek(s, k); !ok {
+			t.Fatalf("re-put key lost to the drop of an older generation (oldest now %d, key's %d)", s.gens[0].seq, gen)
+		}
+	}
+	fill()
+	if _, ok := peek(s, k); ok {
+		t.Error("re-put key survived the drop of its own generation")
+	}
+}
+
+// TestEvictSparesPromotedHit: on a tier past half its budget, a hit on
+// an entry in a generation due to be dropped soon moves it to the active
+// one, so it outlives the drop of the generation it was put in, while
+// its unhit neighbours go. A hit in the active generation moves nothing.
+// Across a reopen, the promoted copy in the newer segment is the one
+// that counts.
+func TestEvictSparesPromotedHit(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Dir: dir, MaxSegmentBytes: 4096, MaxBytes: 16 << 10}
+	s, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	hot, cold := testKey(0), testKey(1)
+	s.Put(hot, testResult(0))
+	s.Put(cold, testResult(1))
+	first := s.gens[0].seq
+	next := 2
+	for len(s.gens) < 4 { // three full generations: over half the budget
+		s.Put(testKey(next), testResult(next))
+		next++
+	}
+	if s.gens[0].seq != first {
+		t.Fatalf("first generation dropped early: %+v", s.gens)
+	}
+	before := s.Stats().Bytes
+	if r, ok := s.Get(hot); !ok || !sameResult(r, testResult(0)) {
+		t.Fatal("hot entry not served")
+	}
+	e, _ := peek(s, hot)
+	active := s.gens[len(s.gens)-1].seq
+	if e.gen != active || s.Stats().Bytes != before+entryFrameLen(testResult(0)) {
+		t.Fatalf("hit in the oldest generation did not promote: entry in %d, active %d", e.gen, active)
+	}
+	s.Get(hot) // now in the active generation: no second copy
+	if s.Stats().Bytes != before+entryFrameLen(testResult(0)) {
+		t.Fatal("hit in the active generation promoted again")
+	}
+	for s.gens[0].seq == first {
+		s.Put(testKey(next), testResult(next))
+		next++
+	}
+	if _, ok := peek(s, hot); !ok {
+		t.Error("promoted entry dropped with its first generation")
+	}
+	if _, ok := peek(s, cold); ok {
+		t.Error("unhit entry survived the drop of its generation")
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if e, ok := peek(re, hot); !ok || e.gen != active {
+		t.Errorf("reopen lost the promoted copy: %+v, %v (want generation %d)", e, ok, active)
+	}
+}
+
+// TestEvictKeepsNewerCopy: dropping a generation deletes only the keys
+// still recorded under it. Two retained segments holding the same keys
+// load them under the newer generation, so dropping the older one
+// evicts nothing.
+func TestEvictKeepsNewerCopy(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		s.Put(testKey(i), testResult(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "seg-000001.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-000002.seg"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Both segments are full, so Open stages a third; the budget holds two.
+	o := Options{Dir: dir, MaxSegmentBytes: 1024, MaxBytes: int64(2 * len(data))}
+	re, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Loaded != 20 || st.Entries != 10 || len(re.gens) != 3 {
+		t.Fatalf("reopen over two copies: %+v, %d generations", st, len(re.gens))
+	}
+	for i := 10; re.gens[0].seq == 1; i++ {
+		re.Put(testKey(i), testResult(i))
+	}
+	if st := re.Stats(); st.Evicted != 0 {
+		t.Fatalf("dropping the older copy evicted %d entries", st.Evicted)
+	}
+	for i := 0; i < 10; i++ {
+		if _, ok := peek(re, testKey(i)); !ok {
+			t.Fatalf("entry %d lost with the older copy of its segment", i)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "seg-000001.seg")); !os.IsNotExist(err) {
+		t.Error("dropped generation's segment survived")
+	}
+}
+
+// TestEvictAtOpen: opening a directory that holds more segment bytes
+// than the budget keeps the newest segments that fit, deletes the older
+// ones and counts their entries as evicted without decoding them — a cut
+// segment with a corrupted payload is neither truncated nor reported.
+func TestEvictAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	const n = 200
+	s, err := Open(Options{Dir: dir, MaxSegmentBytes: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s.Put(testKey(i), testResult(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, segPattern))
+	if len(segs) < 6 {
+		t.Fatalf("want at least 6 segments to cut, got %d", len(segs))
+	}
+	before := segmentKeys(t, dir)
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-3] ^= 0xff // the oldest segment's last entry
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	o := Options{Dir: dir, MaxSegmentBytes: 8192, MaxBytes: 24 << 10,
+		Log: slog.New(slog.NewTextHandler(&logs, nil))}
+	re, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	st := re.Stats()
+	kept := segmentKeys(t, dir)
+	if st.Loaded != len(kept) || st.Entries != len(kept) || st.Loaded+int(st.Evicted) != n || len(before) != n {
+		t.Fatalf("open under a %d-byte budget: %+v; kept segments hold %d entries of %d", o.MaxBytes, st, len(kept), n)
+	}
+	if st.Bytes > o.MaxBytes || st.Segments >= len(segs) {
+		t.Errorf("open kept %d bytes in %d of %d segments", st.Bytes, st.Segments, len(segs))
+	}
+	if strings.Contains(logs.String(), "torn") {
+		t.Errorf("a cut segment was decoded:\n%s", logs.String())
+	}
+	if _, err := os.Stat(segs[0]); !os.IsNotExist(err) {
+		t.Error("oldest segment survived the cut")
+	}
+	for k, i := range kept {
+		if got, ok := peek(re, k); !ok || !sameResult(got.r, testResult(i)) {
+			t.Fatalf("entry %d of a kept segment not served", i)
 		}
 	}
 }
@@ -621,6 +978,58 @@ func TestConcurrentSharing(t *testing.T) {
 	}
 	if st.Results != workers {
 		t.Errorf("results = %d, want %d", st.Results, workers)
+	}
+}
+
+// TestEvictConcurrent: many writers and readers over overlapping keys on
+// a disk-backed store a tenth the size of their working set, so drops,
+// promotions and rotations interleave with probes — the -race CI job runs
+// this. Every hit returns the value put under its key, the tier stays in
+// its budget, and a reopen holds exactly the entries of the segments left.
+func TestEvictConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	o := Options{Dir: dir, MaxSegmentBytes: 4096, MaxBytes: 16 << 10}
+	s, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, keys = 8, 400
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for j := 0; j < 2000; j++ {
+				i := rng.Intn(keys)
+				if j%2 == 0 {
+					i = rng.Intn(keys / 10) // a hot tenth, hit often enough to promote
+				}
+				if r, ok := s.Get(testKey(i)); ok {
+					if !sameResult(r, testResult(i)) {
+						panic(fmt.Sprintf("worker %d: entry %d corrupted", w, i))
+					}
+					continue
+				}
+				s.Put(testKey(i), testResult(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Evicted == 0 || st.Bytes > o.MaxBytes {
+		t.Fatalf("stats after concurrent traffic: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if keys, onDisk := residentKeys(re), segmentKeys(t, dir); !reflect.DeepEqual(keys, onDisk) {
+		t.Fatalf("reopened store holds %d keys, its segments %d", len(keys), len(onDisk))
 	}
 }
 
@@ -675,6 +1084,22 @@ func TestResultIndexSemantics(t *testing.T) {
 	}
 	if r, _, ok := ix.nearest("id", []string{"e"}); !ok || r.Fitness != 1 {
 		t.Fatalf("newest record missing: %+v", r)
+	}
+	// holds knows exactly the encodings of the records held now: not a
+	// replaced version, not an evicted record.
+	v1, v2 := rec("id", []string{"f"}, 2), rec("id", []string{"f"}, 2)
+	v2.Fanouts = []int{3}
+	raw := func(r ResultRecord) []byte { b, _ := json.Marshal(r); return b }
+	ix.addRaw(v1, raw(v1))
+	ix.addRaw(v2, raw(v2)) // a tie: replaces v1
+	if ix.holds(raw(v1)) || !ix.holds(raw(v2)) {
+		t.Fatal("holds does not follow a replacement")
+	}
+	for _, l := range []string{"g", "h", "i"} {
+		ix.addRaw(rec("id", []string{l}, 1), nil)
+	}
+	if ix.holds(raw(v2)) || len(ix.known) != 0 {
+		t.Fatalf("holds still knows %d evicted encodings", len(ix.known))
 	}
 }
 

@@ -102,3 +102,45 @@ func BenchmarkAnalyzePhysical(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStorePutDisk publishes fresh analyses into a disk-backed
+// store: the clone, the shard insert and the framed append to the active
+// segment that every shared-tier miss pays.
+func BenchmarkStorePutDisk(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	results := make([]*cost.Result, 16)
+	for i := range results {
+		results[i] = testResult(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Put(testKey(i), results[i%len(results)])
+	}
+}
+
+// BenchmarkStorePutEvicting publishes fresh analyses into a memory-only
+// store already at its budget, so every MaxSegmentBytes of inserts drops
+// the oldest generation whole: the steady state of a long-running daemon.
+func BenchmarkStorePutEvicting(b *testing.B) {
+	s, err := Open(Options{MaxBytes: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	results := make([]*cost.Result, 16)
+	for i := range results {
+		results[i] = testResult(i)
+	}
+	for i := 0; s.Stats().Evicted == 0; i++ {
+		s.Put(testKey(-1-i), results[i%len(results)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Put(testKey(i), results[i%len(results)])
+	}
+}

@@ -106,6 +106,8 @@ func clampDim(v int) workload.Dim {
 type resultIndex struct {
 	mu    sync.Mutex
 	recs  []ResultRecord
+	raw   [][]byte            // each record's JSON as the segments hold it
+	known map[string]struct{} // the non-nil raw, for holds
 	limit int
 }
 
@@ -115,11 +117,48 @@ func (ix *resultIndex) len() int {
 	return len(ix.recs)
 }
 
+// snapshot returns each record's JSON in index order: re-adding them in
+// this order to an empty index, or to one that already holds them, yields
+// this index.
+func (ix *resultIndex) snapshot() [][]byte {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return append([][]byte(nil), ix.raw...)
+}
+
+// holds reports whether raw is the JSON of a record in the index. Adding
+// that record again would only replace it by itself, so replay skips such
+// frames — the index every rotation re-appends — without decoding them.
+func (ix *resultIndex) holds(raw []byte) bool {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	_, ok := ix.known[string(raw)]
+	return ok
+}
+
+// setRaw replaces record i's JSON. Caller holds mu.
+func (ix *resultIndex) setRaw(i int, raw []byte) {
+	if ix.raw[i] != nil {
+		delete(ix.known, string(ix.raw[i]))
+	}
+	if ix.raw[i] = raw; raw != nil {
+		if ix.known == nil {
+			ix.known = make(map[string]struct{})
+		}
+		ix.known[string(raw)] = struct{}{}
+	}
+}
+
 // add appends (or refreshes) a record and reports whether the index
 // changed. A record with the same identity and layer set replaces the old
 // one only when it is at least as fit — the index keeps the best known
 // genome per exact workload.
-func (ix *resultIndex) add(rec ResultRecord) bool {
+func (ix *resultIndex) add(rec ResultRecord) bool { return ix.addRaw(rec, nil) }
+
+// addRaw is add for a record whose JSON the caller has; the index keeps
+// it for snapshot and holds. (add, with none, serves tests that replay an
+// index by hand.)
+func (ix *resultIndex) addRaw(rec ResultRecord, raw []byte) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for i := range ix.recs {
@@ -129,12 +168,18 @@ func (ix *resultIndex) add(rec ResultRecord) bool {
 				return false
 			}
 			*old = rec
+			ix.setRaw(i, raw)
 			return true
 		}
 	}
-	ix.recs = append(ix.recs, rec)
-	if ix.limit > 0 && len(ix.recs) > ix.limit {
-		ix.recs = append(ix.recs[:0], ix.recs[len(ix.recs)-ix.limit:]...)
+	ix.recs, ix.raw = append(ix.recs, rec), append(ix.raw, nil)
+	ix.setRaw(len(ix.raw)-1, raw)
+	if n := len(ix.recs); ix.limit > 0 && n > ix.limit {
+		for i := range n - ix.limit {
+			ix.setRaw(i, nil)
+		}
+		ix.recs = append(ix.recs[:0], ix.recs[n-ix.limit:]...)
+		ix.raw = append(ix.raw[:0], ix.raw[n-ix.limit:]...)
 	}
 	return true
 }
@@ -218,7 +263,7 @@ func decodeRecord(b []byte) (ResultRecord, error) {
 // RecordResult files a completed search into the warm-start index. When
 // the index changed and the store is disk-backed, the record is appended
 // to the active segment and flushed to the OS (not fsynced: like the
-// entries, it survives a process kill but not a power loss). diskMu is
+// entries, it survives a process kill but not a power loss). logMu is
 // held from the index update through the append, so concurrent records
 // reach the segment in the order they changed the index and replay
 // rebuilds the same index.
@@ -226,14 +271,24 @@ func (s *Store) RecordResult(rec ResultRecord) {
 	if !rec.valid() {
 		return
 	}
-	s.diskMu.Lock()
-	defer s.diskMu.Unlock()
-	if !s.results.add(rec) || s.disk == nil {
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		return // valid() admits only encodable records
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	// Rotate before the add, so a new segment's re-appended index does
+	// not already hold rec.
+	s.rotateIfFull()
+	if !s.results.addRaw(rec, raw) || s.disk == nil {
 		return
 	}
-	if err := s.disk.appendRecord(rec); err != nil {
+	n, err := s.disk.appendRecord(raw)
+	if err != nil {
 		s.detachDisk(err)
+		return
 	}
+	s.grow(n)
 }
 
 // Nearest looks up the prior result with the highest per-layer overlap

@@ -138,6 +138,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP digammad_analysis_loaded Entries recovered from disk segments at startup.\n")
 	fmt.Fprintf(w, "# TYPE digammad_analysis_loaded gauge\n")
 	fmt.Fprintf(w, "digammad_analysis_loaded %d\n", ast.Loaded)
+	fmt.Fprintf(w, "# HELP digammad_analysis_bytes Resident shared-tier bytes, encoded as on disk; bounded by the store's budget.\n")
+	fmt.Fprintf(w, "# TYPE digammad_analysis_bytes gauge\n")
+	fmt.Fprintf(w, "digammad_analysis_bytes %d\n", ast.Bytes)
+	fmt.Fprintf(w, "# HELP digammad_analysis_evicted_total Shared-tier entries dropped with their generation under the byte budget.\n")
+	fmt.Fprintf(w, "# TYPE digammad_analysis_evicted_total counter\n")
+	fmt.Fprintf(w, "digammad_analysis_evicted_total %d\n", ast.Evicted)
 	fmt.Fprintf(w, "# HELP digammad_analysis_segments On-disk analysis-store segment files (0 when memory-only).\n")
 	fmt.Fprintf(w, "# TYPE digammad_analysis_segments gauge\n")
 	fmt.Fprintf(w, "digammad_analysis_segments %d\n", ast.Segments)

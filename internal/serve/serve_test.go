@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"digamma"
+	"digamma/internal/evalstore"
 	"digamma/internal/report"
 	"digamma/internal/workload"
 )
@@ -474,9 +475,15 @@ func TestDiscoveryAndHealth(t *testing.T) {
 }
 
 // TestMetrics runs a couple of searches and checks the exposition text
-// carries the advertised series with sane values.
+// carries the advertised series with sane values. The shared tier gets a
+// budget one search overflows, so its eviction series move too.
 func TestMetrics(t *testing.T) {
-	_, url := testServer(t, Config{Workers: 2})
+	const analysisBudget = 64 << 10
+	analysis, err := evalstore.Open(evalstore.Options{MaxBytes: analysisBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, url := testServer(t, Config{Workers: 2, Analysis: analysis})
 
 	a, _ := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 300})
 	submit(t, url, OptimizeRequest{Model: "ncf", Budget: 300}) // dedup hit
@@ -522,6 +529,15 @@ func TestMetrics(t *testing.T) {
 	var hits float64
 	if _, err := fmt.Sscanf(findLine(text, "digammad_evalcache_hits_total"), "digammad_evalcache_hits_total %g", &hits); err != nil || hits <= 0 {
 		t.Errorf("evalcache hits = %g (err %v), want > 0", hits, err)
+	}
+	// The search overflowed the shared tier's budget: generations were
+	// dropped, and what stays resident fits the budget.
+	var evicted, bytes float64
+	if _, err := fmt.Sscanf(findLine(text, "digammad_analysis_evicted_total"), "digammad_analysis_evicted_total %g", &evicted); err != nil || evicted <= 0 {
+		t.Errorf("analysis evictions = %g (err %v), want > 0", evicted, err)
+	}
+	if _, err := fmt.Sscanf(findLine(text, "digammad_analysis_bytes"), "digammad_analysis_bytes %g", &bytes); err != nil || bytes <= 0 || bytes > analysisBudget {
+		t.Errorf("analysis bytes = %g (err %v), want in (0, %d]", bytes, err, analysisBudget)
 	}
 }
 

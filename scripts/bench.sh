@@ -3,8 +3,8 @@
 #
 # Runs the evaluation-hot-path benchmarks with -benchmem and writes
 # BENCH_core.json: one record per benchmark with ns/op, B/op and allocs/op
-# (plus bestfit/op for the island-vs-single search rows), so future PRs
-# can compare against the numbers this tree produces.
+# (plus bestfit/op, reused/op and fullevals/op for the search rows), so
+# future PRs can compare against the numbers this tree produces.
 #
 # Usage:
 #   scripts/bench.sh [output.json]
@@ -79,13 +79,14 @@ BEGIN { print "[" ; first = 1 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)           # strip the GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""; bestfit = ""; reused = ""; hitrate = ""; sharedhits = ""; p95 = ""; p99 = ""; wire = ""
+    ns = ""; bytes = ""; allocs = ""; bestfit = ""; reused = ""; fullevals = ""; hitrate = ""; sharedhits = ""; p95 = ""; p99 = ""; wire = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op")         ns         = $(i - 1)
         if ($(i) == "B/op")          bytes      = $(i - 1)
         if ($(i) == "allocs/op")     allocs     = $(i - 1)
         if ($(i) == "bestfit/op")    bestfit    = $(i - 1)
         if ($(i) == "reused/op")     reused     = $(i - 1)
+        if ($(i) == "fullevals/op")  fullevals  = $(i - 1)
         if ($(i) == "hitrate/op")    hitrate    = $(i - 1)
         if ($(i) == "sharedhits/op") sharedhits = $(i - 1)
         if ($(i) == "p95_ns/op")     p95        = $(i - 1)
@@ -99,6 +100,7 @@ BEGIN { print "[" ; first = 1 }
         name, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs)
     if (bestfit != "") printf ", \"bestfit_per_op\": %s", bestfit
     if (reused != "") printf ", \"reused_per_op\": %s", reused
+    if (fullevals != "") printf ", \"fullevals_per_op\": %s", fullevals
     if (hitrate != "") printf ", \"hitrate_per_op\": %s", hitrate
     if (sharedhits != "") printf ", \"sharedhits_per_op\": %s", sharedhits
     if (p95 != "") printf ", \"p95_ns_per_op\": %s", p95

@@ -2,29 +2,38 @@ package digamma
 
 import (
 	"testing"
+
+	"digamma/internal/evalstore"
 )
 
 // TestSharedCacheBitIdentical: attaching a shared analysis tier — empty,
 // pre-populated by a different search, or reused across runs — never
 // changes a result. Pure cache sharing only trades recomputation for
 // lookup; the golden matrix here spans objectives, the fixed-HW mapper,
-// islands and a vector baseline.
+// islands, a vector baseline and a store whose byte budget one search
+// overflows, so generations are dropped mid-search.
 func TestSharedCacheBitIdentical(t *testing.T) {
 	model, err := LoadModel("ncf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	store := NewAnalysisStore()
+	evicting, err := evalstore.Open(evalstore.Options{MaxBytes: 128 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		store *AnalysisStore // nil = the store the other cases share
 	}{
-		{"latency", Options{Budget: 300, Seed: 3}},
-		{"edp", Options{Budget: 300, Seed: 5, Objective: EDP}},
+		{"latency", Options{Budget: 300, Seed: 3}, nil},
+		{"edp", Options{Budget: 300, Seed: 5, Objective: EDP}, nil},
 		{"islands", Options{Budget: 400, Seed: 9, Islands: 3, MigrateEvery: 2,
-			IslandProfiles: []string{"default", "explorer", "scout"}}},
-		{"baseline", Options{Budget: 200, Seed: 2, Algorithm: "Random"}},
+			IslandProfiles: []string{"default", "explorer", "scout"}}, nil},
+		{"baseline", Options{Budget: 200, Seed: 2, Algorithm: "Random"}, nil},
+		{"evicting", Options{Budget: 400, Seed: 6}, evicting},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -34,6 +43,9 @@ func TestSharedCacheBitIdentical(t *testing.T) {
 			}
 			shared := tc.opts
 			shared.SharedCache = store
+			if tc.store != nil {
+				shared.SharedCache = tc.store
+			}
 			// Twice against the same store: the first run feeds it, the
 			// second reads analyses the first one (and every earlier case)
 			// inserted.
@@ -51,6 +63,11 @@ func TestSharedCacheBitIdentical(t *testing.T) {
 	}
 	if st := store.Stats(); st.Hits == 0 || st.Inserts == 0 {
 		t.Errorf("shared tier never used: %+v", st)
+	}
+	// The budgeted store holds about a third of one search's analyses, so
+	// generations were dropped mid-search.
+	if st := evicting.Stats(); st.Inserts == 0 || st.Evicted == 0 {
+		t.Errorf("budgeted tier never used or never dropped a generation: %+v", st)
 	}
 
 	// Fixed-HW mapper: the shared keys fold the fixed hardware in, so a
