@@ -83,9 +83,10 @@ func (o Options) warmConfig(p *Problem, base core.Config) core.Config {
 }
 
 // specHashes returns the problem's per-layer context digests, aligned
-// with its unique layers. Empty when no shared tier is attached.
+// with its unique layers. Callers attach the shared tier first, so the
+// digests carry its fingerprint.
 func specHashes(p *Problem) []string {
-	ctxs := p.SharedContexts()
+	ctxs := p.Contexts()
 	out := make([]string, len(ctxs))
 	for i := range ctxs {
 		out[i] = ctxs[i].SpecHash()

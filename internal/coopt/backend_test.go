@@ -51,9 +51,9 @@ func TestFitnessBoundLeqFitness(t *testing.T) {
 	}
 }
 
-// TestWithBackendIsolation: tiers get their own caches and salted keys,
-// score the same genome differently where the physics says they must, and
-// the default problem is left untouched.
+// TestWithBackendIsolation: tiers get their own caches, score the same
+// genome differently where the physics says they must, and the default
+// problem is left untouched.
 func TestWithBackendIsolation(t *testing.T) {
 	model, err := workload.ByName("ncf")
 	if err != nil {
@@ -67,11 +67,8 @@ func TestWithBackendIsolation(t *testing.T) {
 	if phys == p || phys.Cache == p.Cache {
 		t.Fatal("WithBackend shared the problem or its cache")
 	}
-	if p.backend != nil || p.backendSalt != 0 {
-		t.Fatal("WithBackend mutated the receiver")
-	}
-	if phys.backendSalt == 0 || phys.backendSalt == saltFromName("analytical") {
-		t.Error("physical tier not salted distinctly")
+	if p.backend != nil || p.Contexts()[0] == phys.Contexts()[0] {
+		t.Fatal("WithBackend mutated the receiver or kept its key contexts")
 	}
 
 	g := p.Space.Repair(p.Space.Random(rand.New(rand.NewSource(5)), 2))
@@ -104,6 +101,64 @@ func TestWithBackendIsolation(t *testing.T) {
 	}
 	if evP2.Fitness != evP.Fitness {
 		t.Errorf("physical tier not deterministic: %.9e vs %.9e", evP2.Fitness, evP.Fitness)
+	}
+}
+
+// TestOneCacheKeepsTiersApart: an analytical and a physical problem wired
+// to one L1 still each get their own tier's analysis of the same genome,
+// on the miss that fills the cache and on the hits after it — the key
+// contexts fold in the backend, so the tiers never share a key.
+func TestOneCacheKeepsTiersApart(t *testing.T) {
+	model, err := workload.ByName("mnasnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ana, err := NewProblem(model, arch.Edge(), Latency)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys := ana.WithBackend(cost.DefaultPhysical())
+	phys.Cache = ana.Cache
+	coldAna, coldPhys := *ana, *phys
+	coldAna.Cache, coldPhys.Cache = nil, nil
+
+	rng := rand.New(rand.NewSource(17))
+	separated := false
+	for trial := 0; trial < 40; trial++ {
+		g := ana.Space.Repair(ana.Space.Random(rng, 2))
+		for rep := 0; rep < 2; rep++ {
+			for _, tier := range []struct{ warm, cold *Problem }{{ana, &coldAna}, {phys, &coldPhys}} {
+				ew, err := tier.warm.Evaluate(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ec, err := tier.cold.Evaluate(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for li := range ew.Layers {
+					if w, c := ew.Layers[li].Result, ec.Layers[li].Result; w.Cycles != c.Cycles || w.DRAMWords != c.DRAMWords {
+						t.Fatalf("%s trial %d rep %d layer %d: shared L1 served %.9e cycles, tier computes %.9e",
+							tier.warm.Backend().Name(), trial, rep, li, w.Cycles, c.Cycles)
+					}
+				}
+			}
+		}
+		a, err := coldAna.Evaluate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ph, err := coldPhys.Evaluate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		separated = separated || a.Cycles != ph.Cycles
+	}
+	if !separated {
+		t.Fatal("the tiers never scored a genome differently: the test separates nothing")
+	}
+	if st := ana.Cache.Stats(); st.Hits == 0 {
+		t.Fatalf("the shared L1 never hit: %+v", st)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"digamma/internal/arch"
+	"digamma/internal/cost"
+	"digamma/internal/evalstore"
 	"digamma/internal/mapping"
 	"digamma/internal/workload"
 )
@@ -70,6 +72,44 @@ func TestCachedMatchesColdAllObjectives(t *testing.T) {
 		if st := warm.Cache.Stats(); st.Hits == 0 {
 			t.Fatalf("objective %v: cache never hit (stats %+v)", obj, st)
 		}
+	}
+}
+
+// TestSharedHitFillsL1WithoutAlloc: a shared-tier hit goes into the L1 as
+// the store's own pointer — it already carries the L1 key — so promoting
+// it allocates nothing, and the next probe hits the L1 on that pointer.
+func TestSharedHitFillsL1WithoutAlloc(t *testing.T) {
+	store := evalstore.NewMemory()
+	seed := mustProblem(t, Latency).WithShared(store)
+	p := mustProblem(t, Latency).WithShared(store)
+	g := p.Space.Repair(p.Space.Random(rand.New(rand.NewSource(3)), 2))
+	if _, err := seed.Evaluate(g); err != nil { // fills the store
+		t.Fatal(err)
+	}
+	hw, _ := p.prepareHW(&Evaluation{Genome: g})
+	for li := range p.Space.Layers {
+		k := evalstore.ProbeKey(&p.Contexts()[li], g.Fanouts, g.Maps[li])
+		want, ok := store.Get(k)
+		if !ok {
+			t.Fatalf("layer %d: the seeding search did not publish its analysis", li)
+		}
+		var got *cost.Result
+		allocs := testing.AllocsPerRun(50, func() {
+			p.Cache.Reset()
+			got, _ = p.analyzeLayer(hw, g, li)
+		})
+		if allocs != 0 {
+			t.Errorf("layer %d: a shared hit allocated %.1f times", li, allocs)
+		}
+		if got != want {
+			t.Fatalf("layer %d: the shared hit returned a copy, not the store's result", li)
+		}
+		if r, ok := p.Cache.Get(k.Lo); !ok || r != want {
+			t.Fatalf("layer %d: the L1 does not hold the store's result under the key's low word", li)
+		}
+	}
+	if p.SharedHits() == 0 {
+		t.Fatal("no shared hits counted")
 	}
 }
 

@@ -86,27 +86,28 @@ type Problem struct {
 	// searched. See WithFixedMapping.
 	MappingRule MappingRule
 
-	// Cache, when non-nil, memoizes per-layer cost.Analyze results across
-	// evaluations, keyed on (layer index, fanout vector, mapping genes).
+	// Cache, when non-nil, memoizes per-layer analyses across
+	// evaluations, keyed on the low word of the layer's content key
+	// (evalstore.ProbeKey over the layer's key context and the probe's
+	// fanout and mapping genes), the key the shared tier stores under.
 	// The fitness decomposes additively over layers, so layer blocks
 	// inherited unchanged between genomes (elites, crossover, untouched
 	// layers) skip re-analysis entirely. Cached results are shared and
 	// immutable; caching never changes evaluation values, only their cost.
-	// NewProblem enables it by default; set to nil to disable. The cache
-	// is keyed only on genes that vary within one problem, so callers that
-	// mutate FixedHW or Platform directly (rather than via WithFixedHW)
-	// must install a fresh cache. The intrusive variant stores results
-	// directly (their CacheKey field carries the key), so an insert costs
-	// no allocation beyond the result itself.
+	// NewProblem enables it by default; set to nil to disable. The key
+	// contexts are built with the problem, so callers that mutate FixedHW
+	// or Platform directly (rather than via WithFixedHW) get stale keys.
+	// The intrusive variant stores results directly (their CacheKey field
+	// carries the key), so an insert costs no allocation beyond the
+	// result itself.
 	Cache *evalcache.Intrusive[cost.Result]
 
-	// analyzers holds one precomputed cost.Analyzer per unique layer,
-	// aligned with Space.Layers. Built by the constructors; a zero-valued
-	// Problem falls back to the slower cost.Analyze path.
+	// analyzers holds one precomputed cost.Analyzer per unique layer and
+	// mults its float64(layer.Multiplicity()) (so the reduction loop does
+	// not copy Layer structs), both aligned with Space.Layers and built by
+	// every constructor (initLayers).
 	analyzers []cost.Analyzer
-	// mults caches float64(layer.Multiplicity()) per unique layer so the
-	// per-evaluation reduction loop doesn't copy Layer structs.
-	mults []float64
+	mults     []float64
 
 	// cacheCap bounds every analysis cache this problem family builds
 	// (including the fresh caches WithFixedHW/WithBackend copies install);
@@ -131,24 +132,21 @@ type Problem struct {
 	// default-path results are structurally bit-identical to a tree that
 	// predates backends). Set with WithBackend.
 	backend cost.Backend
-	// backendSalt versions evalcache keys by backend identity so fidelity
-	// tiers never share cache lines, even if a caller wires two problems
-	// to one cache. Zero for the implicit analytical default.
-	backendSalt uint64
 	// energy holds backend.EffectiveEnergy(Platform.Energy), precomputed
 	// by WithBackend; only consulted when backend is non-nil.
 	energy arch.EnergyModel
 
 	// shared is the optional cross-request analysis tier behind the
-	// private Cache: probed on L1 misses under a content hash that covers
-	// every analysis input, so any two problems — any process, any time —
-	// that analyze the same configuration share one result. Sharing never
-	// changes evaluation values (analyses are pure), only their cost.
-	// Installed with WithShared.
+	// private Cache: probed on L1 misses under the same content key, which
+	// covers every analysis input, so any two problems — any process, any
+	// time — that analyze the same configuration share one result.
+	// Sharing never changes evaluation values (analyses are pure), only
+	// their cost. Installed with WithShared.
 	shared *evalstore.Store
-	// sharedCtx holds one precomputed per-layer key context, aligned with
-	// Space.Layers; rebuilt whenever the backend or fixed HW changes.
-	sharedCtx []evalstore.Context
+	// contexts holds one precomputed per-layer key context, aligned with
+	// Space.Layers, whenever the problem has a Cache or a shared store;
+	// rebuilt whenever the backend, fixed HW or store changes (rehash).
+	contexts []evalstore.Context
 	// sharedHits counts this problem family's own shared-tier hits (the
 	// store's counters are process-global, so per-search accounting needs
 	// a private tally). Pointer-shared across WithBackend/WithFixedHW
@@ -166,21 +164,21 @@ func (p *Problem) Backend() cost.Backend {
 }
 
 // WithBackend returns a copy of the problem scored by the given fidelity
-// backend, with a fresh, backend-salted evaluation cache (tiers must never
-// share cache lines) and the backend's effective energy constants
-// precomputed. A nil backend returns the problem unchanged.
+// backend, with a fresh evaluation cache, key contexts folding in the
+// backend's name (tiers never share a key, even in one cache) and the
+// backend's effective energy constants precomputed. A nil backend returns
+// the problem unchanged.
 func (p *Problem) WithBackend(b cost.Backend) *Problem {
 	if b == nil {
 		return p
 	}
 	q := *p
 	q.backend = b
-	q.backendSalt = saltFromName(b.Name())
 	q.energy = b.EffectiveEnergy(p.Platform.Energy)
 	if p.Cache != nil {
 		q.Cache = q.newResultCache()
 	}
-	q.rehashShared()
+	q.rehash()
 	return &q
 }
 
@@ -197,7 +195,7 @@ func (p *Problem) WithShared(st *evalstore.Store) *Problem {
 	q := *p
 	q.shared = st
 	q.sharedHits = new(atomic.Uint64)
-	q.rehashShared()
+	q.rehash()
 	return &q
 }
 
@@ -211,20 +209,26 @@ func (p *Problem) SharedHits() uint64 {
 	return p.sharedHits.Load()
 }
 
-// SharedContexts exposes the per-layer key contexts (aligned with
-// Space.Layers) for callers building warm-start queries; nil without a
-// shared store.
-func (p *Problem) SharedContexts() []evalstore.Context { return p.sharedCtx }
+// Contexts exposes the per-layer key contexts (aligned with Space.Layers)
+// for callers building warm-start queries; nil on a problem with neither
+// a Cache nor a shared store.
+func (p *Problem) Contexts() []evalstore.Context { return p.contexts }
 
-// rehashShared rebuilds the per-layer shared-store key contexts. Must run
-// after any change to the backend, the fixed HW or the layer set — the
-// contexts fold in exactly the analysis inputs that do not vary per probe.
-func (p *Problem) rehashShared() {
-	if p.shared == nil {
-		p.sharedCtx = nil
+// rehash rebuilds the per-layer key contexts under the shared store's
+// fingerprint, or cost.Fingerprint without one. Must run after any change
+// to the backend, the fixed HW, the store or the layer set — the contexts
+// fold in exactly the analysis inputs that do not vary per probe. A
+// problem with no cache to key builds none.
+func (p *Problem) rehash() {
+	if p.Cache == nil && p.shared == nil {
+		p.contexts = nil
 		return
 	}
-	p.sharedCtx = evalstore.NewContexts(p.shared.Fingerprint(), p.Backend().Name(), p.Space.Layers, p.FixedHW)
+	fp := cost.Fingerprint
+	if p.shared != nil {
+		fp = p.shared.Fingerprint()
+	}
+	p.contexts = evalstore.NewContexts(fp, p.Backend().Name(), p.Space.Layers, p.FixedHW)
 }
 
 // WithFidelity resolves a fidelity tier by name (see cost.BackendNames)
@@ -243,16 +247,6 @@ func (p *Problem) WithFidelity(name string) (*Problem, error) {
 	return p.WithBackend(b), nil
 }
 
-// saltFromName hashes a backend identity string into a cache-key salt.
-func saltFromName(name string) uint64 {
-	h := evalcache.NewHasher()
-	for _, b := range []byte(name) {
-		h.Uint64(uint64(b))
-	}
-	h.Int(len(name))
-	return h.Sum()
-}
-
 // energyModel returns the constants results are priced with: the
 // platform's, unless the backend derives its own.
 func (p *Problem) energyModel() arch.EnergyModel {
@@ -262,14 +256,16 @@ func (p *Problem) energyModel() arch.EnergyModel {
 	return p.energy
 }
 
-// initAnalyzers precomputes the per-layer analysis constants.
-func (p *Problem) initAnalyzers() {
+// initLayers precomputes the per-layer analysis constants and, for a
+// problem with a Cache, its key contexts.
+func (p *Problem) initLayers() {
 	p.analyzers = make([]cost.Analyzer, len(p.Space.Layers))
 	p.mults = make([]float64, len(p.Space.Layers))
 	for i, layer := range p.Space.Layers {
 		p.analyzers[i] = cost.NewAnalyzer(layer)
 		p.mults[i] = float64(layer.Multiplicity())
 	}
+	p.rehash()
 }
 
 // NewProblem assembles a co-optimization problem with the default
@@ -298,7 +294,7 @@ func NewProblemSized(model workload.Model, platform arch.Platform, objective Obj
 		cacheCap:  cacheEntries,
 	}
 	p.Cache = p.newResultCache()
-	p.initAnalyzers()
+	p.initLayers()
 	return p, p.Space.Validate()
 }
 
@@ -317,7 +313,7 @@ func (p *Problem) WithFixedHW(hw arch.HW) (*Problem, error) {
 	}
 	// The shared tier needs no reset — its keys fold the fixed HW in —
 	// but the per-layer contexts must be rebuilt around it.
-	q.rehashShared()
+	q.rehash()
 	return &q, nil
 }
 
@@ -433,8 +429,8 @@ func (p *Problem) EvaluateWorkers(g space.Genome, workers int) (*Evaluation, err
 // the per-genome re-validation was pure overhead on the search hot path.
 // A non-canonical genome is still evaluated consistently (the performance
 // model validates mappings itself and the cache keys on the genes as
-// given), but may score a point outside the declared space; external
-// callers should prefer Evaluate.
+// given, which covers any tile below 2^32), but may score a point outside
+// the declared space; external callers should prefer Evaluate.
 func (p *Problem) EvaluateCanonical(g space.Genome) (*Evaluation, error) {
 	return p.evaluateRepaired(g, 1)
 }
@@ -460,7 +456,7 @@ func (p *Problem) EvaluateCanonicalInto(ev *Evaluation, g space.Genome) error {
 // EvaluateDelta scores a canonical child genome given its breeding
 // parent's evaluation and the dirty set the operators recorded, writing
 // into ev. Clean layers clone the parent's per-layer analyses — skipping
-// the cache-key hash, the cache probe and the cost model entirely — and
+// the content key, the cache probe and the cost model entirely — and
 // only dirty layers are re-analyzed before the ordinary reduction
 // re-derives buffers, constraints and fitness.
 //
@@ -575,12 +571,7 @@ func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
 
 	for li := range layers {
 		r := ev.Layers[li].Result
-		var n float64
-		if p.mults != nil {
-			n = p.mults[li]
-		} else {
-			n = float64(layers[li].Multiplicity())
-		}
+		n := p.mults[li]
 		ev.Cycles += r.Cycles * n
 		ev.EnergyPJ += r.EnergyPJ(em) * n
 
@@ -637,61 +628,46 @@ func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
 
 // analyzeLayer scores one unique layer of g on hw, consulting the private
 // cache first, then the shared cross-request tier, and publishing fresh
-// results into both.
+// results into both. One content key serves both tiers: the L1 keys on
+// its low word, which every result either tier holds carries as its
+// CacheKey, so a shared hit goes into the L1 as the store's own pointer.
 func (p *Problem) analyzeLayer(hw arch.HW, g space.Genome, li int) (*cost.Result, error) {
-	layer := &p.Space.Layers[li]
-	var key uint64
-	if p.Cache != nil {
-		key = layerKey(p.backendSalt, li, g.Fanouts, g.Maps[li])
-		if r, ok := p.Cache.Get(key); ok {
-			return r, nil
-		}
-	}
-	var sk evalstore.Key
-	if p.shared != nil {
-		// L2 probe only after an L1 miss: the content hash costs a
-		// SHA-256, which is noise next to the analysis it may save but
-		// not next to an L1 hit.
-		sk = evalstore.ProbeKey(&p.sharedCtx[li], g.Fanouts, g.Maps[li])
-		if r, ok := p.shared.Get(sk); ok {
-			p.sharedHits.Add(1)
-			if p.Cache != nil {
-				// The store's copy is shared across problems, so it can't
-				// carry this problem's L1 key; promote a private clone.
-				c := r.Clone()
-				c.CacheKey = key
-				p.Cache.Put(c)
-				return c, nil
+	var k evalstore.Key
+	if p.Cache != nil || p.shared != nil {
+		k = evalstore.ProbeKey(&p.contexts[li], g.Fanouts, g.Maps[li])
+		if p.Cache != nil {
+			if r, ok := p.Cache.Get(k.Lo); ok {
+				return r, nil
 			}
-			return r, nil
+		}
+		if p.shared != nil {
+			if r, ok := p.shared.Get(k); ok {
+				p.sharedHits.Add(1)
+				if p.Cache != nil {
+					p.Cache.Put(r)
+				}
+				return r, nil
+			}
 		}
 	}
+	// Genomes reaching this point are repaired and hw is backend-prepared,
+	// exactly the trusted-analysis contract.
 	var r *cost.Result
 	var err error
-	switch {
-	case p.backend != nil && p.analyzers != nil:
-		// Genomes reaching this point are repaired and hw is
-		// backend-prepared, exactly the trusted-analysis contract.
+	if p.backend != nil {
 		r, err = p.backend.Analyze(&p.analyzers[li], hw, g.Maps[li])
-	case p.backend != nil:
-		a := cost.NewAnalyzer(*layer)
-		r, err = p.backend.Analyze(&a, hw, g.Maps[li])
-	case p.analyzers != nil:
-		// Default tier on the unmodified hot path: trusted analysis
-		// with the precomputed layer constants.
+	} else {
 		r, err = p.analyzers[li].AnalyzeTrusted(hw, g.Maps[li])
-	default:
-		r, err = cost.Analyze(hw, g.Maps[li], *layer)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("coopt: layer %s: %w", layer.Name, err)
+		return nil, fmt.Errorf("coopt: layer %s: %w", p.Space.Layers[li].Name, err)
 	}
+	r.CacheKey = k.Lo
 	if p.Cache != nil {
-		r.CacheKey = key
 		p.Cache.Put(r)
 	}
 	if p.shared != nil {
-		p.shared.Put(sk, r) // Put clones; r stays owned by this search
+		p.shared.Put(k, r) // Put clones; r stays owned by this search
 	}
 	return r, nil
 }
@@ -712,37 +688,6 @@ func (p *Problem) analyzeLayers(hw arch.HW, g space.Genome, out []LayerEval, wor
 	})
 }
 
-// layerKey hashes the analysis inputs that vary within one problem: the
-// backend-identity salt (so fidelity tiers never share cache lines), the
-// layer identity, the HW genes (which also fix the NoC bandwidth via the
-// per-level fanouts) and the layer's mapping genes. Everything else feeding
-// cost.Analyze — the platform, word width, fixed-HW extras — is constant
-// per Problem/Cache pair.
-func layerKey(salt uint64, li int, fanouts []int, m mapping.Mapping) uint64 {
-	h := evalcache.NewHasher()
-	h.Uint64(salt)
-	h.Int(li)
-	h.Int(len(fanouts))
-	for _, f := range fanouts {
-		h.Int(f)
-	}
-	for i := range m.Levels {
-		lv := &m.Levels[i]
-		// Spatial and the order permutation are all < 8, so they pack into
-		// one word (3 bits each) — keying runs per layer per evaluation, so
-		// fewer hash rounds matter.
-		packed := uint64(lv.Spatial)
-		for _, d := range lv.Order {
-			packed = packed<<3 | uint64(d)
-		}
-		h.Uint64(packed)
-		for _, t := range lv.Tiles {
-			h.Int(t)
-		}
-	}
-	return h.Sum()
-}
-
 // FitnessBound returns a provable lower bound on Evaluate(g).Fitness for a
 // canonical genome, at a few float operations per layer: the per-layer
 // roofline bounds (cost.Analyzer.LowerBound) reduced under the problem's
@@ -753,9 +698,6 @@ func layerKey(salt uint64, li int, fanouts []int, m mapping.Mapping) uint64 {
 // invalid-fitness floor so constraint-violating points (whose fitness is a
 // penalty, not a metric) can never be out-bounded.
 func (p *Problem) FitnessBound(g space.Genome) float64 {
-	if p.analyzers == nil {
-		return 0 // no precomputed constants: the trivial bound (prunes nothing)
-	}
 	var hw arch.HW
 	if p.FixedHW != nil {
 		hw = p.FixedHW.Defaults()
@@ -926,7 +868,7 @@ func EvaluateMappingBackend(modelLayers []workload.Layer, hw arch.HW, maps []map
 		FixedHW:   &hw,
 	}
 	p.Space = p.Space.WithFixedHW(hw)
-	p.initAnalyzers()
+	p.initLayers()
 	p = p.WithBackend(backend)
 	return p.EvaluateWorkers(space.Genome{Fanouts: hw.Fanouts, Maps: maps}, workers)
 }

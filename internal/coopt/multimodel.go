@@ -60,6 +60,6 @@ func NewMultiProblem(models []workload.Model, weights []float64,
 		Objective: objective,
 	}
 	p.Cache = p.newResultCache()
-	p.initAnalyzers()
+	p.initLayers()
 	return p, p.Space.Validate()
 }

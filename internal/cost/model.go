@@ -83,11 +83,12 @@ type Result struct {
 	Levels      []LevelStats // per-level detail, inner-first
 	Utilization float64      // effective PE utilization = ideal / achieved cycles
 
-	// CacheKey is the evaluation-cache key this result is published under
-	// (set once by the cache owner before the result is shared, zero for
-	// results that never enter a cache). Not an analysis output: it exists
-	// so the intrusive cache can read the key off the value instead of
-	// allocating a separate (key, value) pair per insert.
+	// CacheKey is the evaluation-cache key this result is published under:
+	// the low word of its evalstore content key, set once before the
+	// result is shared (zero for results that never enter a cache). Not an
+	// analysis output: it exists so the intrusive cache can read the key
+	// off the value instead of allocating a separate (key, value) pair per
+	// insert.
 	CacheKey uint64
 }
 

@@ -41,34 +41,3 @@ func (s Stats) HitRate() float64 {
 	}
 	return float64(s.Hits) / float64(total)
 }
-
-// FNV-1a 64-bit constants.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// Hasher is an allocation-free streaming FNV-1a hash over integers, used to
-// key cache entries on (layer index, fanout vector, mapping genes). It
-// applies the FNV-1a xor-then-multiply round per 64-bit word rather than
-// per byte: keying is on the evaluation hot path, and the byte-granular
-// variant costs as much as the analysis it is trying to memoize.
-type Hasher struct {
-	h uint64
-}
-
-// NewHasher returns a Hasher at the FNV-1a offset basis.
-func NewHasher() Hasher {
-	return Hasher{h: fnvOffset64}
-}
-
-// Uint64 folds an 8-byte value into the hash with one FNV-1a round.
-func (h *Hasher) Uint64(v uint64) {
-	h.h = (h.h ^ v) * fnvPrime64
-}
-
-// Int folds an int into the hash.
-func (h *Hasher) Int(v int) { h.Uint64(uint64(v)) }
-
-// Sum returns the accumulated 64-bit hash.
-func (h *Hasher) Sum() uint64 { return h.h }

@@ -54,40 +54,3 @@ func TestHitRate(t *testing.T) {
 		t.Fatal("empty hit rate not 0")
 	}
 }
-
-func TestHasherDistinguishesOrder(t *testing.T) {
-	h1 := NewHasher()
-	h1.Int(1)
-	h1.Int(2)
-	h2 := NewHasher()
-	h2.Int(2)
-	h2.Int(1)
-	if h1.Sum() == h2.Sum() {
-		t.Fatal("hash insensitive to write order")
-	}
-	h3 := NewHasher()
-	h3.Int(1)
-	h3.Int(2)
-	if h1.Sum() != h3.Sum() {
-		t.Fatal("hash not deterministic")
-	}
-}
-
-func TestHasherSpreadsSmallInts(t *testing.T) {
-	// Keys built from small gene-like ints must not collide in bulk.
-	seen := make(map[uint64]bool)
-	for a := 0; a < 16; a++ {
-		for b := 0; b < 16; b++ {
-			for c := 0; c < 16; c++ {
-				h := NewHasher()
-				h.Int(a)
-				h.Int(b)
-				h.Int(c)
-				seen[h.Sum()] = true
-			}
-		}
-	}
-	if len(seen) != 16*16*16 {
-		t.Fatalf("collisions: %d unique of %d", len(seen), 16*16*16)
-	}
-}

@@ -19,8 +19,8 @@ import (
 func floatBits(v float64) uint64 { return math.Float64bits(v) }
 func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
-// appendResult encodes r (CacheKey excluded — keys are private to each
-// cache tier and re-derived on load).
+// appendResult encodes r (CacheKey excluded — it is the entry key's low
+// word, re-derived on load).
 func appendResult(b []byte, r *cost.Result) []byte {
 	b = appendFloat(b, r.Cycles)
 	b = appendFloat(b, r.ComputeOnly)

@@ -43,10 +43,11 @@ const (
 	// stored under raw Keys, so a key-derivation change must bump the
 	// magic — old segments then read as foreign files and are deleted at
 	// open instead of loading entries that could never hit again.
-	// "3" = 'R' result records in the segments ("2": Murmur3-probe keys,
+	// "4" = ProbeKey's packed word layout, the key both cache tiers use
+	// ("3": 'R' result records in the segments; "2": Murmur3-probe keys,
 	// results in a separate results.json; "1": SHA-256 probe keys). A
 	// "2" reader would truncate a "3" segment at its first 'R' frame.
-	segMagic       = "DGEVSTR3"
+	segMagic       = "DGEVSTR4"
 	recHeader      = 'H'
 	recEntry       = 'E'
 	recResult      = 'R'

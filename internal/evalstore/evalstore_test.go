@@ -116,8 +116,8 @@ func TestCodecRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestMemoryStoreBasics: hit/miss accounting, clone-on-put isolation and
-// idempotent re-inserts.
+// TestMemoryStoreBasics: hit/miss accounting, clone-on-put isolation, the
+// stored copy's CacheKey and idempotent re-inserts.
 func TestMemoryStoreBasics(t *testing.T) {
 	s := NewMemory()
 	k := testKey(1)
@@ -134,8 +134,8 @@ func TestMemoryStoreBasics(t *testing.T) {
 	if got == r {
 		t.Error("store retained the caller's pointer (must clone)")
 	}
-	if got.CacheKey != 0 {
-		t.Errorf("stored CacheKey = %d, want 0 (keys are private per tier)", got.CacheKey)
+	if got.CacheKey != k.Lo {
+		t.Errorf("stored CacheKey = %d, want the key's low word %d (the L1 key)", got.CacheKey, k.Lo)
 	}
 	s.Put(k, testResult(2)) // no-op: resident key
 	if again, _ := s.Get(k); !sameResult(got, again) {
@@ -196,6 +196,38 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	if rec, overlap, ok := re.Nearest("latency|edge|analytical|co-opt", []string{"bb", "zz"}); !ok || overlap != 1 || rec.Fitness != 123.5 {
 		t.Errorf("result index not restored: ok=%v overlap=%d rec=%+v", ok, overlap, rec)
+	}
+}
+
+// TestReplayedCacheKey: an entry replayed from a segment carries the
+// CacheKey Put gave it, its key's low word, so a reopened store's hits go
+// into a search's L1 as they are.
+func TestReplayedCacheKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.Put(testKey(i), testResult(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if st := re.Stats(); st.Loaded != n {
+		t.Fatalf("replayed %d entries, want %d", st.Loaded, n)
+	}
+	for i := 0; i < n; i++ {
+		k := testKey(i)
+		if got, ok := re.Get(k); !ok || got.CacheKey != k.Lo {
+			t.Fatalf("entry %d: replayed CacheKey %d (ok=%v), want %d", i, got.CacheKey, ok, k.Lo)
+		}
 	}
 }
 
@@ -694,6 +726,78 @@ func TestUpgradeDiscardsV2Layout(t *testing.T) {
 	}
 }
 
+// TestUpgradeDiscardsV3Segments: segments written under the previous key
+// layout (DGEVSTR3, whose entries were keyed by the unpacked word stream)
+// open as foreign files: nothing loads, entries or results, and the
+// segments are removed.
+func TestUpgradeDiscardsV3Segments(t *testing.T) {
+	dir := t.TempDir()
+	var paths []string
+	for seq := 3; seq <= 4; seq++ {
+		data := appendFrame([]byte("DGEVSTR3"), appendString([]byte{recHeader}, cost.Fingerprint))
+		entry := appendUint(appendUint([]byte{recEntry}, testKey(seq).Hi), testKey(seq).Lo)
+		data = appendFrame(data, appendResult(entry, testResult(seq)))
+		rec, err := json.Marshal(ResultRecord{Identity: "id", Layers: []string{"a"}, Fanouts: []int{4}, Maps: []MappingRecord{{}}, Fitness: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = appendFrame(data, append([]byte{recResult}, rec...))
+		path := filepath.Join(dir, fmt.Sprintf("seg-%06d.seg", seq))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Loaded != 0 || st.Results != 0 || st.Entries != 0 {
+		t.Errorf("DGEVSTR3 segments loaded: %+v", st)
+	}
+	for seq := 3; seq <= 4; seq++ {
+		if _, ok := s.Get(testKey(seq)); ok {
+			t.Errorf("entry from a DGEVSTR3 segment served")
+		}
+	}
+	if _, _, ok := s.Nearest("id", []string{"a"}); ok {
+		t.Error("record from a DGEVSTR3 segment served")
+	}
+	for _, path := range paths {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived open", filepath.Base(path))
+		}
+	}
+}
+
+// TestRotationTimed: staging generations and dropping old ones is counted
+// and timed, on a memory-only store and on a disk-backed one.
+func TestRotationTimed(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(Options{Dir: dir, MaxBytes: 32 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 1000; i++ {
+			s.Put(testKey(i), testResult(i))
+		}
+		st := s.Stats()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// ~430 KB of entries through 8 KiB generations: some fifty
+		// stagings, and a drop after each once the budget is full.
+		if st.Rotations < 40 || st.Evicted == 0 {
+			t.Fatalf("dir %q: %d rotations, %d evicted", dir, st.Rotations, st.Evicted)
+		}
+		if st.RotateNanos == 0 || st.RotateMaxNanos == 0 || st.RotateMaxNanos > st.RotateNanos {
+			t.Errorf("dir %q: rotate time %d ns, max %d ns", dir, st.RotateNanos, st.RotateMaxNanos)
+		}
+	}
+}
+
 // TestEvictMemoryBudget: a memory-only store never holds more than its
 // budget. Generations are dropped whole and oldest first, so what stays
 // resident is the newest inserts, and Bytes is exactly their encoded
@@ -1150,6 +1254,90 @@ func TestProbeKeySensitivity(t *testing.T) {
 	again := NewContexts("fp1", "analytical", layers, nil)
 	if again[0] != ctxs[0] || ProbeKey(&again[0], []int{4, 4}, base) != k0 {
 		t.Error("key derivation not stable")
+	}
+}
+
+// TestProbeKeyPackedGenesFit: ProbeKey packs two tiles per word, which is
+// sound because a tile that passed repair never exceeds its layer
+// dimension and workload.Layer.Validate caps every dimension at
+// workload.MaxExtent (2^24): the largest legal tile fits its 32-bit half,
+// keys separate the largest tiles, and one past the bound is refused.
+func TestProbeKeyPackedGenesFit(t *testing.T) {
+	if workload.MaxExtent >= 1<<32 {
+		t.Fatalf("MaxExtent %d does not fit a 32-bit half", workload.MaxExtent)
+	}
+	gemm := workload.Layer{Name: "fc", Type: workload.GEMM, K: workload.MaxExtent, C: 1, Y: 1, X: 1, R: 1, S: 1}
+	if err := gemm.Validate(); err != nil {
+		t.Fatalf("a layer at the dimension bound refused: %v", err)
+	}
+	over := gemm
+	over.K = workload.MaxExtent + 1
+	if err := over.Validate(); err == nil {
+		t.Fatal("a layer past the dimension bound validated")
+	}
+
+	// A tile spanning the whole bound-sized K is legal: repair keeps it.
+	ones := func() mapping.Mapping {
+		m := mappingFor(2)
+		for i := range m.Levels {
+			m.Levels[i].Tiles = workload.Vector{1, 1, 1, 1, 1, 1}
+		}
+		return m
+	}
+	m := ones()
+	m.Levels[1].Tiles[workload.K] = workload.MaxExtent
+	if repaired := m.Repair(gemm); repaired.Levels[1].Tiles[workload.K] != workload.MaxExtent {
+		t.Fatalf("repair changed the legal tile to %d", repaired.Levels[1].Tiles[workload.K])
+	}
+
+	// From a base whose tiles set all 24 bits below the bound, clearing any
+	// one bit of any tile, or raising it to the bound itself, keys apart
+	// from the base and from every other such probe: no packed gene spills
+	// into its neighbour's half or past its own.
+	ctxs := NewContexts("fp", "analytical", []workload.Layer{gemm}, nil)
+	full := func() mapping.Mapping {
+		m := ones()
+		for i := range m.Levels {
+			for d := range m.Levels[i].Tiles {
+				m.Levels[i].Tiles[d] = workload.MaxExtent - 1
+			}
+		}
+		return m
+	}
+	seen := map[Key]string{ProbeKey(&ctxs[0], []int{4, 4}, full()): "base"}
+	for lv := 0; lv < 2; lv++ {
+		for _, d := range workload.AllDims {
+			for b := 0; b <= 24; b++ {
+				mm := full()
+				if b < 24 {
+					mm.Levels[lv].Tiles[d] ^= 1 << b
+				} else {
+					mm.Levels[lv].Tiles[d] = workload.MaxExtent
+				}
+				name := fmt.Sprintf("level %d %s=%#x", lv, d, mm.Levels[lv].Tiles[d])
+				k := ProbeKey(&ctxs[0], []int{4, 4}, mm)
+				if prev, dup := seen[k]; dup {
+					t.Fatalf("%s shares a key with %s", name, prev)
+				}
+				seen[k] = name
+			}
+		}
+	}
+
+	// Small gene values in bulk — a fanout and two tiles packed into one
+	// word pair — never collide either.
+	small := make(map[Key]bool)
+	for f := 1; f <= 16; f++ {
+		for a := 1; a <= 16; a++ {
+			for b := 1; b <= 16; b++ {
+				mm := ones()
+				mm.Levels[0].Tiles[workload.K], mm.Levels[0].Tiles[workload.C] = a, b
+				small[ProbeKey(&ctxs[0], []int{f, 4}, mm)] = true
+			}
+		}
+	}
+	if len(small) != 16*16*16 {
+		t.Fatalf("small genes collide: %d unique keys of %d", len(small), 16*16*16)
 	}
 }
 

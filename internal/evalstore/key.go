@@ -1,12 +1,13 @@
 // Package evalstore is the cross-request analysis tier: a process-wide,
 // optionally disk-backed store of per-layer cost-model results sitting
-// behind each search's private evalcache L1. Where the L1 keys on a
-// per-search salted FNV hash (cheap, but meaningless outside its own
-// search), this tier keys on a collision-safe, process-independent
-// 128-bit content hash of every analysis input — layer spec, fanout
-// vector, mapping block, backend identity, fixed-HW bandwidth context and
-// the cost-model fingerprint — so any two searches, in any process at any
-// time, that analyze the same configuration share one result.
+// behind each search's private evalcache L1. Both tiers key on one
+// collision-safe, process-independent 128-bit content hash of every
+// analysis input — layer spec, fanout vector, mapping block, backend
+// identity, fixed-HW bandwidth context and the cost-model fingerprint —
+// this tier on the whole Key, the L1 on its low word. Any two searches,
+// in any process at any time, that analyze the same configuration
+// therefore share one result, and a result the store serves goes into an
+// L1 as it is.
 //
 // Per-layer analyses are pure functions of those inputs, so cache sharing
 // never changes evaluation values, only their cost: searches with the
@@ -30,9 +31,9 @@ import (
 
 // Key is the 128-bit content hash one per-layer analysis is stored under:
 // a Murmur3-style mix of the probe genes seeded by the SHA-256 context
-// digest of every other analysis input. Unlike the evalcache's 64-bit FNV
-// keys, a Key is stable across processes and restarts and collision-safe
-// at any realistic store size.
+// digest of every other analysis input. A Key is stable across processes
+// and restarts and collision-safe at any realistic store size; Lo alone is
+// the 64-bit key of a search's private L1 (cost.Result.CacheKey).
 type Key struct{ Hi, Lo uint64 }
 
 // Context digests the analysis inputs that are fixed for one
@@ -110,50 +111,68 @@ func NewContexts(fingerprint, backend string, layers []workload.Layer, fixed *ar
 
 // ProbeKey hashes the genes of one probe — the shared fanout vector and
 // the layer's mapping block — on top of the layer's context digest,
-// yielding the 128-bit store key.
+// yielding the 128-bit content key both cache tiers use: the shared store
+// keys on all of it, each search's private L1 on Key.Lo.
 //
-// Probes fire on every L1 miss, and for cheap analytical layers the
-// analysis they may save runs in a few hundred nanoseconds — a SHA-256
-// here would cost as much as the analyze and erase the tier's win. The
-// probe therefore uses a Murmur3-style 128-bit word mix: allocation-free,
+// Keys are derived on every L1 probe, so the probe genes take a
+// Murmur3-style 128-bit word mix rather than a SHA-256: allocation-free,
 // process-independent (pure arithmetic, no per-process seeds) and
-// collision-safe at any realistic store size (the genes feeding it are
-// search genomes, not adversarial input). The SHA-256 context digest
-// seeds all four mixing lanes, so full cryptographic separation between
-// problems/layers is preserved; only the per-probe gene suffix takes the
-// fast path.
+// collision-safe at any realistic store size (the genes are search
+// genomes, not adversarial input). The SHA-256 context digest seeds both
+// mixing lanes, so problems and layers keep full cryptographic
+// separation; only the per-probe gene suffix takes the fast path.
+//
+// The word stream is mixed two words at a time; its layout is part of the
+// segment format (see segMagic):
+//
+//	header   len(fanouts) | len(levels)<<32
+//	fanouts  one word each, then a zero word if the count with the
+//	         header is odd
+//	level    spatial+order | tile[K]<<32,  tile[C] | tile[Y]<<32,
+//	         tile[X] | tile[R]<<32,        tile[S]
+//
+// The spatial dimension and the loop order take 3 bits each (21 bits).
+// Tiles pack two to a word: a repaired tile never exceeds its layer
+// dimension, which workload.Layer.Validate bounds by workload.MaxExtent
+// (2^24), so every packed gene fits its 32-bit half.
 func ProbeKey(ctx *Context, fanouts []int, m mapping.Mapping) Key {
-	var h probeHasher
+	var h keyMixer
 	h.seed(ctx)
-	h.word(uint64(len(fanouts)))
-	for _, f := range fanouts {
-		h.word(uint64(f))
+	prev := uint64(len(fanouts)) | uint64(len(m.Levels))<<32
+	for i, f := range fanouts {
+		if i%2 == 0 {
+			h.mix(prev, uint64(f))
+		} else {
+			prev = uint64(f)
+		}
 	}
-	h.word(uint64(len(m.Levels)))
+	if len(fanouts)%2 == 0 {
+		h.mix(prev, 0)
+	}
 	for i := range m.Levels {
 		lv := &m.Levels[i]
-		// Spatial and the order permutation are all < 8: pack 3 bits each.
-		packed := uint64(lv.Spatial)
-		for _, d := range lv.Order {
-			packed = packed<<3 | uint64(d)
-		}
-		h.word(packed)
-		for _, t := range lv.Tiles {
-			h.word(uint64(t))
-		}
+		o, t := &lv.Order, &lv.Tiles
+		order := uint64(lv.Spatial)<<18 | uint64(o[0])<<15 | uint64(o[1])<<12 |
+			uint64(o[2])<<9 | uint64(o[3])<<6 | uint64(o[4])<<3 | uint64(o[5])
+		h.mix(order|uint64(t[0])<<32, uint64(t[1])|uint64(t[2])<<32)
+		h.mix(uint64(t[3])|uint64(t[4])<<32, uint64(t[5]))
 	}
 	return h.sum()
 }
 
-// probeHasher is the Murmur3 x64 128-bit construction over a stream of
-// uint64 words (each word is one 8-byte little-endian block half). It is
-// a value type living on the caller's stack: hashing a probe performs no
-// allocation.
-type probeHasher struct {
+// The level layout above packs exactly six tiles: a seventh dimension
+// must change it (and the segment magic).
+const _ = uint(workload.NumDims-6) + uint(6-workload.NumDims)
+
+// Packed tiles must fit their 32-bit halves.
+const _ = uint32(workload.MaxExtent)
+
+// keyMixer is the Murmur3 x64 128-bit construction over a stream of
+// word pairs (each pair is one 16-byte block). It is a value type living
+// on the caller's stack: hashing a probe performs no allocation.
+type keyMixer struct {
 	h1, h2 uint64 // accumulator lanes
-	k1     uint64 // buffered odd word awaiting its block partner
-	odd    bool
-	n      uint64 // words consumed (folded into the finalizer)
+	n      uint64 // blocks mixed (folded into the finalizer)
 }
 
 const (
@@ -161,25 +180,16 @@ const (
 	probeC2 = 0x4cf5ad432745937f
 )
 
-// seed folds the full 256-bit context digest in: two words initialize the
-// lanes, the other two run through a regular mixing round.
-func (h *probeHasher) seed(ctx *Context) {
-	h.h1 = binary.LittleEndian.Uint64(ctx[0:8])
-	h.h2 = binary.LittleEndian.Uint64(ctx[8:16])
-	h.mix(binary.LittleEndian.Uint64(ctx[16:24]), binary.LittleEndian.Uint64(ctx[24:32]))
+// seed initializes the lanes from the full 256-bit context digest, its
+// halves folded together.
+func (h *keyMixer) seed(ctx *Context) {
+	h.h1 = binary.LittleEndian.Uint64(ctx[0:8]) ^ binary.LittleEndian.Uint64(ctx[16:24])
+	h.h2 = binary.LittleEndian.Uint64(ctx[8:16]) ^ binary.LittleEndian.Uint64(ctx[24:32])
 }
 
-func (h *probeHasher) word(w uint64) {
+// mix runs one Murmur3 block round over the word pair (k1, k2).
+func (h *keyMixer) mix(k1, k2 uint64) {
 	h.n++
-	if !h.odd {
-		h.k1, h.odd = w, true
-		return
-	}
-	h.odd = false
-	h.mix(h.k1, w)
-}
-
-func (h *probeHasher) mix(k1, k2 uint64) {
 	k1 *= probeC1
 	k1 = bits.RotateLeft64(k1, 31)
 	k1 *= probeC2
@@ -196,15 +206,9 @@ func (h *probeHasher) mix(k1, k2 uint64) {
 	h.h2 = h.h2*5 + 0x38495ab5
 }
 
-func (h *probeHasher) sum() Key {
-	if h.odd { // trailing word: Murmur3 tail handling for a half block
-		k1 := h.k1 * probeC1
-		k1 = bits.RotateLeft64(k1, 31)
-		k1 *= probeC2
-		h.h1 ^= k1
-	}
-	h.h1 ^= h.n * 8
-	h.h2 ^= h.n * 8
+func (h *keyMixer) sum() Key {
+	h.h1 ^= h.n * 16
+	h.h2 ^= h.n * 16
 	h.h1 += h.h2
 	h.h2 += h.h1
 	h.h1 = fmix64(h.h1)

@@ -1,9 +1,9 @@
-// Probe-path microbenchmarks. The shared tier only pays off if probing it
-// (ProbeKey + Get + Clone-promote) costs well under one cost-model
-// analysis — the work a hit avoids. These rows pin each leg of that
-// inequality: key derivation must stay allocation-free and a fraction of
-// AnalyzeGEMMSmall / AnalyzePhysical, or every L2 miss turns into pure
-// overhead on the search's hot loop.
+// Probe-path microbenchmarks. The cache tiers only pay off if probing
+// them (ProbeKey + Get) costs well under one cost-model analysis — the
+// work a hit avoids. These rows pin each leg of that inequality: key
+// derivation, which every L1 and L2 probe pays, must stay allocation-free
+// and a fraction of AnalyzeGEMMSmall / AnalyzePhysical, or every miss
+// turns into pure overhead on the search's hot loop.
 package evalstore
 
 import (

@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"digamma/internal/cost"
 	"digamma/internal/faults"
@@ -113,6 +114,12 @@ type Store struct {
 	loaded   int
 	disk     *diskTier // nil when memory-only or after a write failure
 
+	// Time spent under logMu staging generations and dropping old ones
+	// (see Stats.RotateNanos).
+	rotations   uint64
+	rotateNanos uint64
+	rotateMax   uint64
+
 	results resultIndex
 }
 
@@ -127,6 +134,18 @@ type Stats struct {
 	Bytes    int64  // resident encoded bytes (bounded by Options.MaxBytes)
 	Segments int    // on-disk segment files (0 when memory-only)
 	Results  int    // warm-start result records
+
+	// Rotations counts generations staged (segment rotations with a disk,
+	// the first segment at open included). RotateNanos sums the time
+	// spent under the log mutex — which the Put or promoting Get that
+	// triggered it holds — staging generations (with a disk: flushing,
+	// fsyncing and closing the old segment, creating the new one and
+	// re-appending the warm-start index) and dropping old ones (the shard
+	// scan and the segment unlink); RotateMaxNanos is the longest single
+	// staging or drop.
+	Rotations      uint64
+	RotateNanos    uint64
+	RotateMaxNanos uint64
 }
 
 // HitRate returns hits/(hits+misses), 0 when unprobed.
@@ -186,7 +205,8 @@ func (s *Store) Fingerprint() string { return s.fingerprint }
 func (s *Store) shardFor(k Key) *shard { return &s.shards[k.Hi&(shardCount-1)] }
 
 // Get returns the stored analysis for k. The result is shared and
-// immutable; callers that need a private CacheKey must clone.
+// immutable, and its CacheKey is k.Lo, so a search's L1 (keyed on the
+// same content key's low word) can hold it as it is.
 func (s *Store) Get(k Key) (*cost.Result, bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
@@ -227,13 +247,13 @@ func (s *Store) promote(k Key) {
 
 // Put publishes a freshly computed analysis under k into the active
 // generation. The store keeps a private clone (r is typically
-// slab-allocated by a search that will recycle it) with a zeroed
-// CacheKey, and appends it to the active disk segment when one is
-// attached. Re-inserts of a resident key are no-ops: analyses are pure,
-// so any two values for one key are identical.
+// slab-allocated by a search that will recycle it) whose CacheKey is k.Lo,
+// and appends it to the active disk segment when one is attached.
+// Re-inserts of a resident key are no-ops: analyses are pure, so any two
+// values for one key are identical.
 func (s *Store) Put(k Key, r *cost.Result) {
 	c := r.Clone()
-	c.CacheKey = 0
+	c.CacheKey = k.Lo
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	s.rotateIfFull()
@@ -263,9 +283,11 @@ func (s *Store) appendEntry(k Key, r *cost.Result) {
 }
 
 // load installs a disk-recovered entry under its segment's generation
-// without counting it as an insert or re-appending it. Segments replay
-// oldest first, so a key found in two of them keeps the newer generation.
+// without counting it as an insert or re-appending it, its CacheKey
+// derived from the key as Put sets it. Segments replay oldest first, so a
+// key found in two of them keeps the newer generation.
 func (s *Store) load(k Key, r *cost.Result, gen uint32) {
+	r.CacheKey = k.Lo
 	sh := s.shardFor(k)
 	sh.mu.Lock()
 	sh.m[k] = entry{r: r, gen: gen}
@@ -287,17 +309,29 @@ func (s *Store) rotateIfFull() {
 // so dropping any older segment never loses a record. Caller holds logMu
 // (or owns the store during Open).
 func (s *Store) advance(seq uint32) error {
+	start := time.Now()
+	s.rotations++
 	s.gens = append(s.gens, generation{seq: seq})
 	s.setPromote()
 	if s.disk == nil {
+		s.timed(start)
 		return nil
 	}
 	n, err := s.disk.rotate(seq, s.results.snapshot())
+	s.timed(start)
 	if err != nil {
 		return err
 	}
 	s.grow(n)
 	return nil
+}
+
+// timed charges the staging or drop that began at start to the rotation
+// counters. Caller holds logMu.
+func (s *Store) timed(start time.Time) {
+	ns := uint64(time.Since(start))
+	s.rotateNanos += ns
+	s.rotateMax = max(s.rotateMax, ns)
 }
 
 // grow charges n freshly appended bytes to the active generation, then
@@ -318,6 +352,7 @@ func (s *Store) grow(n int64) {
 // per MaxSegmentBytes of inserts) and the scan costs no memory per entry.
 // Caller holds logMu.
 func (s *Store) dropOldest() {
+	defer s.timed(time.Now())
 	g := s.gens[0]
 	s.gens = s.gens[1:]
 	s.bytes -= g.bytes
@@ -404,6 +439,7 @@ func (s *Store) Stats() Stats {
 	}
 	s.logMu.Lock()
 	st.Loaded, st.Evicted, st.Bytes = s.loaded, s.evicted, s.bytes
+	st.Rotations, st.RotateNanos, st.RotateMaxNanos = s.rotations, s.rotateNanos, s.rotateMax
 	if s.disk != nil {
 		st.Segments = len(s.gens)
 	}

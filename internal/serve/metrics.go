@@ -144,6 +144,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP digammad_analysis_evicted_total Shared-tier entries dropped with their generation under the byte budget.\n")
 	fmt.Fprintf(w, "# TYPE digammad_analysis_evicted_total counter\n")
 	fmt.Fprintf(w, "digammad_analysis_evicted_total %d\n", ast.Evicted)
+	fmt.Fprintf(w, "# HELP digammad_analysis_rotations_total Shared-tier generations staged (segment rotations with a disk).\n")
+	fmt.Fprintf(w, "# TYPE digammad_analysis_rotations_total counter\n")
+	fmt.Fprintf(w, "digammad_analysis_rotations_total %d\n", ast.Rotations)
+	fmt.Fprintf(w, "# HELP digammad_analysis_rotate_seconds_total Time the shared tier's writers held its log lock staging generations and dropping old ones.\n")
+	fmt.Fprintf(w, "# TYPE digammad_analysis_rotate_seconds_total counter\n")
+	fmt.Fprintf(w, "digammad_analysis_rotate_seconds_total %g\n", float64(ast.RotateNanos)/1e9)
+	fmt.Fprintf(w, "# HELP digammad_analysis_rotate_seconds_max Longest single generation staging or drop.\n")
+	fmt.Fprintf(w, "# TYPE digammad_analysis_rotate_seconds_max gauge\n")
+	fmt.Fprintf(w, "digammad_analysis_rotate_seconds_max %g\n", float64(ast.RotateMaxNanos)/1e9)
 	fmt.Fprintf(w, "# HELP digammad_analysis_segments On-disk analysis-store segment files (0 when memory-only).\n")
 	fmt.Fprintf(w, "# TYPE digammad_analysis_segments gauge\n")
 	fmt.Fprintf(w, "digammad_analysis_segments %d\n", ast.Segments)

@@ -278,6 +278,18 @@ func TestMetricsLint(t *testing.T) {
 	if series2[`digammad_search_latency_seconds_count{backend="analytical"}`] != 2 {
 		t.Errorf("latency histogram did not count the completed jobs")
 	}
+	for fam, typ := range map[string]string{
+		"digammad_analysis_rotations_total":      "counter",
+		"digammad_analysis_rotate_seconds_total": "counter",
+		"digammad_analysis_rotate_seconds_max":   "gauge",
+	} {
+		if types2[fam] != typ {
+			t.Errorf("family %s has type %q, want %q", fam, types2[fam], typ)
+		}
+		if _, ok := series2[fam]; !ok {
+			t.Errorf("series %s missing from /metrics", fam)
+		}
+	}
 	evals := `digammad_tenant_evals_total{tenant="linty"}`
 	if _, ok := series2[evals]; !ok {
 		t.Errorf("per-tenant eval counter missing from /metrics")

@@ -539,6 +539,23 @@ func TestMetrics(t *testing.T) {
 	if _, err := fmt.Sscanf(findLine(text, "digammad_analysis_bytes"), "digammad_analysis_bytes %g", &bytes); err != nil || bytes <= 0 || bytes > analysisBudget {
 		t.Errorf("analysis bytes = %g (err %v), want in (0, %d]", bytes, err, analysisBudget)
 	}
+	// Overflowing the budget staged generations, and their time is exported.
+	var rotations, rotateSum, rotateMax float64
+	for _, m := range []struct {
+		name string
+		v    *float64
+	}{
+		{"digammad_analysis_rotations_total", &rotations},
+		{"digammad_analysis_rotate_seconds_total", &rotateSum},
+		{"digammad_analysis_rotate_seconds_max", &rotateMax},
+	} {
+		if _, err := fmt.Sscanf(findLine(text, m.name), m.name+" %g", m.v); err != nil {
+			t.Errorf("%s: %v", m.name, err)
+		}
+	}
+	if rotations <= 0 || rotateSum <= 0 || rotateMax <= 0 || rotateMax > rotateSum {
+		t.Errorf("rotations %g, rotate seconds %g, max %g: want rotations timed", rotations, rotateSum, rotateMax)
+	}
 }
 
 func findLine(text, prefix string) string {

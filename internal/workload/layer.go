@@ -139,18 +139,19 @@ func (l Layer) OutputSize() int64 {
 	return int64(l.K) * int64(l.Y) * int64(l.X)
 }
 
-// maxExtent bounds every layer dimension, stride and count, and maxMACs
+// MaxExtent bounds every layer dimension, stride and count, and maxMACs
 // one layer's multiply-accumulates times its count. Both sit far above
 // any real network (the zoo's largest extent is 25,088 channels, its
 // largest layer under 2^34 MACs) and keep a mistyped or hostile workload
 // from overflowing the cost model's int64 arithmetic or stalling
-// per-extent work such as divisor enumeration.
+// per-extent work such as divisor enumeration. The analysis key packs two
+// tiles per 64-bit word on this bound (see evalstore.ProbeKey).
 const (
-	maxExtent = 1 << 24
+	MaxExtent = 1 << 24
 	maxMACs   = 1 << 50
 )
 
-// Validate checks that all bounds are positive, within maxExtent and
+// Validate checks that all bounds are positive, within MaxExtent and
 // maxMACs, and type-consistent.
 func (l Layer) Validate() error {
 	if l.Name == "" {
@@ -159,13 +160,13 @@ func (l Layer) Validate() error {
 	d := l.Dims()
 	macs := float64(l.Multiplicity())
 	for _, dim := range AllDims {
-		if d[dim] < 1 || d[dim] > maxExtent {
-			return fmt.Errorf("workload: layer %s: dimension %s = %d (must be in [1, %d])", l.Name, dim, d[dim], maxExtent)
+		if d[dim] < 1 || d[dim] > MaxExtent {
+			return fmt.Errorf("workload: layer %s: dimension %s = %d (must be in [1, %d])", l.Name, dim, d[dim], MaxExtent)
 		}
 		macs *= float64(d[dim])
 	}
-	if l.StrideY > maxExtent || l.StrideX > maxExtent || l.Count > maxExtent {
-		return fmt.Errorf("workload: layer %s: stride or count above %d", l.Name, maxExtent)
+	if l.StrideY > MaxExtent || l.StrideX > MaxExtent || l.Count > MaxExtent {
+		return fmt.Errorf("workload: layer %s: stride or count above %d", l.Name, MaxExtent)
 	}
 	if macs > maxMACs {
 		return fmt.Errorf("workload: layer %s: %g MACs exceeds %g", l.Name, macs, float64(maxMACs))

@@ -39,6 +39,13 @@ go test -run '^$' -bench 'BenchmarkGeneration$' -cpu 1,2 \
 go test -run '^$' -bench 'BenchmarkRecordResult$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/evalstore/ | tee -a "$RAW"
 
+# Key rung under the evaluation rows: deriving one layer's content key
+# (evalstore.ProbeKey), which every cache probe of every tier pays. Five
+# samples; the row is their median by ns/op.
+go test -run '^$' -bench 'BenchmarkProbeKeyOnly$' -count 5 \
+    -benchmem -benchtime "$BENCHTIME" ./internal/evalstore/ |
+    grep '^Benchmark' | sort -k3,3 -g | sed -n 3p | tee -a "$RAW"
+
 # Serving rows: one end-to-end served search (submit → queue → run →
 # long-poll), the same search on the K-island engine (ISLANDS knob), one
 # dedup hit served straight from the result store, the near-duplicate
