@@ -629,8 +629,9 @@ func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
 // analyzeLayer scores one unique layer of g on hw, consulting the private
 // cache first, then the shared cross-request tier, and publishing fresh
 // results into both. One content key serves both tiers: the L1 keys on
-// its low word, which every result either tier holds carries as its
-// CacheKey, so a shared hit goes into the L1 as the store's own pointer.
+// its low word, which every result either tier returns carries as its
+// CacheKey, so a shared hit — decoded from the tier's frame bytes into a
+// result this search owns — goes into the L1 as it is.
 func (p *Problem) analyzeLayer(hw arch.HW, g space.Genome, li int) (*cost.Result, error) {
 	var k evalstore.Key
 	if p.Cache != nil || p.shared != nil {
@@ -667,7 +668,7 @@ func (p *Problem) analyzeLayer(hw arch.HW, g space.Genome, li int) (*cost.Result
 		p.Cache.Put(r)
 	}
 	if p.shared != nil {
-		p.shared.Put(k, r) // Put clones; r stays owned by this search
+		p.shared.Put(k, r) // Put encodes; r stays owned by this search
 	}
 	return r, nil
 }

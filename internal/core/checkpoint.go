@@ -188,11 +188,12 @@ func (e *Engine) configSum() string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// snapshot captures the run at the current generation boundary.
-func (e *Engine) snapshot(res *Result, budget int, islands []*island) *Checkpoint {
+// snapshot captures the run at the current generation boundary; sum is
+// the run's configSum.
+func (e *Engine) snapshot(sum string, res *Result, budget int, islands []*island) *Checkpoint {
 	ck := &Checkpoint{
 		Version:     CheckpointVersion,
-		ConfigSum:   e.configSum(),
+		ConfigSum:   sum,
 		Seed:        e.seed,
 		Budget:      budget,
 		Generations: res.Generations,
@@ -296,23 +297,24 @@ func (is *island) restoreState(st *IslandState) error {
 // gating lives here so call sites stay branch-cheap: nothing happens (and
 // nothing allocates) unless checkpointing was requested, and the very
 // first boundary (generation 0: just the initial batch, no cheaper than a
-// fresh start) is skipped.
-func (e *Engine) emitCheckpoint(res *Result, budget int, islands []*island) {
+// fresh start) is skipped. sum is the run's configSum.
+func (e *Engine) emitCheckpoint(sum string, res *Result, budget int, islands []*island) {
 	if e.OnCheckpoint == nil || e.Config.CheckpointEvery <= 0 || res.Generations == 0 {
 		return
 	}
 	t0 := e.Trace.Now()
-	e.OnCheckpoint(e.snapshot(res, budget, islands))
+	e.OnCheckpoint(e.snapshot(sum, res, budget, islands))
 	e.traceSpan(obs.PhaseCkpt, -1, res.Generations, t0)
 }
 
 // restore rebuilds the run's state from a checkpoint: validates it
-// against this engine's problem + config fingerprint, fast-forwards every
+// against this engine's problem + config fingerprint (sum, the run's
+// configSum), fast-forwards every
 // RNG stream to its recorded position, re-evaluates the stored genomes
 // into the islands' pools (pure evaluation ⇒ identical fitness, which is
 // verified), and restores the sample accounting. After restore the
 // generation loop continues exactly as the uninterrupted run would have.
-func (e *Engine) restore(ck *Checkpoint, islands []*island, res *Result, budget int) error {
+func (e *Engine) restore(ck *Checkpoint, sum string, islands []*island, res *Result, budget int) error {
 	if ck.Version != CheckpointVersion {
 		return fmt.Errorf("core: checkpoint version %d, this build reads %d", ck.Version, CheckpointVersion)
 	}
@@ -322,7 +324,7 @@ func (e *Engine) restore(ck *Checkpoint, islands []*island, res *Result, budget 
 	if ck.Budget != budget {
 		return fmt.Errorf("core: checkpoint budget %d, run budget %d", ck.Budget, budget)
 	}
-	if sum := e.configSum(); ck.ConfigSum != sum {
+	if ck.ConfigSum != sum {
 		return fmt.Errorf("core: checkpoint config %s does not match engine config %s (different problem or knobs)", ck.ConfigSum, sum)
 	}
 	if len(ck.Islands) != len(islands) {

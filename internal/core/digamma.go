@@ -448,12 +448,18 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	}
 	res := &Result{}
 	evs := make([][]*coopt.Evaluation, len(islands))
+	// The checkpoint fingerprint hashes the config and every layer, so it
+	// is taken once per run rather than at every checkpoint.
+	var sum string
+	if e.Resume != nil || e.OnCheckpoint != nil && e.Config.CheckpointEvery > 0 {
+		sum = e.configSum()
+	}
 
 	if e.Resume != nil {
 		// Resume: rebuild the checkpointed populations and accounting
 		// instead of drawing an initial batch; the loop below then
 		// continues exactly as the uninterrupted run would have.
-		if err := e.restore(e.Resume, islands, res, budget); err != nil {
+		if err := e.restore(e.Resume, sum, islands, res, budget); err != nil {
 			return nil, err
 		}
 	} else {
@@ -511,11 +517,11 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 		// from a periodic checkpoint's, so the final checkpoint of a
 		// drained run resumes bit-identically.
 		if err := ctx.Err(); err != nil {
-			e.emitCheckpoint(res, budget, islands)
+			e.emitCheckpoint(sum, res, budget, islands)
 			return e.cancelled(res, budget, islands, err)
 		}
 		if e.Config.CheckpointEvery > 0 && res.Generations%e.Config.CheckpointEvery == 0 {
-			e.emitCheckpoint(res, budget, islands)
+			e.emitCheckpoint(sum, res, budget, islands)
 		}
 		for _, is := range islands {
 			is.begin()

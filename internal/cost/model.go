@@ -185,6 +185,13 @@ func newResult(L int) *Result {
 	}
 }
 
+// NewResult returns a zeroed Result with an L-level detail slice from the
+// same allocator the analyses use, for a decoder filling in a result a
+// search will own (see evalstore.Store.Get): on the 2-level hot path one
+// allocation covers many results. Like an analysis, a result that
+// outlives its search must be cloned.
+func NewResult(L int) *Result { return newResult(L) }
+
 // relevance returns, per tensor, which dims the tensor depends on.
 func relevance(layer workload.Layer) [NumTensors][workload.NumDims]bool {
 	w, in, out := layer.TensorDims()

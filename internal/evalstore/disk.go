@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"digamma/internal/cost"
 	"digamma/internal/faults"
 )
 
@@ -74,16 +73,16 @@ type diskTier struct {
 	f       *os.File
 	w       *bufio.Writer
 	pending int    // records since last flush
-	payload []byte // scratch for the entry being encoded
+	payload []byte // scratch for the result record being framed
 	frame   []byte // scratch for the frame being written
 }
 
 // openDisk attaches the persistent tier. It keeps the newest segments
 // whose bytes fit the budget and deletes the older ones undecoded,
-// replays the kept ones oldest first into s (entries under their
-// segment's generation, and the result index), prunes stale or
-// unreadable ones, and resumes appending to the newest segment, or stages
-// a fresh one when it is full.
+// replays the kept ones oldest first into s (each read into its
+// generation's arena, its entries indexed there, and the result index),
+// prunes stale or unreadable ones, and resumes appending to the newest
+// segment, or stages a fresh one when it is full.
 func (s *Store) openDisk(o Options) error {
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return fmt.Errorf("evalstore: %w", err)
@@ -105,9 +104,14 @@ func (s *Store) openDisk(o Options) error {
 		d.log.Info("evalstore: dropped segment past the budget", "segment", filepath.Base(path), "entries", n)
 	}
 	var lastPath string
-	for _, path := range names[keep:] {
+	for i, path := range names[keep:] {
 		seq := segSeq(path)
-		n, size, err := d.replaySegment(path, seq, s)
+		// The newest segment may be resumed: room to fill its generation.
+		headroom := 0
+		if keep+i == len(names)-1 {
+			headroom = int(s.genBytes) + maxEntryFrame
+		}
+		a, n, err := d.replaySegment(path, seq, headroom, s)
 		if err != nil {
 			// Unusable segment (bad magic, wrong fingerprint, unreadable
 			// header): delete it so it cannot shadow fresh entries.
@@ -119,8 +123,9 @@ func (s *Store) openDisk(o Options) error {
 		}
 		s.loaded += n
 		lastPath = path
-		s.gens = append(s.gens, generation{seq: seq, bytes: size - d.headerLen()})
-		s.bytes += size - d.headerLen()
+		size := int64(a.n) - d.headerLen()
+		s.gens = append(s.gens, generation{seq: seq, bytes: size, a: a})
+		s.bytes += size
 	}
 
 	// Stores written before results moved into the segments kept them in
@@ -291,18 +296,13 @@ func (d *diskTier) remove(seq uint32) error {
 	return os.Remove(d.path(seq))
 }
 
-// append frames one entry onto the active segment, encoding it into a
-// scratch buffer the tier reuses. Callers hold Store.logMu.
-func (d *diskTier) append(k Key, r *cost.Result) error {
+// append writes one entry's frame, as the store's arena holds it, onto
+// the active segment. Callers hold Store.logMu.
+func (d *diskTier) append(frame []byte) error {
 	if err := d.faults.Hit(PointAppend); err != nil {
 		return err
 	}
-	d.payload = append(d.payload[:0], recEntry)
-	d.payload = appendUint(d.payload, k.Hi)
-	d.payload = appendUint(d.payload, k.Lo)
-	d.payload = appendResult(d.payload, r)
-	_, err := d.writeFrame(d.payload)
-	return err
+	return d.write(frame)
 }
 
 // appendRecord frames one warm-start result (its JSON) onto the active
@@ -330,14 +330,19 @@ func (d *diskTier) writeRecord(raw []byte) (int64, error) {
 // returns the frame's size.
 func (d *diskTier) writeFrame(payload []byte) (int64, error) {
 	d.frame = appendFrame(d.frame[:0], payload)
-	if _, err := d.w.Write(d.frame); err != nil {
-		return 0, err
+	return int64(len(d.frame)), d.write(d.frame)
+}
+
+// write appends one whole frame to the active segment, flushing every
+// flushEveryRecs records.
+func (d *diskTier) write(frame []byte) error {
+	if _, err := d.w.Write(frame); err != nil {
+		return err
 	}
-	d.pending++
-	if d.pending >= flushEveryRecs {
-		return int64(len(d.frame)), d.flush()
+	if d.pending++; d.pending >= flushEveryRecs {
+		return d.flush()
 	}
-	return int64(len(d.frame)), nil
+	return nil
 }
 
 func (d *diskTier) flush() error {
@@ -370,18 +375,44 @@ func appendFrame(b, payload []byte) []byte {
 // errSegment marks whole-segment rejection (vs a recoverable torn tail).
 var errSegment = errors.New("evalstore: bad segment")
 
-// replaySegment loads one segment's entries into s under generation seq
-// and folds its result records into the index in file order (the order
-// they were added live), truncating any torn tail back to the valid
-// prefix. Returns the entry count and the file's (post-truncation) size;
-// an error rejects the whole segment.
-func (d *diskTier) replaySegment(path string, seq uint32, s *Store) (n int, size int64, err error) {
-	data, err := os.ReadFile(path)
+// replaySegment reads one segment into a fresh arena for generation seq,
+// with headroom bytes to spare, indexes its entries into s there without
+// decoding them — an 'E' frame needs only the length its level count
+// allows (see levelCount) — and folds its result records into the index
+// in file order (the order they were added live), truncating any torn
+// tail back to the valid prefix, which is what the arena then holds.
+// Returns the arena and the entry count; an error rejects the whole
+// segment: its entries are unindexed again and its arena freed.
+func (d *diskTier) replaySegment(path string, seq uint32, headroom int, s *Store) (_ *arena, n int, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %w", errSegment, err)
+		return nil, 0, fmt.Errorf("%w: %w", errSegment, err)
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		return 0, 0, fmt.Errorf("%w: missing magic", errSegment)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", errSegment, err)
+	}
+	if fi.Size() < int64(len(segMagic)) {
+		return nil, 0, fmt.Errorf("%w: missing magic", errSegment)
+	}
+	if fi.Size() > maxArenaBytes-int64(headroom) {
+		return nil, 0, fmt.Errorf("%w: %d bytes, past the arena limit", errSegment, fi.Size())
+	}
+	size := int(fi.Size())
+	a := s.arenas.alloc(seq, size+headroom)
+	defer func() {
+		if err != nil {
+			s.unindex(a)
+			s.arenas.free(a)
+		}
+	}()
+	data := a.buf[:size]
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", errSegment, err)
+	}
+	if string(data[:len(segMagic)]) != segMagic {
+		return nil, 0, fmt.Errorf("%w: missing magic", errSegment)
 	}
 	off := len(segMagic)
 	valid := off
@@ -393,15 +424,13 @@ func (d *diskTier) replaySegment(path string, seq uint32, s *Store) (n int, size
 		}
 		if !sawHeader {
 			if len(payload) < 1 || payload[0] != recHeader {
-				return 0, 0, fmt.Errorf("%w: first record is not a header", errSegment)
+				return nil, 0, fmt.Errorf("%w: first record is not a header", errSegment)
 			}
-			c := resultCodec{b: payload[1:]}
-			fpLen := c.uint()
-			if c.err != nil || int(fpLen) != len(payload[1:])-8 {
-				return 0, 0, fmt.Errorf("%w: malformed header", errSegment)
+			if len(payload) < 9 || binary.LittleEndian.Uint64(payload[1:]) != uint64(len(payload)-9) {
+				return nil, 0, fmt.Errorf("%w: malformed header", errSegment)
 			}
-			if fp := string(payload[9 : 9+fpLen]); fp != d.fp {
-				return 0, 0, fmt.Errorf("%w: cost-model fingerprint %q (want %q)", errSegment, fp, d.fp)
+			if fp := string(payload[9:]); fp != d.fp {
+				return nil, 0, fmt.Errorf("%w: cost-model fingerprint %q (want %q)", errSegment, fp, d.fp)
 			}
 			sawHeader = true
 			off, valid = next, next
@@ -409,11 +438,11 @@ func (d *diskTier) replaySegment(path string, seq uint32, s *Store) (n int, size
 		}
 		switch {
 		case len(payload) >= 17 && payload[0] == recEntry:
-			if r, err := decodeResult(payload[17:]); err == nil {
+			if _, ok := levelCount(payload[17:]); ok {
 				s.load(Key{
 					Hi: binary.LittleEndian.Uint64(payload[1:9]),
 					Lo: binary.LittleEndian.Uint64(payload[9:17]),
-				}, r, seq)
+				}, a, off)
 				n++
 				off, valid = next, next
 				continue
@@ -429,19 +458,20 @@ func (d *diskTier) replaySegment(path string, seq uint32, s *Store) (n int, size
 				continue
 			}
 		}
-		break // torn tail: the CRC passed but the record does not decode
+		break // torn tail: the CRC passed but the record is malformed
 	}
 	if !sawHeader {
-		return 0, 0, fmt.Errorf("%w: no valid header record", errSegment)
+		return nil, 0, fmt.Errorf("%w: no valid header record", errSegment)
 	}
+	a.n, a.from = valid, len(segMagic)
 	if valid < len(data) {
 		d.log.Warn("evalstore: truncating torn segment tail",
 			"segment", filepath.Base(path), "valid", valid, "size", len(data))
 		if err := os.Truncate(path, int64(valid)); err != nil {
-			return 0, 0, fmt.Errorf("%w: truncating torn tail: %w", errSegment, err)
+			return nil, 0, fmt.Errorf("%w: truncating torn tail: %w", errSegment, err)
 		}
 	}
-	return n, int64(valid), nil
+	return a, n, nil
 }
 
 // readFrame decodes one CRC frame at off; ok=false on any damage (short

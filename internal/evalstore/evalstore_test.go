@@ -116,8 +116,9 @@ func TestCodecRoundTripExact(t *testing.T) {
 	}
 }
 
-// TestMemoryStoreBasics: hit/miss accounting, clone-on-put isolation, the
-// stored copy's CacheKey and idempotent re-inserts.
+// TestMemoryStoreBasics: hit/miss accounting, put isolation (the store
+// keeps no pointer of the caller's), the served copy's CacheKey and
+// idempotent re-inserts.
 func TestMemoryStoreBasics(t *testing.T) {
 	s := NewMemory()
 	k := testKey(1)
@@ -569,14 +570,25 @@ func TestResultReplayEquivalence(t *testing.T) {
 	}
 }
 
+// resident is one entry as a test sees it: its decoded result and the
+// generation of the arena that holds it.
+type resident struct {
+	r   *cost.Result
+	gen uint32
+}
+
 // peek reads k's resident entry without counting a probe or promoting
 // it.
-func peek(s *Store, k Key) (entry, bool) {
+func peek(s *Store, k Key) (resident, bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.m[k]
-	return e, ok
+	if !ok {
+		return resident{}, false
+	}
+	a := s.arenas.at(e.slot)
+	return resident{r: a.decode(e.off), gen: a.seq}, true
 }
 
 // residentKeys maps every resident key to the testResult index it holds
@@ -584,7 +596,8 @@ func peek(s *Store, k Key) (entry, bool) {
 func residentKeys(s *Store) map[Key]int {
 	keys := map[Key]int{}
 	for i := range s.shards {
-		for k, e := range s.shards[i].m {
+		for k := range s.shards[i].m {
+			e, _ := peek(s, k)
 			keys[k] = int(e.r.Cycles - 1e15)
 		}
 	}

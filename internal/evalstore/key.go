@@ -6,8 +6,11 @@
 // identity, fixed-HW bandwidth context and the cost-model fingerprint —
 // this tier on the whole Key, the L1 on its low word. Any two searches,
 // in any process at any time, that analyze the same configuration
-// therefore share one result, and a result the store serves goes into an
-// L1 as it is.
+// therefore share one analysis. The store holds each one as its encoded
+// 'E' frame — the bytes its budget charges and its segments hold — in one
+// arena per generation, mapped outside the Go heap, behind pointer-free
+// shard maps; a hit decodes the frame into a result the caller owns,
+// which goes into an L1 as it is.
 //
 // Per-layer analyses are pure functions of those inputs, so cache sharing
 // never changes evaluation values, only their cost: searches with the

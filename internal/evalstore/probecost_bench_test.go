@@ -63,6 +63,9 @@ func BenchmarkResultClone(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreGetHit probes a resident entry: the shard lookup and the
+// decode of its frame into a result the caller owns, which every
+// shared-tier hit pays.
 func BenchmarkStoreGetHit(b *testing.B) {
 	layer := workload.Layer{Name: "fc", Type: workload.GEMM, K: 256, C: 512, Y: 1, X: 1, R: 1, S: 1}
 	ctxs := NewContexts("fp", "analytic", []workload.Layer{layer}, nil)
@@ -104,8 +107,9 @@ func BenchmarkAnalyzePhysical(b *testing.B) {
 }
 
 // BenchmarkStorePutDisk publishes fresh analyses into a disk-backed
-// store: the clone, the shard insert and the framed append to the active
-// segment that every shared-tier miss pays.
+// store: the frame encoded into the active arena, the shard insert and
+// the append of the same bytes to the active segment that every
+// shared-tier miss pays.
 func BenchmarkStorePutDisk(b *testing.B) {
 	s, err := Open(Options{Dir: b.TempDir()})
 	if err != nil {
@@ -142,5 +146,42 @@ func BenchmarkStorePutEvicting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Put(testKey(i), results[i%len(results)])
+	}
+}
+
+// BenchmarkStoreOpen reopens a disk tier of ~49k entries, about what the
+// serve-neardup benchmark workload leaves behind: every segment read
+// into its generation's arena, its frames CRC-checked and indexed
+// without decoding a result, then the arenas freed by Close.
+func BenchmarkStoreOpen(b *testing.B) {
+	const n = 49 << 10
+	dir := b.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	results := make([]*cost.Result, 16)
+	for i := range results {
+		results[i] = testResult(i)
+	}
+	for i := 0; i < n; i++ {
+		s.Put(testKey(i), results[i%len(results)])
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := Open(Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := re.Stats(); st.Loaded != n {
+			b.Fatalf("reopen loaded %d entries, want %d", st.Loaded, n)
+		}
+		if err := re.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

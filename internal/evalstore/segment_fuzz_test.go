@@ -24,7 +24,8 @@ const fuzzFingerprint = "digamma-cost/fuzz"
 // is the magic plus whole CRC-valid frames, whose entries and results are
 // exactly what loaded. Replaying that prefix again changes nothing. The
 // committed corpus holds valid 'E' and 'R' frames, a torn tail, a bad
-// CRC, a foreign fingerprint, a non-JSON 'R' payload and a huge length.
+// CRC, a foreign fingerprint, a non-JSON 'R' payload, a huge length and a
+// CRC-valid 'E' frame whose length disagrees with its level count.
 func FuzzReplaySegment(f *testing.F) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {

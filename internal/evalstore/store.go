@@ -3,6 +3,7 @@ package evalstore
 import (
 	"cmp"
 	"log/slog"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,11 +26,13 @@ const shardCount = 64
 // move with the budget (2.6–3.6 ms at every point, unbounded included).
 const defaultMaxBytes = 64 << 20
 
-// entry is one resident analysis and the generation it was put or loaded
-// in; dropping that generation deletes it.
+// entry locates one resident analysis: its 'E' frame at off in the
+// arena of table slot slot, which belongs to the generation it was put
+// or loaded in; dropping that generation deletes it. Pointer-free, so
+// the collector does not scan the shard maps.
 type entry struct {
-	r   *cost.Result
-	gen uint32
+	slot uint32
+	off  uint32
 }
 
 type shard struct {
@@ -38,11 +41,12 @@ type shard struct {
 }
 
 // generation is one slice of the tier's log: the entries put or loaded
-// while it was active and, with a disk attached, the segment file of the
-// same sequence number that holds them.
+// while it was active, held in its arena, and, with a disk attached, the
+// segment file of the same sequence number that holds them too.
 type generation struct {
 	seq   uint32
-	bytes int64 // encoded frames appended to it
+	bytes int64  // encoded frames appended to it
+	a     *arena // nil until its first entry
 }
 
 // Options configures Open.
@@ -66,9 +70,9 @@ type Options struct {
 	// MaxSegmentBytes advances the generation, and rotates the active
 	// segment, once this many encoded bytes were appended to it (default
 	// 8 MiB, capped at MaxBytes/4 so the budget spans several
-	// generations). Rotation is atomic: the next segment is staged under a
-	// temp name, header-stamped and fsynced before the rename makes it
-	// live.
+	// generations; at most 2 GiB). Rotation is atomic: the next segment
+	// is staged under a temp name, header-stamped and fsynced before the
+	// rename makes it live.
 	MaxSegmentBytes int64
 
 	// Faults, when armed, injects failures at the store's write points
@@ -102,9 +106,14 @@ type Store struct {
 	log    *slog.Logger
 	faults *faults.Injector
 
-	// logMu orders every write to the tier's log: the generations, the
-	// byte and eviction counts and the disk tier. It is taken before any
-	// shard lock.
+	// arenas holds every generation's frames; entries name their arena by
+	// slot.
+	arenas *arenaTable
+
+	// logMu orders every write to the tier's log: the generations and
+	// their arenas, the byte and eviction counts and the disk tier. Every
+	// write to a shard map holds it too, taken before the shard lock, so a
+	// holder reads entries without a race to update one.
 	logMu    sync.Mutex
 	gens     []generation // resident, oldest first; the last is active
 	bytes    int64        // sum of gens[i].bytes
@@ -113,6 +122,10 @@ type Store struct {
 	evicted  uint64
 	loaded   int
 	disk     *diskTier // nil when memory-only or after a write failure
+	closed   bool      // Close freed the arenas: the tier holds nothing more
+
+	// dropKeys is unindex's scratch: a dropped arena's keys by shard.
+	dropKeys [shardCount][]Key
 
 	// Time spent under logMu staging generations and dropping old ones
 	// (see Stats.RotateNanos).
@@ -140,9 +153,9 @@ type Stats struct {
 	// spent under the log mutex — which the Put or promoting Get that
 	// triggered it holds — staging generations (with a disk: flushing,
 	// fsyncing and closing the old segment, creating the new one and
-	// re-appending the warm-start index) and dropping old ones (the shard
-	// scan and the segment unlink); RotateMaxNanos is the longest single
-	// staging or drop.
+	// re-appending the warm-start index) and dropping old ones (the walk
+	// over the dropped arena's frames, its unmapping and the segment
+	// unlink); RotateMaxNanos is the longest single staging or drop.
 	Rotations      uint64
 	RotateNanos    uint64
 	RotateMaxNanos uint64
@@ -179,10 +192,14 @@ func Open(o Options) (*Store, error) {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = min(defaultSegMax, o.MaxBytes/4)
 	}
+	o.MaxSegmentBytes = min(o.MaxSegmentBytes, maxArenaBytes-int64(maxEntryFrame))
 	s := &Store{
 		fingerprint: o.Fingerprint, log: o.Log, faults: o.Faults,
 		maxBytes: o.MaxBytes, genBytes: o.MaxSegmentBytes,
+		arenas: newArenaTable(),
 	}
+	// A store dropped without Close still returns its mappings.
+	runtime.AddCleanup(s, (*arenaTable).freeAll, s.arenas)
 	for i := range s.shards {
 		s.shards[i].m = make(map[Key]entry)
 	}
@@ -204,100 +221,156 @@ func (s *Store) Fingerprint() string { return s.fingerprint }
 
 func (s *Store) shardFor(k Key) *shard { return &s.shards[k.Hi&(shardCount-1)] }
 
-// Get returns the stored analysis for k. The result is shared and
-// immutable, and its CacheKey is k.Lo, so a search's L1 (keyed on the
-// same content key's low word) can hold it as it is.
+// Get returns the stored analysis for k, decoded from its frame into a
+// result the caller owns, whose CacheKey is k.Lo — so a search's L1,
+// keyed on the same content key's low word, can hold it as it is. A frame
+// that does not decode is a miss, and its entry is dropped.
 func (s *Store) Get(k Key) (*cost.Result, bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	e, ok := sh.m[k]
+	var r *cost.Result
+	var seq uint32
+	if ok {
+		a := s.arenas.at(e.slot)
+		r, seq = a.decode(e.off), a.seq
+	}
 	sh.mu.RUnlock()
-	if !ok {
+	if r == nil {
+		if ok {
+			s.forget(k, e)
+		}
 		s.misses.Add(1)
 		return nil, false
 	}
+	r.CacheKey = k.Lo
 	s.hits.Add(1)
-	if e.gen < s.promoteBelow.Load() {
+	if seq < s.promoteBelow.Load() {
 		s.promote(k)
 	}
-	return e.r, true
+	return r, true
+}
+
+// forget removes k's entry if it still is e: a frame that would not
+// decode. Its bytes stay charged to their generation until it drops.
+func (s *Store) forget(k Key, e entry) {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	sh := s.shardFor(k)
+	sh.mu.Lock()
+	if cur, ok := sh.m[k]; ok && cur == e {
+		delete(sh.m, k)
+	}
+	sh.mu.Unlock()
 }
 
 // promote re-appends a hit entry from a generation due to be dropped
 // soon (see setPromote) into the active one, so analyses that keep being
 // reused outlive the drop of the generation they were first put in. Each
-// promotion costs one more encoded copy in the active generation (and
-// segment), and a later hit finds the entry past the line.
+// promotion costs one more copy of the frame in the active generation
+// (and segment), and a later hit finds the entry past the line.
 func (s *Store) promote(k Key) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
+	if s.closed {
+		return
+	}
 	s.rotateIfFull()
 	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh.mu.RLock()
 	e, ok := sh.m[k]
-	if ok = ok && e.gen < s.promoteBelow.Load(); ok {
-		e.gen = s.gens[len(s.gens)-1].seq
-		sh.m[k] = e
+	sh.mu.RUnlock()
+	if !ok {
+		return
 	}
+	src := s.arenas.at(e.slot)
+	frame := src.frame(e.off)
+	if src.seq >= s.promoteBelow.Load() || frame == nil {
+		return
+	}
+	a := s.activeArena()
+	off := a.putFrame(frame)
+	sh.mu.Lock()
+	sh.m[k] = entry{slot: a.slot, off: off}
 	sh.mu.Unlock()
-	if ok {
-		s.appendEntry(k, e.r)
-	}
+	s.commit(a, off)
 }
 
 // Put publishes a freshly computed analysis under k into the active
-// generation. The store keeps a private clone (r is typically
-// slab-allocated by a search that will recycle it) whose CacheKey is k.Lo,
-// and appends it to the active disk segment when one is attached.
-// Re-inserts of a resident key are no-ops: analyses are pure, so any two
-// values for one key are identical.
+// generation: it encodes r's frame once into the active arena (r itself,
+// typically slab-allocated by a search that will recycle it, is not
+// kept) and appends those bytes to the active disk segment when one is
+// attached. Re-inserts of a resident key are no-ops: analyses are pure,
+// so any two values for one key are identical. A result deeper than
+// maxLevels, which replay would reject, is not stored.
 func (s *Store) Put(k Key, r *cost.Result) {
-	c := r.Clone()
-	c.CacheKey = k.Lo
+	if len(r.Levels) > maxLevels {
+		return
+	}
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
+	if s.closed {
+		return
+	}
 	s.rotateIfFull()
 	sh := s.shardFor(k)
-	sh.mu.Lock()
+	sh.mu.RLock()
 	_, resident := sh.m[k]
-	if !resident {
-		sh.m[k] = entry{r: c, gen: s.gens[len(s.gens)-1].seq}
-	}
-	sh.mu.Unlock()
+	sh.mu.RUnlock()
 	if resident {
 		return
 	}
+	a := s.activeArena()
+	off := a.putEntry(k, r)
+	sh.mu.Lock()
+	sh.m[k] = entry{slot: a.slot, off: off}
+	sh.mu.Unlock()
 	s.inserts.Add(1)
-	s.appendEntry(k, c)
+	s.commit(a, off)
 }
 
-// appendEntry charges r's frame to the active generation and appends it
-// to the active segment when a disk is attached. Caller holds logMu.
-func (s *Store) appendEntry(k Key, r *cost.Result) {
+// activeArena returns the active generation's arena, mapping it on the
+// generation's first entry. Caller holds logMu.
+func (s *Store) activeArena() *arena {
+	g := &s.gens[len(s.gens)-1]
+	if g.a == nil {
+		g.a = s.arenas.alloc(g.seq, int(s.genBytes)+maxEntryFrame)
+	}
+	return g.a
+}
+
+// commit charges the frame just written at off in the active arena to
+// the active generation, appending the same bytes to the active segment
+// when a disk is attached. Caller holds logMu.
+func (s *Store) commit(a *arena, off uint32) {
+	frame := a.frame(off)
 	if s.disk != nil {
-		if err := s.disk.append(k, r); err != nil {
+		if err := s.disk.append(frame); err != nil {
 			s.detachDisk(err)
 		}
 	}
-	s.grow(entryFrameLen(r))
+	s.grow(int64(len(frame)))
 }
 
-// load installs a disk-recovered entry under its segment's generation
-// without counting it as an insert or re-appending it, its CacheKey
-// derived from the key as Put sets it. Segments replay oldest first, so a
-// key found in two of them keeps the newer generation.
-func (s *Store) load(k Key, r *cost.Result, gen uint32) {
-	r.CacheKey = k.Lo
+// load indexes a disk-recovered entry, the frame at off in the arena of
+// its segment, without counting it as an insert or re-appending it.
+// Segments replay oldest first, so a key found in two of them keeps the
+// newer generation.
+func (s *Store) load(k Key, a *arena, off int) {
 	sh := s.shardFor(k)
 	sh.mu.Lock()
-	sh.m[k] = entry{r: r, gen: gen}
+	sh.m[k] = entry{slot: a.slot, off: uint32(off)}
 	sh.mu.Unlock()
 }
 
 // rotateIfFull advances to the next generation once the active one holds
-// genBytes. Caller holds logMu.
+// genBytes, or (a guard: arenas are sized for that) once its arena could
+// not take one more entry. Caller holds logMu.
 func (s *Store) rotateIfFull() {
-	if g := s.gens[len(s.gens)-1]; g.bytes >= s.genBytes {
+	if s.closed {
+		return
+	}
+	if g := s.gens[len(s.gens)-1]; g.bytes >= s.genBytes || g.a != nil && !g.a.fits(maxEntryFrame) {
 		if err := s.advance(g.seq + 1); err != nil {
 			s.detachDisk(err)
 		}
@@ -346,33 +419,56 @@ func (s *Store) grow(n int64) {
 }
 
 // dropOldest evicts the oldest generation whole: every resident entry
-// still recorded under it (a key evicted earlier and put again carries a
-// newer generation and stays) and its segment file. The shard maps are
-// scanned rather than a per-generation key list kept: a drop is rare (one
-// per MaxSegmentBytes of inserts) and the scan costs no memory per entry.
-// Caller holds logMu.
+// still recorded under it (a key evicted earlier and put again, or
+// promoted, points into a newer arena and stays) and its segment file.
+// The keys come from walking the arena's own frames, so a drop touches
+// only the entries it held; once they are gone the arena is unmapped (see
+// arena). Caller holds logMu.
 func (s *Store) dropOldest() {
 	defer s.timed(time.Now())
 	g := s.gens[0]
 	s.gens = s.gens[1:]
 	s.bytes -= g.bytes
 	s.setPromote()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.m {
-			if e.gen == g.seq {
-				delete(sh.m, k)
-				s.evicted++
-			}
-		}
-		sh.mu.Unlock()
+	if g.a != nil {
+		s.evicted += uint64(s.unindex(g.a))
+		s.arenas.free(g.a)
 	}
 	if s.disk != nil {
 		if err := s.disk.remove(g.seq); err != nil {
 			s.detachDisk(err)
 		}
 	}
+}
+
+// unindex deletes every entry still pointing into a and returns how many
+// there were. The arena's keys are gathered per shard first, so each
+// shard is locked once. Caller holds logMu (or owns the store during
+// Open).
+func (s *Store) unindex(a *arena) int {
+	for i := range s.dropKeys {
+		s.dropKeys[i] = s.dropKeys[i][:0]
+	}
+	a.eachEntry(func(k Key) {
+		i := k.Hi & (shardCount - 1)
+		s.dropKeys[i] = append(s.dropKeys[i], k)
+	})
+	n := 0
+	for i, keys := range s.dropKeys {
+		if len(keys) == 0 {
+			continue
+		}
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, k := range keys {
+			if e, ok := sh.m[k]; ok && e.slot == a.slot {
+				delete(sh.m, k)
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 // setPromote moves the promotion line past the generations the next
@@ -411,10 +507,23 @@ func (s *Store) Sync() error {
 	return s.disk.flush()
 }
 
-// Close flushes and detaches the disk tier. The memory tier stays usable.
+// Close flushes and detaches the disk tier and frees the memory tier:
+// every later Get misses and every later Put is dropped. The warm-start
+// index stays readable.
 func (s *Store) Close() error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
+	if !s.closed {
+		s.closed = true
+		for i := range s.shards { // no Get decodes past its shard's clear
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			clear(sh.m)
+			sh.mu.Unlock()
+		}
+		s.arenas.freeAll()
+		s.gens, s.bytes, s.dropKeys = nil, 0, [shardCount][]Key{}
+	}
 	if s.disk == nil {
 		return nil
 	}

@@ -46,6 +46,17 @@ go test -run '^$' -bench 'BenchmarkProbeKeyOnly$' -count 5 \
     -benchmem -benchtime "$BENCHTIME" ./internal/evalstore/ |
     grep '^Benchmark' | sort -k3,3 -g | sed -n 3p | tee -a "$RAW"
 
+# Shared-tier rungs under the key rung: a hit (one frame decoded into a
+# result the caller owns), a fresh publish into a disk-backed store and
+# into one held at its budget, and reopening a ~49k-entry disk tier
+# (segments read into arenas, entries indexed undecoded). Five samples
+# each; each row is their median by ns/op.
+for B in BenchmarkStoreGetHit BenchmarkStorePutDisk BenchmarkStorePutEvicting BenchmarkStoreOpen; do
+    go test -run '^$' -bench "^$B\$" -count 5 \
+        -benchmem -benchtime "$BENCHTIME" ./internal/evalstore/ |
+        grep '^Benchmark' | sort -k3,3 -g | sed -n 3p | tee -a "$RAW"
+done
+
 # Serving rows: one end-to-end served search (submit → queue → run →
 # long-poll), the same search on the K-island engine (ISLANDS knob), one
 # dedup hit served straight from the result store, the near-duplicate
