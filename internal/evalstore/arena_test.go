@@ -8,14 +8,49 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"digamma/internal/arch"
+	"digamma/internal/cost"
+	"digamma/internal/mapping"
+	"digamma/internal/workload"
 )
 
-// TestArenaReuseAfterDrop: concurrent Gets, Puts and promotions across
-// many generation drops on a tiny budget, memory-only and disk-backed.
-// Every hit decodes bit-equal to a fresh analysis, freed arenas give
-// their slots to later generations, and no arena outlives its generation
-// — the -race CI job runs this ten times over.
+// analysisSet is n distinct repaired 2-level mappings of one conv layer
+// — the depth whose results the cost model slab-allocates and Get decodes
+// into slabs — with their content keys.
+func analysisSet(n int) (workload.Layer, arch.HW, []mapping.Mapping, []Key) {
+	layer := workload.Layer{Name: "conv", Type: workload.Conv, K: 64, C: 64, Y: 8, X: 8, R: 3, S: 3}
+	hw := arch.HW{Fanouts: []int{4, 16}}.Defaults()
+	ctxs := NewContexts("fp", "analytic", []workload.Layer{layer}, nil)
+	seen := map[Key]bool{}
+	var maps []mapping.Mapping
+	var keys []Key
+	for i := 0; len(maps) < n; i++ {
+		inner := mapping.Level{Spatial: workload.Dim(i % 2), Order: mapping.CanonicalOrder()}
+		outer := mapping.Level{Spatial: workload.K, Order: mapping.CanonicalOrder()}
+		for d, ext := range []int{64, 64, 8, 8, 3, 3} {
+			inner.Tiles[d] = 1 << ((i >> (1 + 2*d)) & 3) % ext
+			outer.Tiles[d] = ext
+		}
+		m := mapping.Mapping{Levels: []mapping.Level{inner, outer}}
+		m.RepairInPlace(layer)
+		if k := ProbeKey(&ctxs[0], hw.Fanouts, m); !seen[k] {
+			seen[k] = true
+			maps, keys = append(maps, m), append(keys, k)
+		}
+	}
+	return layer, hw, maps, keys
+}
+
+// TestArenaReuseAfterDrop: concurrent Gets, Puts and promotions of real
+// cost-model analyses across many generation drops on a tiny budget,
+// memory-only and disk-backed. Every hit decodes bit-equal to a fresh
+// analysis, freed arenas give their slots to later generations, and no
+// arena outlives its generation — the -race CI job runs this ten times
+// over.
 func TestArenaReuseAfterDrop(t *testing.T) {
+	const workers, keys = 6, 300
+	layer, hw, maps, ks := analysisSet(keys)
 	for _, dir := range []string{"", t.TempDir()} {
 		t.Run(fmt.Sprintf("disk=%v", dir != ""), func(t *testing.T) {
 			s, err := Open(Options{Dir: dir, MaxSegmentBytes: 2048, MaxBytes: 8 << 10})
@@ -23,25 +58,32 @@ func TestArenaReuseAfterDrop(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			const workers, keys = 6, 300
 			var wg sync.WaitGroup
 			for w := range workers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					an := cost.NewAnalyzer(layer)
+					fresh := func(i int) *cost.Result {
+						r, err := an.AnalyzeTrusted(hw, maps[i])
+						if err != nil {
+							panic(err)
+						}
+						return r
+					}
 					rng := rand.New(rand.NewSource(int64(w)))
 					for j := 0; j < 1500; j++ {
 						i := rng.Intn(keys)
 						if j%2 == 0 {
 							i = rng.Intn(keys / 20) // a hot set that keeps promoting
 						}
-						if r, ok := s.Get(testKey(i)); ok {
-							if !sameResult(r, testResult(i)) || r.CacheKey != testKey(i).Lo {
-								panic(fmt.Sprintf("worker %d: entry %d decoded wrong", w, i))
+						if r, ok := s.Get(ks[i]); ok {
+							if !sameResult(r, fresh(i)) || r.CacheKey != ks[i].Lo {
+								panic(fmt.Sprintf("worker %d: analysis %d decoded wrong", w, i))
 							}
 							continue
 						}
-						s.Put(testKey(i), testResult(i))
+						s.Put(ks[i], fresh(i))
 					}
 				}()
 			}
