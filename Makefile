@@ -18,11 +18,11 @@ test:
 race:
 	$(GO) test -race ./internal/evalcache/ ./internal/par/ ./internal/coopt/ ./internal/core/ ./internal/figures/ ./internal/serve/
 
-# loadgen fires concurrent mixed requests at an in-process digammad and
-# reports throughput + dedup hit rate (REQUESTS/CLIENTS/BUDGET/TARGET env
-# knobs; see scripts/loadgen.sh).
+# loadgen runs the bench runner's serve-unique workload: open-loop unique
+# requests through a durable digammad, each timed from due to done (see
+# scripts/loadgen.sh; KILL_AFTER=N runs its crash-recovery smoke instead).
 loadgen:
-	./scripts/loadgen.sh
+	./scripts/loadgen.sh -workload serve-unique -seconds 10
 
 # check is the CI gate: everything tier-1 plus a one-iteration benchmark
 # smoke so the figure pipelines stay runnable.

@@ -8,11 +8,6 @@
 //	curl -N  localhost:8080/v1/jobs/j000001/events
 //	curl -s -X DELETE localhost:8080/v1/jobs/j000001
 //	curl -s localhost:8080/metrics
-//
-// The -selftest mode is a ReqBench-style load generator: it fires N
-// concurrent mixed requests (with deliberate duplicates) at a target
-// server — or at an in-process one when no -target is given — and reports
-// throughput and the dedup hit rate.
 package main
 
 import (
@@ -183,20 +178,6 @@ func main() {
 		quantum  = flag.Int("sched-quantum", 0, "evals replenished per weight unit per scheduling rotation (0 = 2000)")
 		maxBatch = flag.Int("max-batch", 0, "max items per POST /v1/batches, 400 above it (0 = 256)")
 		tSeries  = flag.Int("tenant-series", 0, "distinct tenant labels on /metrics before aggregation into the overflow label (0 = 32)")
-		noWarm   = flag.Bool("no-warm", false, "selftest: skip the near-duplicate shared-analysis phase")
-		selftest = flag.Bool("selftest", false, "run the load-generator self-test and exit")
-		requests = flag.Int("requests", 24, "selftest: total requests to fire")
-		clients  = flag.Int("clients", 8, "selftest: concurrent clients")
-		budget   = flag.Int("budget", 300, "selftest: sampling budget per request")
-		islands  = flag.Int("islands", 0, "selftest: run the request mix on the K-island engine (<=1 = single population)")
-		tenants  = flag.Int("tenants", 0, "selftest: spread traffic across N tenants and run the two-tenant contention phase (0 = single-tenant legacy traffic)")
-		batchN   = flag.Int("batch", 0, "selftest: also submit an N-item near-duplicate sweep as one POST /v1/batches (0 = skip)")
-		sustain  = flag.Duration("sustain", 0, "selftest: sustained-load phase duration, open-loop submits at -rate (0 = skip)")
-		rate     = flag.Float64("rate", 4, "selftest: sustained-phase submit rate, requests per second")
-		p95Max   = flag.Duration("p95-max", 0, "selftest: fail when the sustained phase's p95 end-to-end latency exceeds this (0 = report only)")
-		benchLn  = flag.Bool("bench-lines", false, "selftest: emit the sustained phase's latency as a Go-benchmark-format row (mean ns/op + p95_ns/op + p99_ns/op) for scripts/bench.sh")
-		distSmok = flag.Bool("dist-smoke", false, "selftest: spawn two -worker copies of this binary, kill one mid-search, and require the distributed result to match the local one bit for bit")
-		target   = flag.String("target", "", "selftest: base URL of a running digammad (empty = in-process server)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (CPU/heap profiling of the serving hot path)")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFmt   = flag.String("log-format", "text", "log encoding: text or json")
@@ -274,27 +255,6 @@ func main() {
 				"loaded", st.Loaded, "evicted", st.Evicted, "results", st.Results)
 		}
 	}
-	if *selftest {
-		opts := selftestOpts{
-			Target: *target, Total: *requests, Clients: *clients,
-			Budget: *budget, Islands: *islands, Warm: !*noWarm,
-			Tenants: *tenants, Batch: *batchN,
-			Sustain: *sustain, Rate: *rate, P95Max: *p95Max,
-			BenchLines: *benchLn, DistSmoke: *distSmok,
-		}
-		// The contention phase wants asymmetric weights so fairness has
-		// something to measure; give the in-process server 3:1 unless the
-		// operator chose their own.
-		if opts.Tenants >= 2 && *target == "" && cfg.TenantWeights == nil {
-			cfg.TenantWeights = map[string]int{"gold": 3, "silver": 1}
-		}
-		if err := runSelftest(cfg, opts); err != nil {
-			fmt.Fprintln(os.Stderr, "digammad: selftest:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	s, err := serve.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "digammad:", err)

@@ -69,7 +69,8 @@ func TestServerNoSharedAnalysis(t *testing.T) {
 
 // TestServerWarmStartDedup: a warm-start request must never dedup onto
 // its cold twin (its result depends on the server's prior traffic), and
-// it completes through the shared tier's result index.
+// it completes through the shared tier's result index, with or without a
+// time-to-target bound.
 func TestServerWarmStartDedup(t *testing.T) {
 	s, url := testServer(t, Config{Workers: 1})
 
@@ -77,9 +78,12 @@ func TestServerWarmStartDedup(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit cold: HTTP %d", code)
 	}
-	waitState(t, url, cold.ID, StateDone, 30*time.Second)
+	coldDone := waitState(t, url, cold.ID, StateDone, 30*time.Second)
 	if s.AnalysisStats().Results == 0 {
 		t.Fatal("completed job not recorded in the warm-start index")
+	}
+	if coldDone.Result == nil {
+		t.Fatal("cold job done without a result")
 	}
 
 	warm, code := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 300, Seed: 2, WarmStart: true})
@@ -90,6 +94,24 @@ func TestServerWarmStartDedup(t *testing.T) {
 		t.Fatalf("warm-start request deduplicated onto cold job %s", cold.ID)
 	}
 	waitState(t, url, warm.ID, StateDone, 30*time.Second)
+
+	// A warm start with a time-to-target bound 5% above the cold result:
+	// seeded from that result, the search opens within the target.
+	target := 1.05 * coldDone.Result.Metrics.Fitness
+	timed, code := submit(t, url, OptimizeRequest{Model: "ncf", Budget: 300, Seed: 2, WarmStart: true, Target: target})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit warm with target: HTTP %d (deduped onto %s?)", code, timed.ID)
+	}
+	if timed.ID == cold.ID || timed.ID == warm.ID {
+		t.Fatalf("targeted warm start deduplicated onto job %s", timed.ID)
+	}
+	timedDone := waitState(t, url, timed.ID, StateDone, 30*time.Second)
+	if timedDone.Result == nil {
+		t.Fatal("targeted warm start done without a result")
+	}
+	if got := timedDone.Result.Metrics.Fitness; got > target {
+		t.Errorf("targeted warm start fitness %v above its target %v", got, target)
+	}
 
 	// And the tier shows up on /metrics.
 	resp, err := http.Get(url + "/metrics")

@@ -132,12 +132,11 @@ func warmBenchMacs(specs []workload.LayerSpec) float64 {
 }
 
 // warmBenchRequest builds iteration i of the near-duplicate stream: one
-// of eight bounded single-layer perturbations of the base workload (the
-// loadgen near-duplicate discipline), under a per-cycle seed so every
-// (cycle, perturbation) pair has a distinct dedup hash at any b.N —
-// every iteration pays for a real search, never a dedup lookup. The
-// time-to-target threshold is the reference fitness scaled by the
-// perturbed workload's compute.
+// of eight bounded single-layer perturbations of the base workload, under
+// a per-cycle seed so every (cycle, perturbation) pair has a distinct
+// dedup hash at any b.N — every iteration pays for a real search, never
+// a dedup lookup. The time-to-target threshold is the reference fitness
+// scaled by the perturbed workload's compute.
 func warmBenchRequest(i int, refFitness, baseMacs float64) OptimizeRequest {
 	cycle, pos := i/8, i%8
 	specs := warmBenchBase()

@@ -88,7 +88,7 @@ type scheduler struct {
 	// starved counts force-dispatches by the anti-wedge guard in pop: a
 	// rotation budget large enough to cover any admissible job means the
 	// guard can only fire on a scheduler bug, so the counter is an SLO
-	// tripwire (asserted zero by the loadgen harness), not a mechanism.
+	// tripwire (asserted zero by the scheduler tests), not a mechanism.
 	starved uint64
 
 	// onDispatch, when set (tests only), observes every pop under mu — the

@@ -83,21 +83,12 @@ go test -run '^$' -bench 'BenchmarkDistIslands$' \
 go test -run '^$' -bench 'BenchmarkBoundaryWire$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/dist/ | tee -a "$RAW"
 
-# Served tail latency: the selftest's open-loop sustained phase over a
-# small rate sweep, recorded as mean/p95/p99 rows so SLO drift shows up in
-# the same trajectory file as the throughput rows.
-for RATE in ${SUSTAIN_RATES:-2 6}; do
-    go run ./cmd/digammad -selftest -requests 8 -clients 4 -no-warm \
-        -budget "${SUSTAIN_BUDGET:-240}" -sustain "${SUSTAIN_DUR:-4s}" \
-        -rate "$RATE" -bench-lines -log-level error | grep '^Benchmark' | tee -a "$RAW"
-done
-
 awk '
 BEGIN { print "[" ; first = 1 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)           # strip the GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""; bestfit = ""; reused = ""; fullevals = ""; hitrate = ""; sharedhits = ""; p95 = ""; p99 = ""; wire = ""
+    ns = ""; bytes = ""; allocs = ""; bestfit = ""; reused = ""; fullevals = ""; hitrate = ""; sharedhits = ""; wire = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op")         ns         = $(i - 1)
         if ($(i) == "B/op")          bytes      = $(i - 1)
@@ -107,8 +98,6 @@ BEGIN { print "[" ; first = 1 }
         if ($(i) == "fullevals/op")  fullevals  = $(i - 1)
         if ($(i) == "hitrate/op")    hitrate    = $(i - 1)
         if ($(i) == "sharedhits/op") sharedhits = $(i - 1)
-        if ($(i) == "p95_ns/op")     p95        = $(i - 1)
-        if ($(i) == "p99_ns/op")     p99        = $(i - 1)
         if ($(i) == "wire_B/boundary") wire     = $(i - 1)
     }
     if (ns == "") next
@@ -121,8 +110,6 @@ BEGIN { print "[" ; first = 1 }
     if (fullevals != "") printf ", \"fullevals_per_op\": %s", fullevals
     if (hitrate != "") printf ", \"hitrate_per_op\": %s", hitrate
     if (sharedhits != "") printf ", \"sharedhits_per_op\": %s", sharedhits
-    if (p95 != "") printf ", \"p95_ns_per_op\": %s", p95
-    if (p99 != "") printf ", \"p99_ns_per_op\": %s", p99
     if (wire != "") printf ", \"wire_bytes_per_boundary\": %s", wire
     printf "}"
 }

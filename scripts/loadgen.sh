@@ -1,51 +1,28 @@
 #!/bin/sh
-# loadgen.sh — ReqBench-style load generator for digammad.
+# loadgen.sh — load generation for digammad.
 #
-# Builds cmd/digammad and runs its -selftest mode: N concurrent mixed
-# optimize requests (with deliberate duplicates) against an in-process
-# server — or a running one via TARGET — reporting submit/end-to-end
-# throughput and the dedup hit rate. The mix is followed by a
-# near-duplicate phase: a base GEMM tower, then requests that each
-# perturb exactly one layer's width, warm-started and time-to-target
-# bounded, with the shared analysis tier's hit rate reported (NOWARM=1
-# skips the whole near-duplicate phase).
+# Without KILL_AFTER it runs the repo's one load generator, the bench
+# runner (bench/run.sh), passing every argument on. Its served workloads
+# pace requests open-loop and time each one from the moment it was due
+# until its job is done:
+#   scripts/loadgen.sh -workload serve-unique -seconds 10 -out su.json
+#   scripts/loadgen.sh -workload serve-neardup -seconds 20
 #
-# Usage:
-#   scripts/loadgen.sh                       # 24 requests, 8 clients, in-process
-#   REQUESTS=200 CLIENTS=32 scripts/loadgen.sh
-#   TARGET=http://localhost:8080 scripts/loadgen.sh   # against a live server
-#   BUDGET=1000 scripts/loadgen.sh                    # heavier searches
-#   ISLANDS=4 scripts/loadgen.sh                      # island-model searches
-#   NOWARM=1 scripts/loadgen.sh                       # skip the near-duplicate phase
-#   TENANTS=2 scripts/loadgen.sh             # multi-tenant mix + two-tenant
-#                                            # contention phase with a
-#                                            # per-tenant latency table
-#   BATCH=16 scripts/loadgen.sh              # 16-item sweep as one POST /v1/batches
-#   SUSTAIN=10s RATE=8 P95_MAX=2s scripts/loadgen.sh  # sustained-load SLO
-#                                            # phase: open-loop submits at
-#                                            # RATE req/s, fails when p95
-#                                            # end-to-end exceeds P95_MAX
-#
-# Kill-after mode (crash-recovery smoke): starts a durable digammad,
-# SIGKILLs it mid-load, restarts it over the same data dir, and verifies
+# Kill-after mode (crash-recovery smoke): starts a durable digammad, POSTs
+# REQUESTS optimize requests at BUDGET with curl, SIGKILLs the server
+# KILL_AFTER seconds in, restarts it over the same data dir, and verifies
 # the interrupted jobs are recovered and finish.
-#   KILL_AFTER=2 scripts/loadgen.sh          # SIGKILL 2s into the load
+#   KILL_AFTER=2 BUDGET=20000 REQUESTS=8 scripts/loadgen.sh
 #   KILL_AFTER=2 ADDR=127.0.0.1:18418 BUDGET=20000 scripts/loadgen.sh
 set -eu
 
 cd "$(dirname "$0")/.."
-REQUESTS=${REQUESTS:-24}
-CLIENTS=${CLIENTS:-8}
-BUDGET=${BUDGET:-300}
-ISLANDS=${ISLANDS:-0}
-TENANTS=${TENANTS:-0}
-BATCH=${BATCH:-0}
-SUSTAIN=${SUSTAIN:-0}
-RATE=${RATE:-4}
-P95_MAX=${P95_MAX:-0}
-TARGET=${TARGET:-}
-NOWARM=${NOWARM:-}
 KILL_AFTER=${KILL_AFTER:-}
+if [ -z "$KILL_AFTER" ]; then
+    exec bash bench/run.sh "$@"
+fi
+REQUESTS=${REQUESTS:-24}
+BUDGET=${BUDGET:-300}
 ADDR=${ADDR:-127.0.0.1:18418}
 
 TMP=$(mktemp -d)
@@ -53,25 +30,6 @@ BIN=$TMP/digammad
 trap 'rm -rf "$TMP"; [ -n "${SRV_PID:-}" ] && kill -9 "$SRV_PID" 2>/dev/null || true' EXIT
 go build -o "$BIN" ./cmd/digammad
 
-if [ -z "$KILL_AFTER" ]; then
-    # No exec: the shell must survive the run so the EXIT trap can clean
-    # up the temporary build directory.
-    "$BIN" -selftest \
-        -requests "$REQUESTS" \
-        -clients "$CLIENTS" \
-        -budget "$BUDGET" \
-        -islands "$ISLANDS" \
-        -tenants "$TENANTS" \
-        -batch "$BATCH" \
-        -sustain "$SUSTAIN" \
-        -rate "$RATE" \
-        -p95-max "$P95_MAX" \
-        ${NOWARM:+-no-warm} \
-        ${TARGET:+-target "$TARGET"}
-    exit 0
-fi
-
-# --- kill-after mode ---------------------------------------------------
 DATA=$TMP/data
 URL="http://$ADDR"
 
@@ -93,12 +51,21 @@ SRV_PID=$!
 wait_healthy
 echo "loadgen: durable digammad up (pid $SRV_PID, data $DATA)"
 
-# Fire the load in the background and SIGKILL the server mid-flight. The
-# selftest client is expected to fail — its server just died — so don't
-# let its exit status stop the script.
-"$BIN" -selftest -target "$URL" \
-    -requests "$REQUESTS" -clients "$CLIENTS" -budget "$BUDGET" -islands "$ISLANDS" \
-    >"$TMP/load.log" 2>&1 &
+# Fire the load in the background and SIGKILL the server mid-flight: a
+# mix of four request shapes, each request with its own seed, so every
+# one is a distinct job and jobs are still queued when the kill lands. A
+# submit that races the kill fails, so curl's status is not checked.
+i=0
+while [ "$i" -lt "$REQUESTS" ]; do
+    case $((i % 4)) in
+    0) REQ='"model":"resnet18","platform":"edge","objective":"latency"' ;;
+    1) REQ='"model":"mnasnet","platform":"edge","objective":"edp"' ;;
+    2) REQ='"model":"resnet18","platform":"cloud","objective":"energy"' ;;
+    3) REQ='"model":"mobilenetv2","platform":"edge","objective":"latency"' ;;
+    esac
+    curl -sS -o /dev/null "$URL/v1/optimize" -d "{$REQ,\"budget\":$BUDGET,\"seed\":$((100 + i))}" 2>>"$TMP/load.log" || true
+    i=$((i + 1))
+done &
 LOAD_PID=$!
 sleep "$KILL_AFTER"
 kill -9 "$SRV_PID"
@@ -129,19 +96,20 @@ DONE=$(metric 'digammad_jobs{state="done"}')
 echo "loadgen: recovery complete — $DONE jobs done after restart"
 
 # Observability smoke on the recovered server: the histogram metrics must
-# expose well-formed families, and one finished job's trace and report
-# must parse. A job recovered terminal serves its persisted report; a job
-# re-run after recovery also has a live flight recorder.
+# expose well-formed families, and one finished job must serve its report.
+# A job recovered terminal serves its persisted report but may have no
+# trace (its flight recorder died with the first process), so the trace
+# is reported and not required.
 curl -fsS "$URL/metrics" | grep -q '^# TYPE digammad_build_info gauge$' \
     || { echo "loadgen: FAIL — /metrics missing digammad_build_info" >&2; exit 1; }
 curl -fsS "$URL/metrics" | grep -q '^# TYPE digammad_search_latency_seconds histogram$' \
     || { echo "loadgen: FAIL — /metrics missing the latency histogram" >&2; exit 1; }
 JOB=$(curl -fsS "$URL/v1/jobs" | sed -n 's/.*"id": "\(j[0-9]*\)".*/\1/p' | head -1)
 if [ -n "$JOB" ]; then
-    EVENTS=$(curl -fsS "$URL/v1/jobs/$JOB/trace" | grep -o '"ph":' | wc -l || true)
-    PHASES=$(curl -fsS "$URL/v1/jobs/$JOB/report" | grep -o '"name":' | wc -l || true)
-    if [ "$EVENTS" -lt 1 ] && [ "$PHASES" -lt 1 ]; then
-        echo "loadgen: FAIL — job $JOB served neither trace events nor report phases" >&2
+    EVENTS=$(curl -fsS "$URL/v1/jobs/$JOB/trace" 2>/dev/null | grep -o '"ph":' | wc -l || true)
+    PHASES=$(curl -fsS "$URL/v1/jobs/$JOB/report" | jq '.search.phases | length' || true)
+    if [ "${PHASES:-0}" -lt 1 ]; then
+        echo "loadgen: FAIL — job $JOB served no report phases" >&2
         exit 1
     fi
     echo "loadgen: observability smoke — job $JOB: $EVENTS trace events, $PHASES report rows"
