@@ -135,12 +135,9 @@ func TestRunWorkerBitIdentical(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	exited := false
-	t.Cleanup(func() {
-		if !exited {
-			cmd.Process.Kill()
-			cmd.Wait()
-		}
+	t.Cleanup(func() { // a no-op once the SIGTERM below has reaped it
+		cmd.Process.Kill()
+		cmd.Wait()
 	})
 	var addr string
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -186,9 +183,7 @@ func TestRunWorkerBitIdentical(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	err = cmd.Wait()
-	exited = true
-	if err != nil {
+	if err := cmd.Wait(); err != nil {
 		t.Errorf("worker exit after SIGTERM: %v\n%s", err, stderr.String())
 	}
 	for _, line := range []string{"digammad worker listening", "session open", "worker shutting down"} {
