@@ -126,8 +126,8 @@ func run(modelName, platName, algorithm, objective string, budget int, seed int6
 		fmt.Println("\nper-layer breakdown (unique layers):")
 		for li, le := range best.Layers {
 			fmt.Printf("  %-18s x%-3d  %.3e cycles  util %.2f  %s\n",
-				le.Layer.Name, le.Layer.Multiplicity(), le.Result.Cycles,
-				le.Result.Utilization, best.Genome.Maps[li])
+				le.Layer.Name, le.Layer.Multiplicity(), le.Score.Cycles,
+				le.Score.Utilization, best.Genome.Maps[li])
 		}
 	}
 	if jsonOut != "" {

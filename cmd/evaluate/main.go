@@ -2,6 +2,8 @@
 // role): give it a hardware configuration, a layer (or model) and a
 // mapping style, and it prints the detailed analysis — latency,
 // utilization, per-level buffer demand and traffic — without any search.
+// Each unique layer is scored as a search scores it, then re-analyzed
+// once for the per-level detail a score does not keep.
 //
 // Examples:
 //
@@ -12,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -38,20 +41,50 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*modelName, *layerSpec, *pes, *l1, *l2, *styleName, *platName, *workers, *fidelity); err != nil {
+	if err := run(os.Stdout, *modelName, *layerSpec, *pes, *l1, *l2, *styleName, *platName, *workers, *fidelity); err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(modelName, layerSpec, pes string, l1, l2 int64, styleName, platName string, workers int, fidelity string) error {
-	platform, err := arch.PlatformByName(platName)
+// run evaluates the design the flags describe and writes the report to w.
+func run(w io.Writer, modelName, layerSpec, pes string, l1, l2 int64, styleName, platName string, workers int, fidelity string) error {
+	r, err := evaluate(modelName, layerSpec, pes, l1, l2, styleName, platName, workers, fidelity)
 	if err != nil {
 		return err
 	}
+	ev := r.eval
+	fmt.Fprintf(w, "hardware: %s (%s style)\n", r.hw, r.style)
+	fmt.Fprintf(w, "area:     %s\n", ev.Area)
+	fmt.Fprintf(w, "total:    %.4e cycles, %.4e pJ, valid=%v\n\n", ev.Cycles, ev.EnergyPJ, ev.Valid)
+	for li, le := range ev.Layers {
+		fmt.Fprintf(w, "--- %s (x%d) ---\n", le.Layer, le.Layer.Multiplicity())
+		fmt.Fprintf(w, "mapping: %s\n", ev.Genome.Maps[li])
+		fmt.Fprint(w, r.layers[li].Detail(r.energy, le.Layer.MACs()))
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// report is one evaluated design: its evaluation, which keeps a score per
+// unique layer, and each layer's full analysis, re-run for the per-level
+// detail and priced with the same energy constants as the total.
+type report struct {
+	hw     arch.HW
+	style  schemes.MapStyle
+	eval   *coopt.Evaluation
+	layers []*cost.Result
+	energy arch.EnergyModel
+}
+
+func evaluate(modelName, layerSpec, pes string, l1, l2 int64, styleName, platName string, workers int, fidelity string) (*report, error) {
+	platform, err := arch.PlatformByName(platName)
+	if err != nil {
+		return nil, err
+	}
 	backend, err := cost.BackendByName(fidelity)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -62,17 +95,17 @@ func run(modelName, layerSpec, pes string, l1, l2 int64, styleName, platName str
 	case layerSpec != "":
 		l, err := parseLayer(layerSpec)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		layers = []workload.Layer{l}
 	case modelName != "":
 		m, err := workload.ByName(modelName)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		layers = m.UniqueLayers()
 	default:
-		return fmt.Errorf("need -model or -layer")
+		return nil, fmt.Errorf("need -model or -layer")
 	}
 
 	var style schemes.MapStyle
@@ -84,30 +117,29 @@ func run(modelName, layerSpec, pes string, l1, l2 int64, styleName, platName str
 	case "eye-like":
 		style = schemes.EyeLike
 	default:
-		return fmt.Errorf("unknown style %q", styleName)
+		return nil, fmt.Errorf("unknown style %q", styleName)
 	}
 
 	hw, err := parseHW(pes, l1, l2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	maps := schemes.StyleMappings(style, hw, layers)
 	ev, err := coopt.EvaluateMappingBackend(layers, hw, maps, platform, coopt.Latency, workers, backend)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	fmt.Printf("hardware: %s (%s style)\n", hw, style)
-	fmt.Printf("area:     %s\n", ev.Area)
-	fmt.Printf("total:    %.4e cycles, %.4e pJ, valid=%v\n\n", ev.Cycles, ev.EnergyPJ, ev.Valid)
+	r := &report{hw: hw, style: style, eval: ev, energy: backend.EffectiveEnergy(platform.Energy)}
 	for li, le := range ev.Layers {
-		fmt.Printf("--- %s (x%d) ---\n", le.Layer, le.Layer.Multiplicity())
-		fmt.Printf("mapping: %s\n", maps[li])
-		fmt.Print(le.Result.Detail(platform.Energy, le.Layer.MACs()))
-		fmt.Println()
+		a := cost.NewAnalyzer(*le.Layer)
+		res, err := backend.Analyze(&a, ev.HW, ev.Genome.Maps[li])
+		if err != nil {
+			return nil, err
+		}
+		r.layers = append(r.layers, res)
 	}
-	return nil
+	return r, nil
 }
 
 // parseLayer builds a layer from "TYPE,K,C,Y,X,R,S[,sy,sx]".

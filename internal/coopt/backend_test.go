@@ -137,7 +137,7 @@ func TestOneCacheKeepsTiersApart(t *testing.T) {
 					t.Fatal(err)
 				}
 				for li := range ew.Layers {
-					if w, c := ew.Layers[li].Result, ec.Layers[li].Result; w.Cycles != c.Cycles || w.DRAMWords != c.DRAMWords {
+					if w, c := ew.Layers[li].Score, ec.Layers[li].Score; w.Cycles != c.Cycles || w.DRAMWords != c.DRAMWords {
 						t.Fatalf("%s trial %d rep %d layer %d: shared L1 served %.9e cycles, tier computes %.9e",
 							tier.warm.Backend().Name(), trial, rep, li, w.Cycles, c.Cycles)
 					}

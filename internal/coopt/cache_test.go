@@ -76,11 +76,11 @@ func TestCachedMatchesColdAllObjectives(t *testing.T) {
 	}
 }
 
-// TestSharedHitFillsL1WithoutAlloc: a shared-tier hit is decoded into a
-// result the search owns that already carries the L1 key, so it goes
-// into the L1 as it is: the hit allocates nothing beyond the decode's
-// share of a result slab (none per hit, averaged), and the next probe
-// hits the L1 on a result bit-equal to the store's.
+// TestSharedHitFillsL1WithoutAlloc: a shared-tier hit decodes a score
+// by value that already carries the L1 key, so it goes into the L1 as it
+// is: the hit allocates nothing beyond the L1's share of an entry slab
+// (none per hit, averaged), and the next probe hits the L1 on a score
+// bit-equal to the store's.
 func TestSharedHitFillsL1WithoutAlloc(t *testing.T) {
 	store := evalstore.NewMemory()
 	seed := mustProblem(t, Latency).WithShared(store)
@@ -96,10 +96,10 @@ func TestSharedHitFillsL1WithoutAlloc(t *testing.T) {
 		if !ok {
 			t.Fatalf("layer %d: the seeding search did not publish its analysis", li)
 		}
-		var got *cost.Result
+		var got cost.Score
 		allocs := testing.AllocsPerRun(50, func() {
 			p.Cache.Reset()
-			got, _ = p.analyzeLayer(hw, g, li)
+			_ = p.analyzeLayer(hw, g, li, &got)
 		})
 		if allocs != 0 {
 			t.Errorf("layer %d: a shared hit allocated %.1f times", li, allocs)
@@ -107,8 +107,8 @@ func TestSharedHitFillsL1WithoutAlloc(t *testing.T) {
 		if !sameBits(got, want) {
 			t.Fatalf("layer %d: the shared hit returned %+v, the store holds %+v", li, got, want)
 		}
-		if r, ok := p.Cache.Get(k.Lo); !ok || !sameBits(r, want) {
-			t.Fatalf("layer %d: the L1 does not hold the store's result under the key's low word", li)
+		if r, ok := p.Cache.Get(k.Lo); !ok || !sameBits(*r, want) {
+			t.Fatalf("layer %d: the L1 does not hold the store's score under the key's low word", li)
 		}
 	}
 	if p.SharedHits() == 0 {
@@ -116,26 +116,18 @@ func TestSharedHitFillsL1WithoutAlloc(t *testing.T) {
 	}
 }
 
-// sameBits reports whether two results hold bit-identical fields,
-// CacheKey included.
-func sameBits(a, b *cost.Result) bool {
-	x, y := *a, *b
-	if len(x.Levels) != len(y.Levels) {
-		return false
-	}
-	for i := range x.Levels {
-		if x.Levels[i] != y.Levels[i] {
-			return false
-		}
-	}
-	fx := []float64{x.Cycles, x.ComputeOnly, x.MappedMACs, x.DRAMWords, x.NoCWords, x.L1Words, x.L2Words, x.Utilization}
-	fy := []float64{y.Cycles, y.ComputeOnly, y.MappedMACs, y.DRAMWords, y.NoCWords, y.L1Words, y.L2Words, y.Utilization}
+// sameBits reports whether two scores hold bit-identical fields, Key
+// included.
+func sameBits(x, y cost.Score) bool {
+	fx := []float64{x.Cycles, x.MappedMACs, x.DRAMWords, x.NoCWords, x.L1Words, x.L2Words, x.Utilization}
+	fy := []float64{y.Cycles, y.MappedMACs, y.DRAMWords, y.NoCWords, y.L1Words, y.L2Words, y.Utilization}
+	fx, fy = append(fx, x.Buffer[:]...), append(fy, y.Buffer[:]...)
 	for i := range fx {
 		if math.Float64bits(fx[i]) != math.Float64bits(fy[i]) {
 			return false
 		}
 	}
-	return x.CacheKey == y.CacheKey
+	return x.Levels == y.Levels && x.Key == y.Key
 }
 
 // TestCachedMatchesColdFixedHW repeats the comparison in Fixed-HW mode,

@@ -86,21 +86,19 @@ type Problem struct {
 	// searched. See WithFixedMapping.
 	MappingRule MappingRule
 
-	// Cache, when non-nil, memoizes per-layer analyses across
-	// evaluations, keyed on the low word of the layer's content key
-	// (evalstore.ProbeKey over the layer's key context and the probe's
-	// fanout and mapping genes), the key the shared tier stores under.
-	// The fitness decomposes additively over layers, so layer blocks
-	// inherited unchanged between genomes (elites, crossover, untouched
-	// layers) skip re-analysis entirely. Cached results are shared and
-	// immutable; caching never changes evaluation values, only their cost.
-	// NewProblem enables it by default; set to nil to disable. The key
-	// contexts are built with the problem, so callers that mutate FixedHW
-	// or Platform directly (rather than via WithFixedHW) get stale keys.
-	// The intrusive variant stores results directly (their CacheKey field
-	// carries the key), so an insert costs no allocation beyond the
-	// result itself.
-	Cache *evalcache.Intrusive[cost.Result]
+	// Cache, when non-nil, memoizes per-layer scores across evaluations,
+	// keyed on the low word of the layer's content key (evalstore.ProbeKey
+	// over the layer's key context and the probe's fanout and mapping
+	// genes), the key the shared tier stores under. The fitness decomposes
+	// additively over layers, so layer blocks inherited unchanged between
+	// genomes (elites, crossover, untouched layers) skip re-analysis
+	// entirely. It holds each analysis's cost.Score (~104 B, carrying its
+	// key in Score.Key), copied into slab-allocated entries; caching never
+	// changes evaluation values, only their cost. NewProblem enables it by
+	// default; set to nil to disable. The key contexts are built with the
+	// problem, so callers that mutate FixedHW or Platform directly (rather
+	// than via WithFixedHW) get stale keys.
+	Cache *evalcache.Intrusive[cost.Score]
 
 	// analyzers holds one precomputed cost.Analyzer per unique layer and
 	// mults its float64(layer.Multiplicity()) (so the reduction loop does
@@ -176,7 +174,7 @@ func (p *Problem) WithBackend(b cost.Backend) *Problem {
 	q.backend = b
 	q.energy = b.EffectiveEnergy(p.Platform.Energy)
 	if p.Cache != nil {
-		q.Cache = q.newResultCache()
+		q.Cache = q.newScoreCache()
 	}
 	q.rehash()
 	return &q
@@ -293,14 +291,15 @@ func NewProblemSized(model workload.Model, platform arch.Platform, objective Obj
 		Objective: objective,
 		cacheCap:  cacheEntries,
 	}
-	p.Cache = p.newResultCache()
+	p.Cache = p.newScoreCache()
 	p.initLayers()
 	return p, p.Space.Validate()
 }
 
-// WithFixedHW switches the problem into Fixed-HW (mapping-only) mode.
+// WithFixedHW switches the problem into Fixed-HW (mapping-only) mode. A
+// hierarchy deeper than cost.MaxLevels is refused with a *cost.DepthError.
 func (p *Problem) WithFixedHW(hw arch.HW) (*Problem, error) {
-	if err := hw.Validate(); err != nil {
+	if err := validFixedHW(hw); err != nil {
 		return nil, err
 	}
 	q := *p
@@ -309,7 +308,7 @@ func (p *Problem) WithFixedHW(hw arch.HW) (*Problem, error) {
 	if p.Cache != nil {
 		// The fixed HW changes non-gene analysis inputs (bandwidths, word
 		// size), so entries must not be shared with the parent problem.
-		q.Cache = q.newResultCache()
+		q.Cache = q.newScoreCache()
 	}
 	// The shared tier needs no reset — its keys fold the fixed HW in —
 	// but the per-layer contexts must be rebuilt around it.
@@ -317,19 +316,28 @@ func (p *Problem) WithFixedHW(hw arch.HW) (*Problem, error) {
 	return &q, nil
 }
 
-// newResultCache builds the per-layer analysis cache: intrusive, so an
-// insert stores the freshly analyzed result directly (keyed through
-// Result.CacheKey) instead of allocating a wrapper entry per miss.
-func (p *Problem) newResultCache() *evalcache.Intrusive[cost.Result] {
-	return evalcache.NewIntrusive(p.cacheCap, func(r *cost.Result) uint64 { return r.CacheKey })
+// validFixedHW checks a given hardware configuration: structurally valid
+// and no deeper than a cost.Score holds.
+func validFixedHW(hw arch.HW) error {
+	if err := cost.CheckDepth(hw.Levels()); err != nil {
+		return err
+	}
+	return hw.Validate()
 }
 
-// LayerEval pairs one unique layer with its analysis. Layer points into
-// Problem.Space.Layers (stable for the problem's lifetime) and Result may
-// be shared with the evaluation cache; treat both as immutable.
+// newScoreCache builds the per-layer score cache, keyed through
+// Score.Key.
+func (p *Problem) newScoreCache() *evalcache.Intrusive[cost.Score] {
+	return evalcache.NewIntrusive(p.cacheCap, func(s *cost.Score) uint64 { return s.Key })
+}
+
+// LayerEval pairs one unique layer with its score. Layer points into
+// Problem.Space.Layers (stable for the problem's lifetime); treat it as
+// immutable. The full cost.Result is not kept: re-analyze the layer for
+// it (see cmd/evaluate).
 type LayerEval struct {
-	Layer  *workload.Layer
-	Result *cost.Result
+	Layer *workload.Layer
+	Score cost.Score
 }
 
 // Evaluation is the scored outcome of one design point.
@@ -455,7 +463,7 @@ func (p *Problem) EvaluateCanonicalInto(ev *Evaluation, g space.Genome) error {
 
 // EvaluateDelta scores a canonical child genome given its breeding
 // parent's evaluation and the dirty set the operators recorded, writing
-// into ev. Clean layers clone the parent's per-layer analyses — skipping
+// into ev. Clean layers copy the parent's per-layer scores — skipping
 // the content key, the cache probe and the cost model entirely — and
 // only dirty layers are re-analyzed before the ordinary reduction
 // re-derives buffers, constraints and fitness.
@@ -482,15 +490,13 @@ func (p *Problem) EvaluateDelta(ev *Evaluation, g space.Genome, parent *Evaluati
 	reused := 0
 	for li := 0; li < L; li++ {
 		if d.Layer(li) {
-			r, err := p.analyzeLayer(hw, g, li)
-			if err != nil {
+			ev.Layers[li].Layer = &p.Space.Layers[li]
+			if err := p.analyzeLayer(hw, g, li, &ev.Layers[li].Score); err != nil {
 				return -1, err
 			}
-			ev.Layers[li] = LayerEval{Layer: &p.Space.Layers[li], Result: r}
 		} else {
-			// Value copy of (layer ptr, result ptr): the parent may be
-			// recycled later without invalidating the child, and the
-			// shared Result is immutable.
+			// Value copy of (layer ptr, score): the parent may be recycled
+			// later without invalidating the child.
 			ev.Layers[li] = parent.Layers[li]
 			reused++
 		}
@@ -570,16 +576,15 @@ func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
 	em := p.energyModel()
 
 	for li := range layers {
-		r := ev.Layers[li].Result
+		sc := &ev.Layers[li].Score
 		n := p.mults[li]
-		ev.Cycles += r.Cycles * n
-		ev.EnergyPJ += r.EnergyPJ(em) * n
+		ev.Cycles += sc.Cycles * n
+		ev.EnergyPJ += sc.EnergyPJ(em) * n
 
 		// Double-buffered per-level requirement, maximized across layers
-		// (inlined from Result.BufReqBytes to keep the hot loop
-		// allocation-free).
-		for l := range r.Levels {
-			if b := int64(math.Ceil(r.Levels[l].BufferWords.Total())) * 2 * bpw; b > bufReq[l] {
+		// (the arithmetic of Result.BufReqBytes, allocation-free).
+		for l := 0; l < sc.Levels; l++ {
+			if b := int64(math.Ceil(sc.Buffer[l])) * 2 * bpw; b > bufReq[l] {
 				bufReq[l] = b
 			}
 		}
@@ -626,66 +631,66 @@ func (p *Problem) reduce(ev *Evaluation, hw arch.HW, bufReq []int64) error {
 	return nil
 }
 
-// analyzeLayer scores one unique layer of g on hw, consulting the private
-// cache first, then the shared cross-request tier, and publishing fresh
-// results into both. One content key serves both tiers: the L1 keys on
-// its low word, which every result either tier returns carries as its
-// CacheKey, so a shared hit — decoded from the tier's frame bytes into a
-// result this search owns — goes into the L1 as it is.
-func (p *Problem) analyzeLayer(hw arch.HW, g space.Genome, li int) (*cost.Result, error) {
+// analyzeLayer scores one unique layer of g on hw into dst, consulting the
+// private cache first, then the shared cross-request tier, and publishing
+// fresh scores into both. One content key serves both tiers: the L1 keys
+// on its low word, which every score either tier returns carries as its
+// Key, so a shared hit goes into the L1 as it is. Scores are written in
+// place: a copy of one is most of what an L1 hit costs.
+func (p *Problem) analyzeLayer(hw arch.HW, g space.Genome, li int, dst *cost.Score) error {
 	var k evalstore.Key
 	if p.Cache != nil || p.shared != nil {
 		k = evalstore.ProbeKey(&p.contexts[li], g.Fanouts, g.Maps[li])
 		if p.Cache != nil {
-			if r, ok := p.Cache.Get(k.Lo); ok {
-				return r, nil
+			if sc, ok := p.Cache.Get(k.Lo); ok {
+				*dst = *sc
+				return nil
 			}
 		}
 		if p.shared != nil {
-			if r, ok := p.shared.Get(k); ok {
+			var ok bool
+			if *dst, ok = p.shared.Get(k); ok {
 				p.sharedHits.Add(1)
 				if p.Cache != nil {
-					p.Cache.Put(r)
+					p.Cache.Put(*dst)
 				}
-				return r, nil
+				return nil
 			}
 		}
 	}
 	// Genomes reaching this point are repaired and hw is backend-prepared,
 	// exactly the trusted-analysis contract.
-	var r *cost.Result
 	var err error
 	if p.backend != nil {
-		r, err = p.backend.Analyze(&p.analyzers[li], hw, g.Maps[li])
+		var r *cost.Result
+		if r, err = p.backend.Analyze(&p.analyzers[li], hw, g.Maps[li]); err == nil {
+			*dst = r.Score()
+		}
 	} else {
-		r, err = p.analyzers[li].AnalyzeTrusted(hw, g.Maps[li])
+		*dst, err = p.analyzers[li].ScoreTrusted(hw, g.Maps[li])
 	}
 	if err != nil {
-		return nil, fmt.Errorf("coopt: layer %s: %w", p.Space.Layers[li].Name, err)
+		return fmt.Errorf("coopt: layer %s: %w", p.Space.Layers[li].Name, err)
 	}
-	r.CacheKey = k.Lo
+	dst.Key = k.Lo
 	if p.Cache != nil {
-		p.Cache.Put(r)
+		p.Cache.Put(*dst)
 	}
 	if p.shared != nil {
-		p.shared.Put(k, r) // Put encodes; r stays owned by this search
+		p.shared.Put(k, *dst)
 	}
-	return r, nil
+	return nil
 }
 
-// analyzeLayers fills out[li] with the performance-model result of every
+// analyzeLayers fills out[li] with the performance-model score of every
 // unique layer, fanning out across workers when asked. Each out slot is
 // written by exactly one goroutine, so no synchronization beyond the
 // cache's own is needed.
 func (p *Problem) analyzeLayers(hw arch.HW, g space.Genome, out []LayerEval, workers int) error {
 	layers := p.Space.Layers
 	return par.For(len(layers), workers, func(li int) error {
-		r, err := p.analyzeLayer(hw, g, li)
-		if err != nil {
-			return err
-		}
-		out[li] = LayerEval{Layer: &layers[li], Result: r}
-		return nil
+		out[li].Layer = &layers[li]
+		return p.analyzeLayer(hw, g, li, &out[li].Score)
 	})
 }
 
@@ -831,7 +836,7 @@ func (p *Problem) RunVectorContext(ctx context.Context, o opt.Optimizer, budget 
 		return nil, err
 	}
 	// The returned best may be retained long after the run (the serving
-	// job store); detach it from the slab-allocated analysis results.
+	// job store); detach it from the search's allocators.
 	return ev.Detach(), nil
 }
 
@@ -851,7 +856,8 @@ func EvaluateMappingWorkers(modelLayers []workload.Layer, hw arch.HW, maps []map
 }
 
 // EvaluateMappingBackend is EvaluateMappingWorkers scored by an explicit
-// fidelity backend (nil = the analytical default).
+// fidelity backend (nil = the analytical default). A hierarchy deeper than
+// cost.MaxLevels is refused with a *cost.DepthError.
 func EvaluateMappingBackend(modelLayers []workload.Layer, hw arch.HW, maps []mapping.Mapping,
 	platform arch.Platform, objective Objective, workers int, backend cost.Backend) (*Evaluation, error) {
 	if len(maps) != len(modelLayers) {
@@ -859,7 +865,7 @@ func EvaluateMappingBackend(modelLayers []workload.Layer, hw arch.HW, maps []map
 	}
 	// One-shot path: validate the caller's hardware up front (the trusted
 	// analyzer fast path no longer re-validates per layer).
-	if err := hw.Validate(); err != nil {
+	if err := validFixedHW(hw); err != nil {
 		return nil, err
 	}
 	p := &Problem{

@@ -56,7 +56,7 @@ func TestEvaluateDerivesBuffers(t *testing.T) {
 		}
 		// Derived buffer must cover every layer's requirement.
 		for _, le := range ev.Layers {
-			req := le.Result.BufReqBytes(ev.HW.BytesPerWord)[l]
+			req := int64(math.Ceil(le.Score.Buffer[l])) * 2 * int64(ev.HW.BytesPerWord)
 			if req > b {
 				t.Errorf("layer %s needs %d at level %d, allocated %d", le.Layer.Name, req, l, b)
 			}
@@ -77,7 +77,7 @@ func TestEvaluateLayerWeighting(t *testing.T) {
 	}
 	var manual float64
 	for _, le := range ev.Layers {
-		manual += le.Result.Cycles * float64(le.Layer.Multiplicity())
+		manual += le.Score.Cycles * float64(le.Layer.Multiplicity())
 	}
 	if math.Abs(manual-ev.Cycles) > 1e-9*manual {
 		t.Errorf("cycles %g != weighted sum %g", ev.Cycles, manual)

@@ -43,8 +43,7 @@ func sameEvaluation(t *testing.T, label string, delta, full *Evaluation) {
 		t.Fatalf("%s: layer detail length %d != %d", label, len(delta.Layers), len(full.Layers))
 	}
 	for li := range delta.Layers {
-		d, f := delta.Layers[li].Result, full.Layers[li].Result
-		if d.Cycles != f.Cycles || d.MappedMACs != f.MappedMACs || d.DRAMWords != f.DRAMWords {
+		if !sameBits(delta.Layers[li].Score, full.Layers[li].Score) {
 			t.Fatalf("%s: layer %d detail differs", label, li)
 		}
 	}
@@ -242,8 +241,8 @@ func TestPooledEvaluateMatchesFresh(t *testing.T) {
 
 // TestDetachSelfContained pins the escape contract: a detached
 // evaluation carries identical values with fully private backing, so
-// retaining it cannot pin pool chunks, breeding arenas or analysis
-// slabs — and later mutation of the original leaves it untouched.
+// retaining it cannot pin pool chunks or breeding arenas — and later
+// mutation of the original leaves it untouched.
 func TestDetachSelfContained(t *testing.T) {
 	p := mustProblem(t, Latency)
 	g := p.Space.Repair(p.Space.Random(rand.New(rand.NewSource(61)), 2))
@@ -253,7 +252,7 @@ func TestDetachSelfContained(t *testing.T) {
 	}
 	det := ev.Detach()
 	sameEvaluation(t, "detach", det, ev)
-	if &det.Layers[0] == &ev.Layers[0] || det.Layers[0].Result == ev.Layers[0].Result {
+	if &det.Layers[0] == &ev.Layers[0] {
 		t.Fatal("detached evaluation shares layer backing")
 	}
 	if len(ev.HW.BufBytes) > 0 && &det.HW.BufBytes[0] == &ev.HW.BufBytes[0] {
@@ -262,9 +261,10 @@ func TestDetachSelfContained(t *testing.T) {
 	if &det.Genome.Maps[0].Levels[0] == &ev.Genome.Maps[0].Levels[0] {
 		t.Fatal("detached evaluation shares genome blocks")
 	}
-	if len(det.Layers[0].Result.Levels) > 0 &&
-		&det.Layers[0].Result.Levels[0] == &ev.Layers[0].Result.Levels[0] {
-		t.Fatal("detached result shares per-level detail backing")
+	for li := range ev.Layers {
+		if !sameBits(det.Layers[li].Score, ev.Layers[li].Score) {
+			t.Fatalf("layer %d: detached score differs", li)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func (p *Problem) WithFixedMapping(rule MappingRule) (*Problem, error) {
 		// Rule-derived mappings are hashed like any other genes, but a
 		// fresh cache keeps the modes' working sets from evicting each
 		// other.
-		q.Cache = q.newResultCache()
+		q.Cache = q.newScoreCache()
 	}
 	return &q, nil
 }

@@ -59,7 +59,7 @@ func NewMultiProblem(models []workload.Model, weights []float64,
 		Space:     space.New(merged, platform),
 		Objective: objective,
 	}
-	p.Cache = p.newResultCache()
+	p.Cache = p.newScoreCache()
 	p.initLayers()
 	return p, p.Space.Validate()
 }

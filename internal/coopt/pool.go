@@ -16,10 +16,8 @@ package coopt
 // which arrives as bytes and is rebuilt into the receiving island's own
 // pool — and only when no OnEvaluation hook may have retained them.
 //
-// Shared analysis Results referenced from a recycled buffer's Layers are
-// unaffected: children that cloned them hold their own (layer, result)
-// pointer pairs, and the Results themselves are immutable and owned by
-// the evaluation cache.
+// A recycled buffer's per-layer scores are values: children that copied
+// them hold their own.
 type EvalPool struct {
 	free  []*Evaluation
 	chunk []Evaluation
@@ -70,26 +68,21 @@ func (pl *EvalPool) Recycle(ev *Evaluation) {
 // core.Result and the serving metrics.
 func (pl *EvalPool) Stats() (gets, reuses uint64) { return pl.gets, pl.reuses }
 
-// Detach returns a self-contained deep copy of the evaluation: private
-// genome, hardware vectors, layer slice and slab-detached analysis
-// results. An evaluation that outlives its search — the engine's
-// reported best, a long-retained serving result — must be detached,
-// because the live one is woven into the search's slab allocators: its
-// buffer comes from a pool chunk, its genome blocks from breeding
-// arenas, and its per-layer Results from 64-wide analysis slabs. One
-// retained pointer would otherwise pin every slab it touches (a 10–60×
-// resident-memory amplification in a long-lived server); the detached
-// copy pins only itself. Layer identity pointers still reference the
-// problem's stable layer table.
+// Detach returns a self-contained copy of the evaluation: private genome,
+// hardware vectors and layer slice (each layer's Score is a value, so the
+// slice copy carries them). An evaluation that outlives its search — the
+// engine's reported best, a long-retained serving result — must be
+// detached, because the live one is woven into the search's slab
+// allocators: its buffer comes from a pool chunk and its genome blocks
+// from breeding arenas. One retained pointer would otherwise pin every
+// slab it touches; the detached copy pins only itself. Layer identity
+// pointers still reference the problem's stable layer table.
 func (ev *Evaluation) Detach() *Evaluation {
 	out := *ev
 	out.scratch = nil
 	out.Genome = ev.Genome.Clone()
 	out.HW.Fanouts = append([]int(nil), ev.HW.Fanouts...)
 	out.HW.BufBytes = append([]int64(nil), ev.HW.BufBytes...)
-	out.Layers = make([]LayerEval, len(ev.Layers))
-	for i, le := range ev.Layers {
-		out.Layers[i] = LayerEval{Layer: le.Layer, Result: le.Result.Clone()}
-	}
+	out.Layers = append([]LayerEval(nil), ev.Layers...)
 	return &out
 }

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"digamma/internal/coopt"
+	"digamma/internal/cost"
 	"digamma/internal/obs"
 	"digamma/internal/par"
 	"digamma/internal/space"
@@ -48,7 +49,7 @@ type Config struct {
 	MutHWRate   float64 // probability of an HW mutation per child
 	GrowRate    float64 // probability of adding a hierarchy level
 	AgeRate     float64 // probability of removing a hierarchy level
-	MaxLevels   int     // clustering depth ceiling (paper: 3)
+	MaxLevels   int     // clustering depth ceiling (paper: 3; at most cost.MaxLevels)
 	DivisorBias float64 // chance tile mutations snap to divisors
 	GreedyCross float64 // chance crossover picks per-layer blocks greedily
 	SeedFrac    float64 // fraction of the initial population seeded conservatively
@@ -329,6 +330,11 @@ func New(p *coopt.Problem, cfg Config, rng *rand.Rand) (*Engine, error) {
 	if cfg.MaxLevels < 2 {
 		cfg.MaxLevels = 2
 	}
+	// A hierarchy grown (or given) past what a cost.Score holds is refused
+	// here, before any individual is scored.
+	if err := cost.CheckDepth(max(cfg.MaxLevels, p.Space.Levels)); err != nil {
+		return nil, err
+	}
 	if p.FixedHW != nil {
 		cfg.FixedHW = true
 		cfg.MutHWRate, cfg.GrowRate, cfg.AgeRate = 0, 0, 0
@@ -595,9 +601,9 @@ func (e *Engine) finalize(res *Result, budget int, islands []*island) *Result {
 	best := bestOf(islands)
 	res.History = append(res.History, best.eval.Fitness)
 	// The best escapes the run: detach it from the search's slab
-	// allocators (pool chunks, breeding arenas, analysis slabs) so a
-	// caller retaining it — the serving job store keeps results for
-	// thousands of jobs — pins only the evaluation itself.
+	// allocators (pool chunks, breeding arenas) so a caller retaining it —
+	// the serving job store keeps results for thousands of jobs — pins
+	// only the evaluation itself.
 	res.Best = best.eval.Detach()
 	e.emitProgress(res, budget, islands)
 	e.collectDelta(res, islands)

@@ -761,7 +761,7 @@ func (is *island) crossover(pa, pb individual, d *space.Dirty) space.Genome {
 			// under Config.Prune); the greedy pick then keeps the random
 			// draw above, which was consumed either way.
 			if li < len(pa.eval.Layers) && li < len(pb.eval.Layers) {
-				takeB = pb.eval.Layers[li].Result.Cycles < pa.eval.Layers[li].Result.Cycles
+				takeB = pb.eval.Layers[li].Score.Cycles < pa.eval.Layers[li].Score.Cycles
 			}
 		}
 		if takeB {

@@ -82,24 +82,6 @@ type Result struct {
 	L2Words     float64      // words through shared buffers
 	Levels      []LevelStats // per-level detail, inner-first
 	Utilization float64      // effective PE utilization = ideal / achieved cycles
-
-	// CacheKey is the evaluation-cache key this result is published under:
-	// the low word of its evalstore content key, set once before the
-	// result is shared (zero for results that never enter a cache). Not an
-	// analysis output: it exists so the intrusive cache can read the key
-	// off the value instead of allocating a separate (key, value) pair per
-	// insert.
-	CacheKey uint64
-}
-
-// Clone returns a deep copy with private backing. Search results are
-// slab-allocated (see newResult); a result that outlives its search —
-// the returned best, a retained report — must be cloned so it cannot pin
-// a whole slab of dead slab-mates in memory.
-func (r *Result) Clone() *Result {
-	out := *r
-	out.Levels = append([]LevelStats(nil), r.Levels...)
-	return &out
 }
 
 // BufReqBytes returns the minimum per-instance buffer capacity (bytes) for
@@ -123,16 +105,11 @@ func (r *Result) EnergyPJ(em arch.EnergyModel) float64 {
 		r.DRAMWords*em.DRAMpJ
 }
 
-// inlineLevels is the hierarchy depth covered by the fused result
-// allocation; DiGamma's clustering ceiling (MaxLevels, paper: 3) stays
-// below it, so one analysis costs one allocation on the search hot path.
-const inlineLevels = 4
-
 // resultBuf2 / resultBuf fuse the Result header with backing storage for
-// the Levels slice so both come from a single allocation. Two sizes:
-// results live in the evaluation cache, and the canonical 2-level encoding
-// dominates, so padding every result to the 4-level worst case would waste
-// ~40% of the cache's bytes.
+// the Levels slice so both come from a single allocation (or, in
+// ScoreTrusted, one stack buffer). The canonical 2-level encoding
+// dominates, so its results come from slabs; deeper ones (up to
+// MaxLevels) take one fused allocation each.
 type resultBuf2 struct {
 	res    Result
 	levels [2]LevelStats
@@ -140,15 +117,16 @@ type resultBuf2 struct {
 
 type resultBuf struct {
 	res    Result
-	levels [inlineLevels]LevelStats
+	levels [MaxLevels]LevelStats
 }
 
 // resultSlab hands out 2-level result buffers carved from slabs: one
-// allocation covers resultSlabLen analyses. Fresh results are written
-// once, published (to the evaluation cache and Evaluations) and then
-// immutable, so slab-mates never alias mutable state; the GC reclaims a
-// slab when its last surviving result is dropped. Arenas cycle through a
-// sync.Pool so concurrent analyzers never share a partially-filled slab.
+// allocation covers resultSlabLen analyses. Searches on a non-default
+// fidelity tier get a Result from every Backend.Analyze and keep only its
+// Score, so a slab is garbage soon after its last result is scored; the
+// slab spares the collector one allocation per analysis. Arenas cycle
+// through a sync.Pool so concurrent analyzers never share a
+// partially-filled slab.
 type resultSlab struct {
 	buf  []resultBuf2
 	next int
@@ -160,9 +138,9 @@ var resultSlabs = sync.Pool{New: func() any { return &resultSlab{} }}
 
 // newResult allocates a Result with an L-level detail slice, fusing the two
 // allocations for the common shallow hierarchies. The dominant 2-level
-// case (the canonical encoding) is slab-allocated: the analysis hot path
-// creates thousands of results per search, and one slab allocation per 64
-// of them keeps the garbage collector off the critical path.
+// case (the canonical encoding) is slab-allocated: a search on a backend
+// creates thousands of results, and one slab allocation per 64 of them
+// keeps the garbage collector off the critical path.
 func newResult(L int) *Result {
 	switch {
 	case L <= 2:
@@ -176,7 +154,7 @@ func newResult(L int) *Result {
 		resultSlabs.Put(a)
 		buf.res.Levels = buf.levels[:L]
 		return &buf.res
-	case L <= inlineLevels:
+	case L <= MaxLevels:
 		buf := &resultBuf{}
 		buf.res.Levels = buf.levels[:L]
 		return &buf.res
@@ -184,13 +162,6 @@ func newResult(L int) *Result {
 		return &Result{Levels: make([]LevelStats, L)}
 	}
 }
-
-// NewResult returns a zeroed Result with an L-level detail slice from the
-// same allocator the analyses use, for a decoder filling in a result a
-// search will own (see evalstore.Store.Get): on the 2-level hot path one
-// allocation covers many results. Like an analysis, a result that
-// outlives its search must be cloned.
-func NewResult(L int) *Result { return newResult(L) }
 
 // relevance returns, per tensor, which dims the tensor depends on.
 func relevance(layer workload.Layer) [NumTensors][workload.NumDims]bool {
@@ -298,12 +269,34 @@ func (a *Analyzer) AnalyzeTrusted(hw arch.HW, m mapping.Mapping) (*Result, error
 	if len(m.Levels) != hw.Levels() {
 		return nil, fmt.Errorf("cost: mapping has %d levels, hw has %d", len(m.Levels), hw.Levels())
 	}
+	res := newResult(len(m.Levels))
+	a.analyze(res, hw, m)
+	return res, nil
+}
 
+// ScoreTrusted is AnalyzeTrusted keeping only the Score, under the same
+// contract. The analysis runs into a buffer on the stack, so the search
+// hot path allocates nothing for the Result it does not keep.
+func (a *Analyzer) ScoreTrusted(hw arch.HW, m mapping.Mapping) (Score, error) {
+	L := len(m.Levels)
+	if L != hw.Levels() {
+		return Score{}, fmt.Errorf("cost: mapping has %d levels, hw has %d", L, hw.Levels())
+	}
+	if err := CheckDepth(L); err != nil {
+		return Score{}, err
+	}
+	var buf resultBuf
+	buf.res.Levels = buf.levels[:L]
+	a.analyze(&buf.res, hw, m)
+	return buf.res.Score(), nil
+}
+
+// analyze fills res, whose Levels slice holds one zeroed entry per
+// mapping level, with the analysis of (hw, m).
+func (a *Analyzer) analyze(res *Result, hw arch.HW, m mapping.Mapping) {
 	L := len(m.Levels)
 	rel := a.rel
 	full := a.full
-
-	res := newResult(L)
 
 	// Per-level structural analysis.
 	for l := 0; l < L; l++ {
@@ -444,7 +437,6 @@ func (a *Analyzer) AnalyzeTrusted(hw arch.HW, m mapping.Mapping) (*Result, error
 	if res.Cycles > 0 {
 		res.Utilization = a.macs / (res.Cycles * totalPEs)
 	}
-	return res, nil
 }
 
 // FitsBuffers reports whether the analysis' double-buffered requirements

@@ -20,8 +20,8 @@ package evalcache
 const ways = 4
 
 // DefaultCapacity bounds the total slot count when a constructor is given
-// a non-positive capacity. An entry typically anchors a few hundred bytes
-// of analysis detail, so the default tops out around twenty MB fully
+// a non-positive capacity. An entry is a 16-byte slot plus the ~104-byte
+// score it points at, so the default tops out around 4 MB fully
 // populated.
 const DefaultCapacity = 1 << 15
 

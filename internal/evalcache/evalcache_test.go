@@ -10,7 +10,7 @@ func TestEvictionBoundsSize(t *testing.T) {
 	c := newKeyedCache(64) // 16 sets × 4 ways
 	n := 10_000
 	for i := 1; i <= n; i++ {
-		c.Put(&keyed{key: uint64(i), val: i})
+		c.Put(keyed{key: uint64(i), val: i})
 	}
 	if c.Len() > 64 {
 		t.Fatalf("Len = %d exceeds capacity 64", c.Len())
@@ -27,7 +27,7 @@ func TestEvictionBoundsSize(t *testing.T) {
 func TestEvictedKeysMiss(t *testing.T) {
 	c := newKeyedCache(16) // 4 sets × 4 ways
 	for i := 1; i <= 1000; i++ {
-		c.Put(&keyed{key: uint64(i), val: i})
+		c.Put(keyed{key: uint64(i), val: i})
 	}
 	// Whatever remains must return its own value, never another key's.
 	for i := 1; i <= 1000; i++ {
@@ -40,7 +40,7 @@ func TestEvictedKeysMiss(t *testing.T) {
 func TestHitRate(t *testing.T) {
 	c := newKeyedCache(1024)
 	c.Get(1) // miss
-	c.Put(&keyed{key: 1, val: 1})
+	c.Put(keyed{key: 1, val: 1})
 	c.Get(1) // hit
 	c.Get(2) // miss
 	st := c.Stats()

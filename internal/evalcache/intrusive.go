@@ -1,23 +1,25 @@
-// Intrusive is a zero-allocation set-associative cache: instead of
-// wrapping every insert in a freshly allocated (key, value) entry, it
-// stores the caller's pointer directly and reads the key back out of the
-// value itself. On the search hot path an insert happens for every cache
-// miss — thousands per search — so an entry wrapper would be one of the
-// largest allocation sources of the whole engine (alongside the analysis
-// results the entries point at).
+// Intrusive is a set-associative cache of fixed-size values that carry
+// their own key: instead of wrapping every insert in a freshly allocated
+// (key, value) entry, it copies the value into a slot carved from a slab
+// and reads the key back out of the value itself. On the search hot path
+// an insert happens for every cache miss — thousands per search — so a
+// per-insert allocation would be one of the largest allocation sources of
+// the whole engine; a slab allocation covers slabLen inserts.
 //
-// The contract: the cached value must carry its own key, published to the
-// extractor before Put and never changed afterwards. Each slot also keeps
-// an atomic copy of its key next to the pointer — a 4-way set is exactly
-// one cache line — so probes filter the ways without dereferencing
-// scattered heap values. The slot key is only a hint: a hit is confirmed
-// against the key embedded in the value (keyOf), so a probe that races an
-// insert can never return a torn (key, value) pair — at worst it misses
-// and the caller recomputes, which is always sound here because cached
-// computations are deterministic.
+// The contract: the cached value must carry its own key, read by the
+// extractor. Each slot also keeps an atomic copy of its key next to the
+// pointer — a 4-way set is exactly one cache line — so probes filter the
+// ways without dereferencing scattered heap values. The slot key is only
+// a hint: a hit is confirmed against the key embedded in the value
+// (keyOf), so a probe that races an insert can never return a torn (key,
+// value) pair — at worst it misses and the caller recomputes, which is
+// always sound here because cached computations are deterministic.
 package evalcache
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // stripes is the hit/miss counter fan-out. Batch evaluation hammers the
 // counters from every worker; striping across padded cells keeps them off
@@ -59,19 +61,26 @@ type islot[V any] struct {
 	val atomic.Pointer[V]
 }
 
-// Intrusive maps a 64-bit key to a cached *V that carries its own key
-// (read through keyOf). Same set-associative, lock-free design as Cache;
-// same concurrency contract: values are immutable once Put, and
+// Intrusive maps a 64-bit key to a cached V that carries its own key
+// (read through keyOf). Lock-free: values are immutable once Put, and
 // recomputing a key must be deterministic.
 type Intrusive[V any] struct {
 	slots   []islot[V] // sets × ways
 	setMask uint64
 	keyOf   func(*V) uint64
+	slabs   sync.Pool // of *slab[V]: per-P, so concurrent Puts never share one
 
 	hits      striped
 	misses    striped
 	evictions atomic.Uint64
 }
+
+// slab is a run of value slots Put copies into; an evicted value pins
+// its slab until every slab-mate is evicted too.
+type slab[V any] struct{ free []V }
+
+// slabLen is how many inserts one slab allocation covers.
+const slabLen = 64
 
 // NewIntrusive builds an intrusive cache bounded to roughly capacity
 // entries (DefaultCapacity when capacity <= 0). keyOf must return the key
@@ -112,11 +121,12 @@ func (c *Intrusive[V]) Get(key uint64) (*V, bool) {
 	return nil, false
 }
 
-// Put stores a value under keyOf(v), which must be final before the call.
-// A full set evicts one resident entry at a key-derived slot, exactly like
-// Cache.Put. The value pointer is published after the key hint; Get's
-// confirm step makes the window harmless.
-func (c *Intrusive[V]) Put(v *V) {
+// Put stores a copy of v under keyOf(&v). A full set evicts one resident
+// entry at a key-derived slot. The value pointer is published after the
+// key hint; Get's confirm step makes the window harmless.
+func (c *Intrusive[V]) Put(val V) {
+	v := c.alloc()
+	*v = val
 	key := c.keyOf(v)
 	base := int(key&c.setMask) * ways
 	victim := -1
@@ -136,6 +146,21 @@ func (c *Intrusive[V]) Put(v *V) {
 	}
 	c.slots[victim].key.Store(key)
 	c.slots[victim].val.Store(v)
+}
+
+// alloc returns a fresh value slot from the calling P's slab.
+func (c *Intrusive[V]) alloc() *V {
+	sl, _ := c.slabs.Get().(*slab[V])
+	if sl == nil {
+		sl = new(slab[V])
+	}
+	if len(sl.free) == 0 {
+		sl.free = make([]V, slabLen)
+	}
+	v := &sl.free[0]
+	sl.free = sl.free[1:]
+	c.slabs.Put(sl)
+	return v
 }
 
 // Len returns the current number of cached entries.

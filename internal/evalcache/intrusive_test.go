@@ -20,14 +20,14 @@ func TestIntrusiveGetPut(t *testing.T) {
 	if _, ok := c.Get(1); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(&keyed{key: 1, val: 10})
-	c.Put(&keyed{key: 2, val: 20})
+	c.Put(keyed{key: 1, val: 10})
+	c.Put(keyed{key: 2, val: 20})
 	v, ok := c.Get(1)
 	if !ok || v.val != 10 {
 		t.Fatalf("Get(1) = %v, %v", v, ok)
 	}
 	// Same-key Put replaces in place.
-	c.Put(&keyed{key: 1, val: 11})
+	c.Put(keyed{key: 1, val: 11})
 	if v, _ := c.Get(1); v.val != 11 {
 		t.Fatalf("replacement not visible: %v", v)
 	}
@@ -44,7 +44,7 @@ func TestIntrusiveGetPut(t *testing.T) {
 func TestIntrusiveEviction(t *testing.T) {
 	c := newKeyedCache(4) // one set of 4 ways
 	for k := uint64(0); k < 16; k++ {
-		c.Put(&keyed{key: k << 20, val: int(k)}) // same set (low bits 0), distinct keys
+		c.Put(keyed{key: k << 20, val: int(k)}) // same set (low bits 0), distinct keys
 	}
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Fatalf("no evictions after overfilling one set: %+v", st)
@@ -86,7 +86,7 @@ func TestIntrusiveConcurrent(t *testing.T) {
 				x = x*6364136223846793005 + 1442695040888963407
 				k := (x >> 16) % keys
 				if i%3 == 0 {
-					c.Put(&keyed{key: k, val: int(k)})
+					c.Put(keyed{key: k, val: int(k)})
 					continue
 				}
 				if v, ok := c.Get(k); ok && v.key != k {

@@ -8,7 +8,7 @@ import (
 	"digamma/internal/cost"
 )
 
-// An arena holds one generation's resident analyses as the 'E' frames
+// An arena holds one generation's resident scores as the 'E' frames
 // the tier charges to its budget, byte for byte what the generation's
 // segment holds. Its bytes are mapped outside the Go heap where the
 // platform allows (see mapArena), so the collector neither scans nor
@@ -35,27 +35,19 @@ const maxArenaBytes int64 = 1 << 31
 // fits reports whether n more bytes fit.
 func (a *arena) fits(n int) bool { return len(a.buf)-a.n >= n }
 
-// putEntry frames k and r as an 'E' record at the arena's end and returns
-// its offset. The caller checked fits(maxEntryFrame) and r's level
-// count, so the capped append below never leaves the mapping.
-func (a *arena) putEntry(k Key, r *cost.Result) uint32 {
+// putEntry frames k and s as an 'E' record at the arena's end and returns
+// its offset. The caller checked fits(maxEntryFrame), so the capped
+// append below never leaves the mapping.
+func (a *arena) putEntry(k Key, s cost.Score) uint32 {
 	off := a.n
 	p := a.buf[off+8 : off+8 : len(a.buf)]
 	p = append(p, recEntry)
 	p = appendUint(p, k.Hi)
 	p = appendUint(p, k.Lo)
-	p = appendResult(p, r)
+	p = appendScore(p, s)
 	binary.LittleEndian.PutUint32(a.buf[off:], crc32.ChecksumIEEE(p))
 	binary.LittleEndian.PutUint32(a.buf[off+4:], uint32(len(p)))
 	a.n += 8 + len(p)
-	return uint32(off)
-}
-
-// putFrame copies a whole frame to the arena's end and returns its
-// offset.
-func (a *arena) putFrame(frame []byte) uint32 {
-	off := a.n
-	a.n += copy(a.buf[off:], frame)
 	return uint32(off)
 }
 
@@ -73,18 +65,15 @@ func (a *arena) frame(off uint32) []byte {
 	return a.buf[o : o+8+n]
 }
 
-// decode returns the result of the 'E' frame at off, or nil when the
-// frame is not one or its result does not decode.
-func (a *arena) decode(off uint32) *cost.Result {
+// decode returns the score of the 'E' frame at off, keyed under key; ok
+// is false when the frame is not one or its score does not decode.
+func (a *arena) decode(off uint32, key uint64) (cost.Score, bool) {
 	f := a.frame(off)
 	if len(f) < entryHeadLen || f[8] != recEntry {
-		return nil
+		return cost.Score{}, false
 	}
-	r, err := decodeResult(f[entryHeadLen:])
-	if err != nil {
-		return nil
-	}
-	return r
+	s, err := decodeScore(f[entryHeadLen:], key)
+	return s, err == nil
 }
 
 // eachEntry calls fn with the key of every 'E' frame written, walking

@@ -15,9 +15,8 @@ import (
 	"digamma/internal/workload"
 )
 
-// analysisSet is n distinct repaired 2-level mappings of one conv layer
-// — the depth whose results the cost model slab-allocates and Get decodes
-// into slabs — with their content keys.
+// analysisSet is n distinct repaired 2-level mappings of one conv layer,
+// the canonical depth, with their content keys.
 func analysisSet(n int) (workload.Layer, arch.HW, []mapping.Mapping, []Key) {
 	layer := workload.Layer{Name: "conv", Type: workload.Conv, K: 64, C: 64, Y: 8, X: 8, R: 3, S: 3}
 	hw := arch.HW{Fanouts: []int{4, 16}}.Defaults()
@@ -42,10 +41,10 @@ func analysisSet(n int) (workload.Layer, arch.HW, []mapping.Mapping, []Key) {
 	return layer, hw, maps, keys
 }
 
-// TestArenaReuseAfterDrop: concurrent Gets, Puts and promotions of real
+// TestArenaReuseAfterDrop: concurrent Gets and Puts of real
 // cost-model analyses across many generation drops on a tiny budget,
 // memory-only and disk-backed. Every hit decodes bit-equal to a fresh
-// analysis, freed arenas give their slots to later generations, and no
+// analysis's score, keyed by the probe, freed arenas give their slots to later generations, and no
 // arena outlives its generation — the -race CI job runs this ten times
 // over.
 func TestArenaReuseAfterDrop(t *testing.T) {
@@ -64,21 +63,21 @@ func TestArenaReuseAfterDrop(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					an := cost.NewAnalyzer(layer)
-					fresh := func(i int) *cost.Result {
+					fresh := func(i int) cost.Score {
 						r, err := an.AnalyzeTrusted(hw, maps[i])
 						if err != nil {
 							panic(err)
 						}
-						return r
+						return r.Score()
 					}
 					rng := rand.New(rand.NewSource(int64(w)))
 					for j := 0; j < 1500; j++ {
 						i := rng.Intn(keys)
 						if j%2 == 0 {
-							i = rng.Intn(keys / 20) // a hot set that keeps promoting
+							i = rng.Intn(keys / 20) // a hot set, hit across drops
 						}
 						if r, ok := s.Get(ks[i]); ok {
-							if !sameResult(r, fresh(i)) || r.CacheKey != ks[i].Lo {
+							if !sameScore(r, fresh(i)) || r.Key != ks[i].Lo {
 								panic(fmt.Sprintf("worker %d: analysis %d decoded wrong", w, i))
 							}
 							continue
@@ -126,7 +125,7 @@ func TestArenaBytesWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 600; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 		if i%50 == 0 {
 			s.RecordResult(ResultRecord{Identity: "id", Layers: []string{fmt.Sprint(i)}, Maps: []MappingRecord{{}}, Fitness: 1})
 		}
@@ -163,7 +162,7 @@ func TestGetAfterCloseMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			s.Put(testKey(i), testResult(i))
+			s.Put(testKey(i), testScore(i))
 		}
 		s.RecordResult(ResultRecord{Identity: "id", Layers: []string{"a"}, Maps: []MappingRecord{{}}, Fitness: 1})
 		if err := s.Close(); err != nil {
@@ -174,7 +173,7 @@ func TestGetAfterCloseMisses(t *testing.T) {
 				t.Fatalf("dir %q: entry %d served after Close", dir, i)
 			}
 		}
-		s.Put(testKey(20), testResult(20))
+		s.Put(testKey(20), testScore(20))
 		if _, ok := s.Get(testKey(20)); ok {
 			t.Fatalf("dir %q: a Put after Close was stored", dir)
 		}
@@ -198,19 +197,19 @@ func TestUndecodableFrameMisses(t *testing.T) {
 	s := NewMemory()
 	defer s.Close()
 	k := testKey(3)
-	s.Put(k, testResult(3))
+	s.Put(k, testScore(3))
 	sh := s.shardFor(k)
 	e := sh.m[k]
 	a := s.arenas.at(e.slot)
-	binary.LittleEndian.PutUint64(a.buf[int(e.off)+entryHeadLen+8*8:], maxLevels+1)
+	binary.LittleEndian.PutUint64(a.buf[int(e.off)+entryHeadLen+8*7:], cost.MaxLevels+1)
 	if _, ok := s.Get(k); ok {
 		t.Fatal("an undecodable frame was served")
 	}
 	if _, ok := peek(s, k); ok {
 		t.Fatal("the undecodable entry stayed indexed")
 	}
-	s.Put(k, testResult(3))
-	if r, ok := s.Get(k); !ok || !sameResult(r, testResult(3)) {
+	s.Put(k, testScore(3))
+	if r, ok := s.Get(k); !ok || !sameScore(r, testScore(3)) {
 		t.Fatal("re-put after an undecodable frame not served")
 	}
 }
@@ -226,7 +225,7 @@ func TestShapeMismatchTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -238,8 +237,8 @@ func TestShapeMismatchTruncates(t *testing.T) {
 	}
 	valid := len(data)
 	entry := appendUint(appendUint([]byte{recEntry}, testKey(9).Hi), testKey(9).Lo)
-	entry = appendResult(entry, testResult(9))
-	binary.LittleEndian.PutUint64(entry[17+8*8:], 1) // claims one level, carries more
+	entry = appendScore(entry, testScore(9))
+	binary.LittleEndian.PutUint64(entry[17+8*7:], 1) // claims one level, carries more
 	data = appendFrame(data, entry)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ import (
 //
 // exactly the WAL's framing discipline. The first record is a header
 // ('H' + fingerprint); every later record is an entry ('E' + 16-byte key
-// + result codec bytes) or a warm-start result ('R' + JSON ResultRecord).
+// + score codec bytes) or a warm-start result ('R' + JSON ResultRecord).
 // Replay stops at the first bad frame and truncates the file back to the
 // valid prefix — a torn tail from a crash mid-append costs its own
 // records, nothing before them. A segment whose header carries a
@@ -42,11 +42,12 @@ const (
 	// stored under raw Keys, so a key-derivation change must bump the
 	// magic — old segments then read as foreign files and are deleted at
 	// open instead of loading entries that could never hit again.
-	// "4" = ProbeKey's packed word layout, the key both cache tiers use
-	// ("3": 'R' result records in the segments; "2": Murmur3-probe keys,
-	// results in a separate results.json; "1": SHA-256 probe keys). A
-	// "2" reader would truncate a "3" segment at its first 'R' frame.
-	segMagic       = "DGEVSTR4"
+	// "5" = 'E' entries hold a cost.Score, not a whole cost.Result ("4":
+	// ProbeKey's packed word layout, the key both cache tiers use; "3":
+	// 'R' result records in the segments; "2": Murmur3-probe keys, results
+	// in a separate results.json; "1": SHA-256 probe keys). A "2" reader
+	// would truncate a "3" segment at its first 'R' frame.
+	segMagic       = "DGEVSTR5"
 	recHeader      = 'H'
 	recEntry       = 'E'
 	recResult      = 'R'
@@ -147,7 +148,6 @@ func (s *Store) openDisk(o Options) error {
 			}
 			d.f, d.w = f, bufio.NewWriter(f)
 			s.disk = d
-			s.setPromote()
 			return nil
 		}
 		next = last.seq + 1

@@ -33,91 +33,94 @@ func mappingFor(levels int) mapping.Mapping {
 	return m
 }
 
-// testResult builds a Result with bit-pattern-hostile floats (negative
-// zero, subnormals, huge magnitudes) so round-trip tests catch any
-// formatting-based codec regression.
-func testResult(i int) *cost.Result {
+// testScore builds a 2- to 4-level Score with bit-pattern-hostile floats
+// (negative zero, subnormals, huge magnitudes) so round-trip tests catch
+// any formatting-based codec regression. Cycles encodes i (see
+// residentKeys).
+func testScore(i int) cost.Score {
+	return testScoreLevels(i, 2+i%3)
+}
+
+// testScoreLevels is testScore at a given depth.
+func testScoreLevels(i, levels int) cost.Score {
 	f := float64(i)
-	r := &cost.Result{
+	s := cost.Score{
 		Cycles:      1e15 + f,
-		ComputeOnly: math.Copysign(0, -1),
 		MappedMACs:  5e-324, // smallest subnormal
 		DRAMWords:   1.0/3.0 + f,
 		NoCWords:    math.Nextafter(1, 2),
 		L1Words:     f * 1e-7,
 		L2Words:     math.MaxFloat64 / (f + 2),
-		Utilization: 0.5,
+		Utilization: math.Copysign(0, -1),
+		Levels:      levels,
 	}
-	for l := 0; l < 2+i%3; l++ {
-		lv := cost.LevelStats{
-			Fanout:       4 + l,
-			Occupancy:    3 + l,
-			Iterations:   float64(l) + 0.25,
-			IngressWords: float64(l*7) + 0.125,
-			EgressWords:  float64(l*11) + 1e-9,
-		}
-		for d := range lv.Trips {
-			lv.Trips[d] = i + l + d
-		}
-		lv.BufferWords.Weights = float64(i + l)
-		lv.BufferWords.Inputs = float64(i * l)
-		lv.BufferWords.Outputs = 1e6 / float64(i+l+1)
-		r.Levels = append(r.Levels, lv)
+	for l := 0; l < levels; l++ {
+		s.Buffer[l] = 1e6/float64(i+l+1) + float64(l)*0.125
 	}
-	return r
+	return s
 }
+
+// entryFrameLen is the size of s's framed 'E' record: what the store
+// charges to the active generation whether or not a disk is attached.
+func entryFrameLen(s cost.Score) int64 { return int64(entryHeadLen + scoreLenFor(s.Levels)) }
 
 func testKey(i int) Key {
 	return Key{Hi: uint64(i)*0x9e3779b97f4a7c15 + 1, Lo: uint64(i) ^ 0xdeadbeef}
 }
 
-func sameResult(a, b *cost.Result) bool {
-	bits := func(v float64) uint64 { return math.Float64bits(v) }
-	if bits(a.Cycles) != bits(b.Cycles) || bits(a.ComputeOnly) != bits(b.ComputeOnly) ||
-		bits(a.MappedMACs) != bits(b.MappedMACs) || bits(a.DRAMWords) != bits(b.DRAMWords) ||
-		bits(a.NoCWords) != bits(b.NoCWords) || bits(a.L1Words) != bits(b.L1Words) ||
-		bits(a.L2Words) != bits(b.L2Words) || bits(a.Utilization) != bits(b.Utilization) ||
-		len(a.Levels) != len(b.Levels) {
-		return false
-	}
-	for i := range a.Levels {
-		if a.Levels[i] != b.Levels[i] {
+// sameScore reports whether two scores hold bit-identical analysis
+// fields (Key, which a Get sets from the probe, aside).
+func sameScore(a, b cost.Score) bool {
+	fa := append([]float64{a.Cycles, a.MappedMACs, a.DRAMWords, a.NoCWords, a.L1Words, a.L2Words, a.Utilization}, a.Buffer[:]...)
+	fb := append([]float64{b.Cycles, b.MappedMACs, b.DRAMWords, b.NoCWords, b.L1Words, b.L2Words, b.Utilization}, b.Buffer[:]...)
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
 			return false
 		}
 	}
-	return true
+	return a.Levels == b.Levels
 }
 
 // TestCodecRoundTripExact: every float comes back with the identical bit
-// pattern — the disk tier's contribution to the bit-identity contract.
+// pattern at every depth a score holds — the disk tier's contribution to
+// the bit-identity contract — and the key comes from the probe.
 func TestCodecRoundTripExact(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		r := testResult(i)
-		got, err := decodeResult(appendResult(nil, r))
-		if err != nil {
-			t.Fatalf("result %d: %v", i, err)
-		}
-		if !sameResult(r, got) {
-			t.Fatalf("result %d did not round-trip exactly", i)
-		}
-		if n := len(appendResult(nil, r)); resultLen(r) != n {
-			t.Fatalf("result %d: resultLen = %d, encoding is %d bytes", i, resultLen(r), n)
+	for levels := 0; levels <= cost.MaxLevels; levels++ {
+		for i := 0; i < 20; i++ {
+			sc := testScoreLevels(i, levels)
+			enc := appendScore(nil, sc)
+			if len(enc) != scoreLenFor(levels) {
+				t.Fatalf("%d levels: encoding is %d bytes, scoreLenFor says %d", levels, len(enc), scoreLenFor(levels))
+			}
+			got, err := decodeScore(enc, 77)
+			if err != nil {
+				t.Fatalf("%d levels, score %d: %v", levels, i, err)
+			}
+			if !sameScore(sc, got) || got.Key != 77 {
+				t.Fatalf("%d levels, score %d did not round-trip exactly", levels, i)
+			}
 		}
 	}
-	// Truncated and oversized payloads must error, not panic.
-	enc := appendResult(nil, testResult(1))
+	// Truncated and oversized payloads, and a depth past what a score
+	// holds, must error, not panic.
+	enc := appendScore(nil, testScore(1))
 	for _, cut := range []int{0, 1, 7, len(enc) / 2, len(enc) - 1} {
-		if _, err := decodeResult(enc[:cut]); err == nil {
+		if _, err := decodeScore(enc[:cut], 0); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := decodeResult(append(enc, 0)); err == nil {
+	if _, err := decodeScore(append(enc, 0), 0); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	deep := appendScore(nil, testScoreLevels(1, cost.MaxLevels))
+	deep = binary.LittleEndian.AppendUint64(deep, 0)
+	binary.LittleEndian.PutUint64(deep[8*7:], cost.MaxLevels+1)
+	if _, err := decodeScore(deep, 0); err == nil {
+		t.Errorf("a %d-level score decoded", cost.MaxLevels+1)
 	}
 }
 
-// TestMemoryStoreBasics: hit/miss accounting, put isolation (the store
-// keeps no pointer of the caller's), the served copy's CacheKey and
+// TestMemoryStoreBasics: hit/miss accounting, the served copy's Key and
 // idempotent re-inserts.
 func TestMemoryStoreBasics(t *testing.T) {
 	s := NewMemory()
@@ -125,21 +128,18 @@ func TestMemoryStoreBasics(t *testing.T) {
 	if _, ok := s.Get(k); ok {
 		t.Fatal("hit on empty store")
 	}
-	r := testResult(1)
-	r.CacheKey = 42
+	r := testScore(1)
+	r.Key = 42
 	s.Put(k, r)
 	got, ok := s.Get(k)
-	if !ok {
+	if !ok || !sameScore(got, r) {
 		t.Fatal("miss after Put")
 	}
-	if got == r {
-		t.Error("store retained the caller's pointer (must clone)")
+	if got.Key != k.Lo {
+		t.Errorf("stored Key = %d, want the key's low word %d (the L1 key)", got.Key, k.Lo)
 	}
-	if got.CacheKey != k.Lo {
-		t.Errorf("stored CacheKey = %d, want the key's low word %d (the L1 key)", got.CacheKey, k.Lo)
-	}
-	s.Put(k, testResult(2)) // no-op: resident key
-	if again, _ := s.Get(k); !sameResult(got, again) {
+	s.Put(k, testScore(2)) // no-op: resident key
+	if again, _ := s.Get(k); !sameScore(got, again) {
 		t.Error("re-insert replaced a resident entry")
 	}
 	st := s.Stats()
@@ -161,7 +161,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	s.RecordResult(ResultRecord{
 		Identity: "latency|edge|analytical|co-opt",
@@ -191,7 +191,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 		if !ok {
 			t.Fatalf("entry %d lost across reopen", i)
 		}
-		if !sameResult(got, testResult(i)) {
+		if !sameScore(got, testScore(i)) {
 			t.Fatalf("entry %d corrupted across reopen", i)
 		}
 	}
@@ -200,9 +200,9 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestReplayedCacheKey: an entry replayed from a segment carries the
-// CacheKey Put gave it, its key's low word, so a reopened store's hits go
-// into a search's L1 as they are.
+// TestReplayedCacheKey: a score replayed from a segment carries its
+// key's low word as its Key, so a reopened store's hits go into a
+// search's L1 as they are.
 func TestReplayedCacheKey(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir})
@@ -211,7 +211,7 @@ func TestReplayedCacheKey(t *testing.T) {
 	}
 	const n = 20
 	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -226,8 +226,8 @@ func TestReplayedCacheKey(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		k := testKey(i)
-		if got, ok := re.Get(k); !ok || got.CacheKey != k.Lo {
-			t.Fatalf("entry %d: replayed CacheKey %d (ok=%v), want %d", i, got.CacheKey, ok, k.Lo)
+		if got, ok := re.Get(k); !ok || got.Key != k.Lo {
+			t.Fatalf("entry %d: replayed Key %d (ok=%v), want %d", i, got.Key, ok, k.Lo)
 		}
 	}
 }
@@ -241,7 +241,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatalf("recovered %d entries after torn tail, want 9", st.Loaded)
 	}
 	// The torn frame is gone for good — but the store must keep working.
-	re.Put(testKey(100), testResult(100))
+	re.Put(testKey(100), testScore(100))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestCorruptPayloadDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestFingerprintInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestFingerprintInvalidation(t *testing.T) {
 	if _, ok := re.Get(testKey(0)); ok {
 		t.Fatal("stale entry served after model change")
 	}
-	re.Put(testKey(0), testResult(0))
+	re.Put(testKey(0), testScore(0))
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,12 +393,12 @@ func TestFaultDemotesToMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Put(testKey(0), testResult(0))
+			s.Put(testKey(0), testScore(0))
 			inj.Set(point, faults.Knob{Every: 1})
 			// Enough inserts to cross the rotation threshold under a 512 B
 			// cap, whichever point is armed.
 			for i := 1; i < 20; i++ {
-				s.Put(testKey(i), testResult(i))
+				s.Put(testKey(i), testScore(i))
 			}
 			if _, fired := inj.Counts(point); fired == 0 {
 				t.Fatalf("fault point %s never fired", point)
@@ -429,7 +429,7 @@ func TestFaultIndexWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(testKey(0), testResult(0))
+	s.Put(testKey(0), testScore(0))
 	inj.Set(PointIndex, faults.Knob{Every: 1})
 	s.RecordResult(ResultRecord{Identity: "id", Layers: []string{"a"}, Maps: []MappingRecord{{}}, Fitness: 1})
 	if _, fired := inj.Counts(PointIndex); fired == 0 {
@@ -512,9 +512,9 @@ func TestResultReplayEquivalence(t *testing.T) {
 			evicted++
 		}
 		s.RecordResult(rec)
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 		if i%5 == 0 {
-			s.Put(testKey(i/2), testResult(i/2)) // re-put, resident or evicted
+			s.Put(testKey(i/2), testScore(i/2)) // re-put, resident or evicted
 		}
 	}
 	if fitter == 0 || noop == 0 || tie == 0 || evicted == 0 {
@@ -524,7 +524,7 @@ func TestResultReplayEquivalence(t *testing.T) {
 	// only the index re-appended at each rotation can rebuild it now.
 	lastRecorded := s.gens[len(s.gens)-1].seq
 	for i := 400; s.gens[0].seq <= lastRecorded; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	st := s.Stats()
 	if st.Evicted == 0 || st.Bytes > o.MaxBytes {
@@ -555,7 +555,7 @@ func TestResultReplayEquivalence(t *testing.T) {
 		if j, ok := liveKeys[k]; !ok || j != i {
 			t.Fatalf("key of entry %d resident after reopen but not in the live store", i)
 		}
-		if got, _ := peek(re, k); !sameResult(got.r, testResult(i)) {
+		if got, _ := peek(re, k); !sameScore(got.r, testScore(i)) {
 			t.Fatalf("entry %d corrupted across reopen", i)
 		}
 	}
@@ -570,15 +570,14 @@ func TestResultReplayEquivalence(t *testing.T) {
 	}
 }
 
-// resident is one entry as a test sees it: its decoded result and the
+// resident is one entry as a test sees it: its decoded score and the
 // generation of the arena that holds it.
 type resident struct {
-	r   *cost.Result
+	r   cost.Score
 	gen uint32
 }
 
-// peek reads k's resident entry without counting a probe or promoting
-// it.
+// peek reads k's resident entry without counting a probe.
 func peek(s *Store, k Key) (resident, bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
@@ -588,10 +587,11 @@ func peek(s *Store, k Key) (resident, bool) {
 		return resident{}, false
 	}
 	a := s.arenas.at(e.slot)
-	return resident{r: a.decode(e.off), gen: a.seq}, true
+	r, _ := a.decode(e.off, k.Lo)
+	return resident{r: r, gen: a.seq}, true
 }
 
-// residentKeys maps every resident key to the testResult index it holds
+// residentKeys maps every resident key to the testScore index it holds
 // (its Cycles field encodes it).
 func residentKeys(s *Store) map[Key]int {
 	keys := map[Key]int{}
@@ -620,7 +620,7 @@ func segmentKeys(t *testing.T, dir string) map[Key]int {
 				t.Fatalf("%s: broken frame at offset %d", filepath.Base(seg), off)
 			}
 			if payload[0] == recEntry {
-				r, err := decodeResult(payload[17:])
+				r, err := decodeScore(payload[17:], 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -659,7 +659,7 @@ func TestResultSurvivesProcessDeath(t *testing.T) {
 			next := 0
 			for i := 0; i < n; i++ {
 				for j := 0; j <= tc.filler; j++ {
-					s.Put(testKey(next), testResult(next))
+					s.Put(testKey(next), testScore(next))
 					next++
 				}
 				s.RecordResult(ResultRecord{
@@ -708,7 +708,7 @@ func TestUpgradeDiscardsV2Layout(t *testing.T) {
 	oldSeg := filepath.Join(dir, "seg-000005.seg")
 	data := appendFrame([]byte("DGEVSTR2"), appendString([]byte{recHeader}, cost.Fingerprint))
 	entry := appendUint(appendUint([]byte{recEntry}, testKey(1).Hi), testKey(1).Lo)
-	data = appendFrame(data, appendResult(entry, testResult(1)))
+	data = appendFrame(data, appendScore(entry, testScore(1)))
 	if err := os.WriteFile(oldSeg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -739,17 +739,19 @@ func TestUpgradeDiscardsV2Layout(t *testing.T) {
 	}
 }
 
-// TestUpgradeDiscardsV3Segments: segments written under the previous key
-// layout (DGEVSTR3, whose entries were keyed by the unpacked word stream)
-// open as foreign files: nothing loads, entries or results, and the
-// segments are removed.
+// TestUpgradeDiscardsV3Segments: segments written under an older layout
+// open as foreign files — DGEVSTR3, whose entries were keyed by the
+// unpacked word stream, and DGEVSTR4, whose entries held a whole
+// cost.Result: nothing loads, entries or results, and the segments are
+// removed.
 func TestUpgradeDiscardsV3Segments(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
-	for seq := 3; seq <= 4; seq++ {
-		data := appendFrame([]byte("DGEVSTR3"), appendString([]byte{recHeader}, cost.Fingerprint))
+	magics := map[int]string{3: "DGEVSTR3", 4: "DGEVSTR3", 5: "DGEVSTR4", 6: "DGEVSTR4"}
+	for seq := 3; seq <= 6; seq++ {
+		data := appendFrame([]byte(magics[seq]), appendString([]byte{recHeader}, cost.Fingerprint))
 		entry := appendUint(appendUint([]byte{recEntry}, testKey(seq).Hi), testKey(seq).Lo)
-		data = appendFrame(data, appendResult(entry, testResult(seq)))
+		data = appendFrame(data, appendScore(entry, testScore(seq)))
 		rec, err := json.Marshal(ResultRecord{Identity: "id", Layers: []string{"a"}, Fanouts: []int{4}, Maps: []MappingRecord{{}}, Fitness: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -768,15 +770,15 @@ func TestUpgradeDiscardsV3Segments(t *testing.T) {
 	}
 	defer s.Close()
 	if st := s.Stats(); st.Loaded != 0 || st.Results != 0 || st.Entries != 0 {
-		t.Errorf("DGEVSTR3 segments loaded: %+v", st)
+		t.Errorf("older segments loaded: %+v", st)
 	}
-	for seq := 3; seq <= 4; seq++ {
+	for seq := 3; seq <= 6; seq++ {
 		if _, ok := s.Get(testKey(seq)); ok {
-			t.Errorf("entry from a DGEVSTR3 segment served")
+			t.Errorf("entry from a %s segment served", magics[seq])
 		}
 	}
 	if _, _, ok := s.Nearest("id", []string{"a"}); ok {
-		t.Error("record from a DGEVSTR3 segment served")
+		t.Error("record from an older segment served")
 	}
 	for _, path := range paths {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -793,14 +795,14 @@ func TestRotationTimed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 1000; i++ {
-			s.Put(testKey(i), testResult(i))
+		for i := 0; i < 4000; i++ {
+			s.Put(testKey(i), testScore(i))
 		}
 		st := s.Stats()
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// ~430 KB of entries through 8 KiB generations: some fifty
+		// ~450 KB of entries through 8 KiB generations: some fifty
 		// stagings, and a drop after each once the budget is full.
 		if st.Rotations < 40 || st.Evicted == 0 {
 			t.Fatalf("dir %q: %d rotations, %d evicted", dir, st.Rotations, st.Evicted)
@@ -823,7 +825,7 @@ func TestEvictMemoryBudget(t *testing.T) {
 	}
 	const n = 2000
 	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 		if st := s.Stats(); st.Bytes > budget {
 			t.Fatalf("after %d puts: %d resident bytes over a %d budget", i+1, st.Bytes, budget)
 		}
@@ -835,7 +837,7 @@ func TestEvictMemoryBudget(t *testing.T) {
 	var bytes int64
 	oldest := n
 	for _, i := range residentKeys(s) {
-		bytes += entryFrameLen(testResult(i))
+		bytes += entryFrameLen(testScore(i))
 		oldest = min(oldest, i)
 	}
 	if bytes != st.Bytes {
@@ -855,25 +857,25 @@ func TestEvictedKeyReinserted(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(-1)
-	s.Put(k, testResult(0))
+	s.Put(k, testScore(0))
 	next := 0
 	fill := func() { // enough puts to drop every generation present now
-		for end := next + 80; next < end; next++ {
-			s.Put(testKey(next), testResult(next))
+		for end := next + 240; next < end; next++ {
+			s.Put(testKey(next), testScore(next))
 		}
 	}
 	fill()
 	if _, ok := peek(s, k); ok {
 		t.Fatal("key survived the drop of its generation")
 	}
-	s.Put(k, testResult(0))
+	s.Put(k, testScore(0))
 	e, _ := peek(s, k)
 	gen := e.gen
 	if s.gens[0].seq >= gen {
 		t.Fatal("no older generation left to drop")
 	}
 	for s.gens[0].seq < gen { // drop every generation older than the key's
-		s.Put(testKey(next), testResult(next))
+		s.Put(testKey(next), testScore(next))
 		next++
 		if _, ok := peek(s, k); !ok {
 			t.Fatalf("re-put key lost to the drop of an older generation (oldest now %d, key's %d)", s.gens[0].seq, gen)
@@ -882,68 +884,6 @@ func TestEvictedKeyReinserted(t *testing.T) {
 	fill()
 	if _, ok := peek(s, k); ok {
 		t.Error("re-put key survived the drop of its own generation")
-	}
-}
-
-// TestEvictSparesPromotedHit: on a tier past half its budget, a hit on
-// an entry in a generation due to be dropped soon moves it to the active
-// one, so it outlives the drop of the generation it was put in, while
-// its unhit neighbours go. A hit in the active generation moves nothing.
-// Across a reopen, the promoted copy in the newer segment is the one
-// that counts.
-func TestEvictSparesPromotedHit(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{Dir: dir, MaxSegmentBytes: 4096, MaxBytes: 16 << 10}
-	s, err := Open(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	hot, cold := testKey(0), testKey(1)
-	s.Put(hot, testResult(0))
-	s.Put(cold, testResult(1))
-	first := s.gens[0].seq
-	next := 2
-	for len(s.gens) < 4 { // three full generations: over half the budget
-		s.Put(testKey(next), testResult(next))
-		next++
-	}
-	if s.gens[0].seq != first {
-		t.Fatalf("first generation dropped early: %+v", s.gens)
-	}
-	before := s.Stats().Bytes
-	if r, ok := s.Get(hot); !ok || !sameResult(r, testResult(0)) {
-		t.Fatal("hot entry not served")
-	}
-	e, _ := peek(s, hot)
-	active := s.gens[len(s.gens)-1].seq
-	if e.gen != active || s.Stats().Bytes != before+entryFrameLen(testResult(0)) {
-		t.Fatalf("hit in the oldest generation did not promote: entry in %d, active %d", e.gen, active)
-	}
-	s.Get(hot) // now in the active generation: no second copy
-	if s.Stats().Bytes != before+entryFrameLen(testResult(0)) {
-		t.Fatal("hit in the active generation promoted again")
-	}
-	for s.gens[0].seq == first {
-		s.Put(testKey(next), testResult(next))
-		next++
-	}
-	if _, ok := peek(s, hot); !ok {
-		t.Error("promoted entry dropped with its first generation")
-	}
-	if _, ok := peek(s, cold); ok {
-		t.Error("unhit entry survived the drop of its generation")
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if e, ok := peek(re, hot); !ok || e.gen != active {
-		t.Errorf("reopen lost the promoted copy: %+v, %v (want generation %d)", e, ok, active)
 	}
 }
 
@@ -958,7 +898,7 @@ func TestEvictKeepsNewerCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -981,7 +921,7 @@ func TestEvictKeepsNewerCopy(t *testing.T) {
 		t.Fatalf("reopen over two copies: %+v, %d generations", st, len(re.gens))
 	}
 	for i := 10; re.gens[0].seq == 1; i++ {
-		re.Put(testKey(i), testResult(i))
+		re.Put(testKey(i), testScore(i))
 	}
 	if st := re.Stats(); st.Evicted != 0 {
 		t.Fatalf("dropping the older copy evicted %d entries", st.Evicted)
@@ -1002,13 +942,13 @@ func TestEvictKeepsNewerCopy(t *testing.T) {
 // segment with a corrupted payload is neither truncated nor reported.
 func TestEvictAtOpen(t *testing.T) {
 	dir := t.TempDir()
-	const n = 200
+	const n = 600
 	s, err := Open(Options{Dir: dir, MaxSegmentBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		s.Put(testKey(i), testResult(i))
+		s.Put(testKey(i), testScore(i))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -1050,7 +990,7 @@ func TestEvictAtOpen(t *testing.T) {
 		t.Error("oldest segment survived the cut")
 	}
 	for k, i := range kept {
-		if got, ok := peek(re, k); !ok || !sameResult(got.r, testResult(i)) {
+		if got, ok := peek(re, k); !ok || !sameScore(got.r, testScore(i)) {
 			t.Fatalf("entry %d of a kept segment not served", i)
 		}
 	}
@@ -1073,12 +1013,12 @@ func TestConcurrentSharing(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				k := testKey(i)
 				if r, ok := s.Get(k); ok {
-					if !sameResult(r, testResult(i)) {
+					if !sameScore(r, testScore(i)) {
 						panic(fmt.Sprintf("worker %d: entry %d corrupted", w, i))
 					}
 					continue
 				}
-				s.Put(k, testResult(i))
+				s.Put(k, testScore(i))
 			}
 			s.RecordResult(ResultRecord{
 				Identity: "id",
@@ -1099,9 +1039,8 @@ func TestConcurrentSharing(t *testing.T) {
 }
 
 // TestEvictConcurrent: many writers and readers over overlapping keys on
-// a disk-backed store a tenth the size of their working set, so drops,
-// promotions and rotations interleave with probes — the -race CI job runs
-// this. Every hit returns the value put under its key, the tier stays in
+// a disk-backed store a tenth the size of their working set, so drops
+// and rotations interleave with probes — the -race CI job runs this. Every hit returns the value put under its key, the tier stays in
 // its budget, and a reopen holds exactly the entries of the segments left.
 func TestEvictConcurrent(t *testing.T) {
 	dir := t.TempDir()
@@ -1110,7 +1049,7 @@ func TestEvictConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, keys = 8, 400
+	const workers, keys = 8, 1200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -1120,15 +1059,15 @@ func TestEvictConcurrent(t *testing.T) {
 			for j := 0; j < 2000; j++ {
 				i := rng.Intn(keys)
 				if j%2 == 0 {
-					i = rng.Intn(keys / 10) // a hot tenth, hit often enough to promote
+					i = rng.Intn(keys / 10) // a hot tenth, hit often
 				}
 				if r, ok := s.Get(testKey(i)); ok {
-					if !sameResult(r, testResult(i)) {
+					if !sameScore(r, testScore(i)) {
 						panic(fmt.Sprintf("worker %d: entry %d corrupted", w, i))
 					}
 					continue
 				}
-				s.Put(testKey(i), testResult(i))
+				s.Put(testKey(i), testScore(i))
 			}
 		}(w)
 	}

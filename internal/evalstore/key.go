@@ -1,5 +1,5 @@
 // Package evalstore is the cross-request analysis tier: a process-wide,
-// optionally disk-backed store of per-layer cost-model results sitting
+// optionally disk-backed store of per-layer cost-model scores sitting
 // behind each search's private evalcache L1. Both tiers key on one
 // collision-safe, process-independent 128-bit content hash of every
 // analysis input — layer spec, fanout vector, mapping block, backend
@@ -9,8 +9,8 @@
 // therefore share one analysis. The store holds each one as its encoded
 // 'E' frame — the bytes its budget charges and its segments hold — in one
 // arena per generation, mapped outside the Go heap, behind pointer-free
-// shard maps; a hit decodes the frame into a result the caller owns,
-// which goes into an L1 as it is.
+// shard maps; a hit decodes the frame into a cost.Score by value, which
+// goes into an L1 as it is.
 //
 // Per-layer analyses are pure functions of those inputs, so cache sharing
 // never changes evaluation values, only their cost: searches with the
@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"math/bits"
 
 	"digamma/internal/arch"
@@ -36,7 +37,7 @@ import (
 // a Murmur3-style mix of the probe genes seeded by the SHA-256 context
 // digest of every other analysis input. A Key is stable across processes
 // and restarts and collision-safe at any realistic store size; Lo alone is
-// the 64-bit key of a search's private L1 (cost.Result.CacheKey).
+// the 64-bit key of a search's private L1 (cost.Score.Key).
 type Key struct{ Hi, Lo uint64 }
 
 // Context digests the analysis inputs that are fixed for one
@@ -237,7 +238,7 @@ func appendUint(b []byte, v uint64) []byte {
 }
 
 func appendFloat(b []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, floatBits(v))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
 // appendString length-prefixes so adjacent fields can never absorb each

@@ -49,22 +49,8 @@ func BenchmarkAnalyzeGEMMSmall(b *testing.B) {
 	}
 }
 
-func BenchmarkResultClone(b *testing.B) {
-	layer := workload.Layer{Name: "fc", Type: workload.GEMM, K: 256, C: 512, Y: 1, X: 1, R: 1, S: 1}
-	hw := arch.HW{Fanouts: []int{4, 16, 1}}.Defaults()
-	a := cost.NewAnalyzer(layer)
-	r, err := a.AnalyzeTrusted(hw, benchMapping())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = r.Clone()
-	}
-}
-
-// BenchmarkStoreGetHit probes a resident entry: the shard lookup and the
-// decode of its frame into a result the caller owns, which every
+// BenchmarkStoreGetHit probes a resident 3-level entry: the shard lookup
+// and the decode of its frame into a score by value, which every
 // shared-tier hit pays.
 func BenchmarkStoreGetHit(b *testing.B) {
 	layer := workload.Layer{Name: "fc", Type: workload.GEMM, K: 256, C: 512, Y: 1, X: 1, R: 1, S: 1}
@@ -79,7 +65,7 @@ func BenchmarkStoreGetHit(b *testing.B) {
 	}
 	s := NewMemory()
 	k := ProbeKey(&ctxs[0], fanouts, m)
-	s.Put(k, r)
+	s.Put(k, r.Score())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Get(k); !ok {
@@ -116,9 +102,9 @@ func BenchmarkStorePutDisk(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	results := make([]*cost.Result, 16)
+	results := make([]cost.Score, 16)
 	for i := range results {
-		results[i] = testResult(i)
+		results[i] = testScore(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,9 +121,9 @@ func BenchmarkStorePutEvicting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	results := make([]*cost.Result, 16)
+	results := make([]cost.Score, 16)
 	for i := range results {
-		results[i] = testResult(i)
+		results[i] = testScore(i)
 	}
 	for i := 0; s.Stats().Evicted == 0; i++ {
 		s.Put(testKey(-1-i), results[i%len(results)])
@@ -152,7 +138,7 @@ func BenchmarkStorePutEvicting(b *testing.B) {
 // BenchmarkStoreOpen reopens a disk tier of ~49k entries, about what the
 // serve-neardup benchmark workload leaves behind: every segment read
 // into its generation's arena, its frames CRC-checked and indexed
-// without decoding a result, then the arenas freed by Close.
+// without decoding a score, then the arenas freed by Close.
 func BenchmarkStoreOpen(b *testing.B) {
 	const n = 49 << 10
 	dir := b.TempDir()
@@ -160,9 +146,9 @@ func BenchmarkStoreOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	results := make([]*cost.Result, 16)
+	results := make([]cost.Score, 16)
 	for i := range results {
-		results[i] = testResult(i)
+		results[i] = testScore(i)
 	}
 	for i := 0; i < n; i++ {
 		s.Put(testKey(i), results[i%len(results)])

@@ -20,11 +20,11 @@ const shardCount = 64
 // defaultMaxBytes is the resident budget when Options.MaxBytes is 0: the
 // smallest budget on a curve measured on the serve-neardup benchmark
 // workload (traced 20 s runs, seeds 3 and 5, 2-core VM) whose shared-tier
-// hit ratio stays within 0.03 of an unbounded store's, 0.301/0.303. With
-// promotion on hit, 16 MiB read 0.181/0.182, 32 MiB 0.228/0.230 and 64 MiB
-// 0.273/0.274 (without it, 64 MiB read 0.255/0.256); p50 latency did not
-// move with the budget (2.6–3.6 ms at every point, unbounded included).
-const defaultMaxBytes = 64 << 20
+// hit ratio is at least the 0.274 the tier read at 64 MiB when an entry
+// was a whole cost.Result. 16 MiB read 0.236/0.238, 32 MiB 0.275/0.277
+// and 64 MiB 0.301/0.303 (every entry of the run resident); promotion on
+// hit added 0.015 at 32 MiB and nothing at 64, so the tier has none.
+const defaultMaxBytes = 32 << 20
 
 // entry locates one resident analysis: its 'E' frame at off in the
 // arena of table slot slot, which belongs to the generation it was put
@@ -64,7 +64,7 @@ type Options struct {
 	// MaxBytes bounds the resident tier: the encoded bytes of every
 	// generation it holds. Past it, the oldest generation is dropped
 	// whole — its entries and its segment file — and Open keeps only the
-	// newest segments that fit. 0 = defaultMaxBytes (64 MiB).
+	// newest segments that fit. 0 = defaultMaxBytes (32 MiB).
 	MaxBytes int64
 
 	// MaxSegmentBytes advances the generation, and rotates the active
@@ -98,10 +98,6 @@ type Store struct {
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	inserts atomic.Uint64
-
-	// promoteBelow is the generation a hit promotes from: an entry hit
-	// while recorded under an older one moves to the active generation.
-	promoteBelow atomic.Uint32
 
 	log    *slog.Logger
 	faults *faults.Injector
@@ -142,7 +138,7 @@ type Stats struct {
 	Misses   uint64 // probes that fell through to the cost model
 	Inserts  uint64 // fresh analyses published
 	Entries  int    // resident entries
-	Loaded   int    // 'E' frames replayed at open (a promoted key once per copy)
+	Loaded   int    // 'E' frames replayed at open (a key put again once per copy)
 	Evicted  uint64 // entries dropped with their generation, or cut at open
 	Bytes    int64  // resident encoded bytes (bounded by Options.MaxBytes)
 	Segments int    // on-disk segment files (0 when memory-only)
@@ -150,8 +146,8 @@ type Stats struct {
 
 	// Rotations counts generations staged (segment rotations with a disk,
 	// the first segment at open included). RotateNanos sums the time
-	// spent under the log mutex — which the Put or promoting Get that
-	// triggered it holds — staging generations (with a disk: flushing,
+	// spent under the log mutex — which the Put that triggered it
+	// holds — staging generations (with a disk: flushing,
 	// fsyncing and closing the old segment, creating the new one and
 	// re-appending the warm-start index) and dropping old ones (the walk
 	// over the dropped arena's frames, its unmapping and the segment
@@ -206,7 +202,6 @@ func Open(o Options) (*Store, error) {
 	s.results.limit = cmp.Or(o.resultLimit, defaultResultLimit)
 	if o.Dir == "" {
 		s.gens = []generation{{seq: 1}}
-		s.setPromote()
 		return s, nil
 	}
 	if err := s.openDisk(o); err != nil {
@@ -221,34 +216,29 @@ func (s *Store) Fingerprint() string { return s.fingerprint }
 
 func (s *Store) shardFor(k Key) *shard { return &s.shards[k.Hi&(shardCount-1)] }
 
-// Get returns the stored analysis for k, decoded from its frame into a
-// result the caller owns, whose CacheKey is k.Lo — so a search's L1,
-// keyed on the same content key's low word, can hold it as it is. A frame
-// that does not decode is a miss, and its entry is dropped.
-func (s *Store) Get(k Key) (*cost.Result, bool) {
+// Get returns the stored score for k, decoded from its frame by value
+// with its Key set to k.Lo — so a search's L1, keyed on the same content
+// key's low word, can hold it as it is. A frame that does not decode is a
+// miss, and its entry is dropped.
+func (s *Store) Get(k Key) (cost.Score, bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	e, ok := sh.m[k]
-	var r *cost.Result
-	var seq uint32
+	var sc cost.Score
+	decoded := false
 	if ok {
-		a := s.arenas.at(e.slot)
-		r, seq = a.decode(e.off), a.seq
+		sc, decoded = s.arenas.at(e.slot).decode(e.off, k.Lo)
 	}
 	sh.mu.RUnlock()
-	if r == nil {
+	if !decoded {
 		if ok {
 			s.forget(k, e)
 		}
 		s.misses.Add(1)
-		return nil, false
+		return cost.Score{}, false
 	}
-	r.CacheKey = k.Lo
 	s.hits.Add(1)
-	if seq < s.promoteBelow.Load() {
-		s.promote(k)
-	}
-	return r, true
+	return sc, true
 }
 
 // forget removes k's entry if it still is e: a frame that would not
@@ -264,49 +254,12 @@ func (s *Store) forget(k Key, e entry) {
 	sh.mu.Unlock()
 }
 
-// promote re-appends a hit entry from a generation due to be dropped
-// soon (see setPromote) into the active one, so analyses that keep being
-// reused outlive the drop of the generation they were first put in. Each
-// promotion costs one more copy of the frame in the active generation
-// (and segment), and a later hit finds the entry past the line.
-func (s *Store) promote(k Key) {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if s.closed {
-		return
-	}
-	s.rotateIfFull()
-	sh := s.shardFor(k)
-	sh.mu.RLock()
-	e, ok := sh.m[k]
-	sh.mu.RUnlock()
-	if !ok {
-		return
-	}
-	src := s.arenas.at(e.slot)
-	frame := src.frame(e.off)
-	if src.seq >= s.promoteBelow.Load() || frame == nil {
-		return
-	}
-	a := s.activeArena()
-	off := a.putFrame(frame)
-	sh.mu.Lock()
-	sh.m[k] = entry{slot: a.slot, off: off}
-	sh.mu.Unlock()
-	s.commit(a, off)
-}
-
-// Put publishes a freshly computed analysis under k into the active
-// generation: it encodes r's frame once into the active arena (r itself,
-// typically slab-allocated by a search that will recycle it, is not
-// kept) and appends those bytes to the active disk segment when one is
-// attached. Re-inserts of a resident key are no-ops: analyses are pure,
-// so any two values for one key are identical. A result deeper than
-// maxLevels, which replay would reject, is not stored.
-func (s *Store) Put(k Key, r *cost.Result) {
-	if len(r.Levels) > maxLevels {
-		return
-	}
+// Put publishes a freshly computed score under k into the active
+// generation: it encodes sc's frame once into the active arena and
+// appends those bytes to the active disk segment when one is attached.
+// Re-inserts of a resident key are no-ops: analyses are pure, so any two
+// scores for one key are identical.
+func (s *Store) Put(k Key, sc cost.Score) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	if s.closed {
@@ -321,7 +274,7 @@ func (s *Store) Put(k Key, r *cost.Result) {
 		return
 	}
 	a := s.activeArena()
-	off := a.putEntry(k, r)
+	off := a.putEntry(k, sc)
 	sh.mu.Lock()
 	sh.m[k] = entry{slot: a.slot, off: off}
 	sh.mu.Unlock()
@@ -385,7 +338,6 @@ func (s *Store) advance(seq uint32) error {
 	start := time.Now()
 	s.rotations++
 	s.gens = append(s.gens, generation{seq: seq})
-	s.setPromote()
 	if s.disk == nil {
 		s.timed(start)
 		return nil
@@ -419,8 +371,8 @@ func (s *Store) grow(n int64) {
 }
 
 // dropOldest evicts the oldest generation whole: every resident entry
-// still recorded under it (a key evicted earlier and put again, or
-// promoted, points into a newer arena and stays) and its segment file.
+// still recorded under it (a key evicted earlier and put again points
+// into a newer arena and stays) and its segment file.
 // The keys come from walking the arena's own frames, so a drop touches
 // only the entries it held; once they are gone the arena is unmapped (see
 // arena). Caller holds logMu.
@@ -429,7 +381,6 @@ func (s *Store) dropOldest() {
 	g := s.gens[0]
 	s.gens = s.gens[1:]
 	s.bytes -= g.bytes
-	s.setPromote()
 	if g.a != nil {
 		s.evicted += uint64(s.unindex(g.a))
 		s.arenas.free(g.a)
@@ -469,23 +420,6 @@ func (s *Store) unindex(a *arena) int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// setPromote moves the promotion line past the generations the next
-// MaxBytes/2 of appends would drop: the older half of a full tier, and
-// none while the tier holds less than half its budget, where a copy would
-// only cost bytes. Caller holds logMu.
-func (s *Store) setPromote() {
-	line := s.gens[0].seq
-	drop := s.bytes - s.maxBytes/2
-	for _, g := range s.gens[:len(s.gens)-1] {
-		if drop <= 0 {
-			break
-		}
-		drop -= g.bytes
-		line = g.seq + 1
-	}
-	s.promoteBelow.Store(line)
 }
 
 // detachDisk demotes the store to memory-only after a failed write.

@@ -84,9 +84,9 @@ func FromEvaluation(ev *coopt.Evaluation) *Report {
 			Name:        le.Layer.Name,
 			Type:        le.Layer.Type.String(),
 			Count:       le.Layer.Multiplicity(),
-			Cycles:      le.Result.Cycles,
-			Utilization: le.Result.Utilization,
-			DRAMWords:   le.Result.DRAMWords,
+			Cycles:      le.Score.Cycles,
+			Utilization: le.Score.Utilization,
+			DRAMWords:   le.Score.DRAMWords,
 		}
 		for _, lv := range ev.Genome.Maps[li].Levels {
 			level := Level{

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"digamma/internal/arch"
+	"digamma/internal/cost"
 	"digamma/internal/mapping"
 	"digamma/internal/workload"
 )
@@ -69,7 +70,7 @@ func (g Genome) String() string {
 // use-case) and removed from the continuous vector.
 type Space struct {
 	Layers    []workload.Layer
-	Levels    int // clustering depth for the continuous codec (≥ 1)
+	Levels    int // clustering depth for the continuous codec (1 to cost.MaxLevels)
 	MaxFanout int // upper bound for each π gene
 	FixedHW   *arch.HW
 }
@@ -100,6 +101,9 @@ func (s Space) Validate() error {
 	}
 	if s.Levels < 1 {
 		return fmt.Errorf("space: %d levels", s.Levels)
+	}
+	if err := cost.CheckDepth(s.Levels); err != nil {
+		return err
 	}
 	if s.MaxFanout < 1 && s.FixedHW == nil {
 		return fmt.Errorf("space: MaxFanout = %d", s.MaxFanout)

@@ -47,7 +47,7 @@ go test -run '^$' -bench 'BenchmarkProbeKeyOnly$' -count 5 \
     grep '^Benchmark' | sort -k3,3 -g | sed -n 3p | tee -a "$RAW"
 
 # Shared-tier rungs under the key rung: a hit (one frame decoded into a
-# result the caller owns), a fresh publish into a disk-backed store and
+# cost.Score by value), a fresh publish into a disk-backed store and
 # into one held at its budget, and reopening a ~49k-entry disk tier
 # (segments read into arenas, entries indexed undecoded). Five samples
 # each; each row is their median by ns/op.

@@ -18,7 +18,7 @@ func TestSharedCacheBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewAnalysisStore()
-	evicting, err := evalstore.Open(evalstore.Options{MaxBytes: 128 << 10})
+	evicting, err := evalstore.Open(evalstore.Options{MaxBytes: 40 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
