@@ -16,7 +16,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/evalcache/ ./internal/par/ ./internal/coopt/ ./internal/core/ ./internal/figures/ ./internal/serve/
+	$(GO) test -race ./internal/evalcache/ ./internal/evalstore/ ./internal/par/ ./internal/cost/ ./internal/coopt/ ./internal/core/ ./internal/figures/ ./internal/serve/ ./internal/dist/
 
 # loadgen runs the bench runner's serve-unique workload: open-loop unique
 # requests through a durable digammad, each timed from due to done (see

@@ -231,7 +231,7 @@ func BenchmarkDiGammaSearchTraced(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.New(coldProblem(b, model), core.DefaultConfig(), rand.New(rand.NewSource(int64(i+1))))
+				eng, err := core.NewSeeded(coldProblem(b, model), core.DefaultConfig(), int64(i+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -284,7 +284,7 @@ func BenchmarkDiGammaSearchDelta(b *testing.B) {
 			reused := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(benchSeed(i))))
+				eng, err := core.NewSeeded(coldProblem(b, model), cfg, benchSeed(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -319,7 +319,7 @@ func BenchmarkDiGammaSearchPruned(b *testing.B) {
 	fullEvals := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(benchSeed(i))))
+		eng, err := core.NewSeeded(coldProblem(b, model), cfg, benchSeed(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func BenchmarkDiGammaSearchIslands(b *testing.B) {
 				bestSum := 0.0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eng, err := core.New(coldProblem(b, model), cfg, rand.New(rand.NewSource(benchSeed(i))))
+					eng, err := core.NewSeeded(coldProblem(b, model), cfg, benchSeed(i))
 					if err != nil {
 						b.Fatal(err)
 					}

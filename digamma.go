@@ -400,10 +400,8 @@ func (o Options) engineConfig(base core.Config) core.Config {
 }
 
 // runEngine assembles the seeded genetic engine for a problem, wires the
-// progress/durability hooks and runs it. The seeded construction is
-// bit-identical to the classic one (core.TestNewSeededMatchesNew pins it)
-// and is what makes checkpointing and resume possible. Under BestEffort an
-// interrupted run returns its partial best alongside the error.
+// progress/durability hooks and runs it. Under BestEffort an interrupted
+// run returns its partial best alongside the error.
 func (o Options) runEngine(ctx context.Context, p *Problem, base core.Config) (*Evaluation, error) {
 	eng, err := core.NewSeeded(p, o.warmConfig(p, o.engineConfig(base)), o.Seed)
 	if err != nil {

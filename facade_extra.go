@@ -3,7 +3,6 @@ package digamma
 import (
 	"context"
 	"io"
-	"math/rand"
 	"os"
 
 	"digamma/internal/coopt"
@@ -99,7 +98,7 @@ func ParetoFront(model Model, platform Platform, objectives []Objective, o Optio
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(p, core.DefaultConfig(), randNew(o.Seed))
+	eng, err := core.NewSeeded(p, core.DefaultConfig(), o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -108,12 +107,4 @@ func ParetoFront(model Model, platform Platform, objectives []Objective, o Optio
 		return nil, err
 	}
 	return r.Front, nil
-}
-
-// randNew builds the deterministic RNG used by facade searches.
-func randNew(seed int64) *rand.Rand {
-	if seed == 0 {
-		seed = 1
-	}
-	return rand.New(rand.NewSource(seed))
 }

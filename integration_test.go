@@ -97,7 +97,7 @@ func TestFixedMappingSearchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.New(fp, core.DefaultConfig(), nil)
+	eng, err := core.NewSeeded(fp, core.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,22 +32,21 @@ import (
 	"fmt"
 	"math/rand"
 
-	"digamma/internal/coopt"
 	"digamma/internal/obs"
 )
 
 // CheckpointVersion is the format version stamped into every checkpoint;
-// decoding refuses other versions rather than guessing. Version 2 stores
-// each island's population as AppendStates bytes; version 1 stored it as
-// JSON.
-const CheckpointVersion = 2
+// decoding refuses other versions rather than guessing. Version 3 drops
+// each island's prune-stall counter, which version 2 carried; version 1
+// stored each island's population as JSON, not AppendStates bytes.
+const CheckpointVersion = 3
 
 // replaySource wraps the engine's deterministic rand source and counts
 // state advances. Both Int63 and Uint64 step the underlying generator
 // exactly once, so "n calls happened" fully determines the stream
 // position: a fresh source for the same seed fast-forwarded by n draws is
 // bit-identical to the live one. rand.New over the wrapper forwards every
-// draw 1:1, so a wrapped engine's stream is identical to an unwrapped one.
+// draw 1:1, so the wrapped stream is rand.NewSource(seed)'s own.
 type replaySource struct {
 	src rand.Source64
 	n   uint64
@@ -77,21 +76,6 @@ func (s *replaySource) fastForward(n uint64) {
 	for s.n < n {
 		s.Uint64()
 	}
-}
-
-// NewSeeded assembles an engine whose RNG streams are replayable from
-// seed — the construction checkpointing and resume require. The engine is
-// otherwise bit-identical to New(p, cfg, rand.New(rand.NewSource(seed))):
-// the wrapper only counts draws.
-func NewSeeded(p *coopt.Problem, cfg Config, seed int64) (*Engine, error) {
-	src := newReplaySource(seed)
-	e, err := New(p, cfg, rand.New(src))
-	if err != nil {
-		return nil, err
-	}
-	e.seed = seed
-	e.master = src
-	return e, nil
 }
 
 // Checkpoint is one generation-boundary snapshot of a running search:
@@ -124,8 +108,7 @@ type IslandState struct {
 	// build time, re-derived identically on resume).
 	Draws uint64 `json:"rng_draws"`
 
-	Best    float64 `json:"best"`  // prune incumbent
-	Stall   int     `json:"stall"` // generations the incumbent stood still
+	Best    float64 `json:"best"` // prune incumbent
 	Samples int     `json:"samples"`
 
 	DeltaEvals   int    `json:"delta_evals"`
@@ -167,9 +150,9 @@ func (e *Engine) configSum() string {
 		c.PopSize, c.EliteFrac, c.CrossRate, c.ReorderRate, c.MutMapRate,
 		c.MutHWRate, c.GrowRate, c.AgeRate, c.MaxLevels, c.DivisorBias,
 		c.GreedyCross, c.SeedFrac)
-	fmt.Fprintf(h, "prune|%t|%g|%d|delta|%t|fixed|%t|target|%g\n",
-		c.Prune, c.PruneMargin, c.PruneStall, c.NoDelta, c.FixedHW, c.Target)
-	fmt.Fprintf(h, "islands|%d|%d|%d|%d", c.Islands, c.MigrateEvery, c.MigrateCount, len(c.Profiles))
+	fmt.Fprintf(h, "prune|%t|delta|%t|fixed|%t|target|%g\n",
+		c.Prune, c.NoDelta, c.FixedHW, c.Target)
+	fmt.Fprintf(h, "islands|%d|%d|%d", c.Islands, c.MigrateEvery, len(c.Profiles))
 	for _, name := range c.Profiles {
 		fmt.Fprintf(h, "|%s", name)
 	}
@@ -217,7 +200,6 @@ func (is *island) snapshotState() IslandState {
 	return IslandState{
 		Draws:        is.src.n,
 		Best:         is.best,
-		Stall:        is.stall,
 		Samples:      is.samples,
 		DeltaEvals:   is.deltaEvals,
 		LayersReused: is.layersReused,
@@ -276,7 +258,6 @@ func (is *island) restoreState(st *IslandState) error {
 	// buildIslands; what remains is the island's own stream position.
 	is.src.fastForward(st.Draws)
 	is.best = st.Best
-	is.stall = st.Stall
 	is.samples = st.Samples
 	is.deltaEvals = st.DeltaEvals
 	is.layersReused = st.LayersReused

@@ -93,9 +93,41 @@ var checkpointCorruptions = map[string]func(ck *Checkpoint){
 	"missing-island":    func(ck *Checkpoint) { ck.Islands = ck.Islands[:1] },
 }
 
+// resume runs the fuzz run from a checkpoint and returns its refusal, or
+// nil when the run completes.
+func resume(t *testing.T, ck *Checkpoint) error {
+	t.Helper()
+	e := fuzzEngine(t)
+	e.Resume = ck
+	_, err := e.Run(fuzzBudget)
+	return err
+}
+
+// committedSeed decodes one seed of the committed FuzzCheckpointResume
+// corpus.
+func committedSeed(t *testing.T, name string) (*Checkpoint, error) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointResume", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(quoted, ")") {
+		t.Fatalf("seed %s is not a one-value []byte corpus file", name)
+	}
+	blob, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return UnmarshalCheckpoint([]byte(blob))
+}
+
 // TestResumeMalformedCheckpoint: every corruption of a valid checkpoint is
 // refused with an error — before the fix, a genome shorter than the
 // model's layer list panicked inside restore with an index out of range.
+// The committed seed of the same name is refused with the same error: by
+// the check it was written for, not by a version or config-sum mismatch
+// left over from an older format.
 func TestResumeMalformedCheckpoint(t *testing.T) {
 	blob := fuzzCheckpoint(t)
 	for name, corrupt := range checkpointCorruptions {
@@ -105,10 +137,16 @@ func TestResumeMalformedCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			corrupt(ck)
-			e := fuzzEngine(t)
-			e.Resume = ck
-			if _, err := e.Run(fuzzBudget); err == nil {
-				t.Error("corrupt checkpoint resumed, want an error")
+			want := resume(t, ck)
+			if want == nil {
+				t.Fatal("corrupt checkpoint resumed, want an error")
+			}
+			seed, err := committedSeed(t, name)
+			if err == nil {
+				err = resume(t, seed)
+			}
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("committed seed refused with %v, the corruption itself with %v", err, want)
 			}
 		})
 	}
@@ -117,9 +155,7 @@ func TestResumeMalformedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := fuzzEngine(t)
-	e.Resume = ck
-	if _, err := e.Run(fuzzBudget); err != nil {
+	if err := resume(t, ck); err != nil {
 		t.Fatalf("valid checkpoint: %v", err)
 	}
 }
@@ -129,25 +165,11 @@ func TestResumeMalformedCheckpoint(t *testing.T) {
 // corpus would leave every seed refused by the version check alone, so
 // the fuzz target would test nothing; this fails by name instead.
 func TestCommittedValidSeedResumes(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzCheckpointResume", "valid"))
+	ck, err := committedSeed(t, "valid")
+	if err == nil {
+		err = resume(t, ck)
+	}
 	if err != nil {
-		t.Fatal(err)
-	}
-	quoted, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
-	if !ok || !strings.HasSuffix(quoted, ")") {
-		t.Fatalf("valid seed is not a one-value []byte corpus file")
-	}
-	blob, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck, err := UnmarshalCheckpoint([]byte(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := fuzzEngine(t)
-	e.Resume = ck
-	if _, err := e.Run(fuzzBudget); err != nil {
 		t.Fatalf("committed valid seed: %v", err)
 	}
 }

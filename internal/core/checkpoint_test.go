@@ -128,44 +128,38 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNewSeededMatchesNew pins that the draw-counting construction is pure
-// bookkeeping: a NewSeeded engine's search is bit-identical to a classic
-// New engine over rand.NewSource with the same seed, single- and
-// multi-island.
-func TestNewSeededMatchesNew(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		mutate := func(c *Config) {
-			if k > 1 {
-				c.Islands = k
+// rngCalls makes one round of every rand.Rand call the engine's streams
+// see and returns what they yielded.
+func rngCalls(r *rand.Rand, n int) []any {
+	deck := []int{0, 1, 2, 3, 4, 5, 6}
+	r.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
+	return []any{r.Int63(), r.Uint64(), r.Intn(n), r.Intn(1 << 40), r.Float64(), r.Perm(n), deck}
+}
+
+// TestReplaySourceMatchesRandSource pins that the draw-counting source is
+// pure bookkeeping: over every rand.Rand call the engine makes, a stream
+// on newReplaySource(seed) yields exactly rand.NewSource(seed)'s values,
+// and its counter is the exact number of state advances — fast-forwarding
+// a fresh source by it lands on the live source's next value, and one
+// advance fewer does not.
+func TestReplaySourceMatchesRandSource(t *testing.T) {
+	for _, seed := range []int64{1, 3, 7, 55, -9, 1 << 40} {
+		src := newReplaySource(seed)
+		plain := rand.NewSource(seed).(rand.Source64)
+		got, want := rand.New(src), rand.New(plain)
+		for round := 0; round < 50; round++ {
+			n := 1 + round%13
+			if g, w := rngCalls(got, n), rngCalls(want, n); !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d round %d: replay stream %v, rand.NewSource stream %v", seed, round, g, w)
 			}
 		}
-		seeded := seededEngine(t, "resnet18", 7, mutate)
-		want, err := seeded.Run(300)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		m, _ := workload.ByName("resnet18")
-		p, err := coopt.NewProblem(m, arch.Edge(), coopt.Latency)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		plain, err := New(p, cfg, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := plain.Run(300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResumed(t, fmt.Sprintf("islands=%d", k), want, got)
-		if got.LayersReused != want.LayersReused ||
-			got.PoolGets != want.PoolGets || got.PoolReuses != want.PoolReuses {
-			t.Errorf("islands=%d: telemetry drifted without a resume: reused %d/%d gets %d/%d reuses %d/%d",
-				k, got.LayersReused, want.LayersReused, got.PoolGets, want.PoolGets,
-				got.PoolReuses, want.PoolReuses)
+		next := plain.Uint64()
+		for _, lag := range []uint64{0, 1} {
+			fresh := newReplaySource(seed)
+			fresh.fastForward(src.n - lag)
+			if hit := fresh.Uint64() == next; hit != (lag == 0) {
+				t.Errorf("seed %d: a fresh source %d advances behind the counter (%d) lands on the live next value: %v", seed, lag, src.n, hit)
+			}
 		}
 	}
 }
@@ -220,8 +214,8 @@ func TestDrainCheckpointResumes(t *testing.T) {
 }
 
 // TestResumeRejectsMismatch: a checkpoint must only ever restore into the
-// run it came from — wrong seed, budget, config, problem or construction
-// are refused with an error instead of silently diverging.
+// run it came from — wrong seed, budget, config or problem are refused
+// with an error instead of silently diverging.
 func TestResumeRejectsMismatch(t *testing.T) {
 	const budget = 200
 	e := seededEngine(t, "resnet18", 1, func(c *Config) { c.CheckpointEvery = 2 })
@@ -254,18 +248,6 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		}, budget},
 		{"problem", func(t *testing.T) *Engine {
 			return seededEngine(t, "ncf", 1, func(c *Config) { c.CheckpointEvery = 2 })
-		}, budget},
-		{"unseeded", func(t *testing.T) *Engine {
-			m, _ := workload.ByName("resnet18")
-			p, err := coopt.NewProblem(m, arch.Edge(), coopt.Latency)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := New(p, DefaultConfig(), rand.New(rand.NewSource(1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return plain
 		}, budget},
 	}
 	for _, tc := range cases {

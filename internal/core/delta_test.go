@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -26,7 +25,7 @@ func runDelta(t *testing.T, model string, seed int64, mutate func(*Config)) *Res
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := New(p, cfg, rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(p, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func TestDeltaBitIdenticalGamma(t *testing.T) {
 		}
 		cfg := GammaConfig()
 		cfg.NoDelta = noDelta
-		e, err := New(fp, cfg, rand.New(rand.NewSource(11)))
+		e, err := NewSeeded(fp, cfg, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +179,7 @@ func TestPoolRecycleDisabledWithHook(t *testing.T) {
 	p := newProblem(t)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	e, err := New(p, cfg, rand.New(rand.NewSource(4)))
+	e, err := NewSeeded(p, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestDeepHierarchyRefused(t *testing.T) {
 		{"core.Config.MaxLevels", func(levels int) error {
 			cfg := DefaultConfig()
 			cfg.MaxLevels = levels
-			_, err := New(p, cfg, nil)
+			_, err := NewSeeded(p, cfg, 1)
 			return err
 		}},
 		{"space.Space.Levels", func(levels int) error {
@@ -64,7 +64,7 @@ func TestDeepHierarchyRefused(t *testing.T) {
 		{"engine over a deep space", func(levels int) error {
 			q := *p
 			q.Space.Levels = levels
-			_, err := New(&q, DefaultConfig(), nil)
+			_, err := NewSeeded(&q, DefaultConfig(), 1)
 			return err
 		}},
 		{"coopt.Problem.WithFixedHW", func(levels int) error {

@@ -72,23 +72,9 @@ type Config struct {
 	// pins this on resnet18). Longer runs let bound-carrying candidates
 	// into selection among already-beaten individuals, so their
 	// trajectory (and possibly final best) can drift from the unpruned
-	// run's while full-model evaluations drop 40–75%; raise PruneMargin
-	// or PruneStall to trade the cut back toward fidelity. Off by
-	// default: the default path stays bit-identical to earlier trees.
+	// run's while full-model evaluations drop 40–75%. Off by default:
+	// the default path stays bit-identical to earlier trees.
 	Prune bool
-	// PruneMargin loosens the pruning threshold to incumbent × margin.
-	// Values ≤ 1 — including the zero default — mean the bare incumbent,
-	// the issue's literal "bound already exceeds the incumbent best".
-	// Margins > 1 screen only candidates provably far beyond the
-	// incumbent, keeping the pruned search's selection pressure closer
-	// to the exact one at the cost of a smaller evaluation cut.
-	PruneMargin float64
-	// PruneStall arms the screen only after the incumbent has stood
-	// still for this many consecutive generations: the improving phase
-	// of the search runs exactly like an unpruned one, and the bound
-	// harvests the plateau, where most of a long run's budget goes.
-	// 0 arms it from the second generation on.
-	PruneStall int
 
 	// NoDelta disables the dirty-layer delta evaluation path: every bred
 	// candidate is scored from scratch instead of cloning its breeding
@@ -107,11 +93,11 @@ type Config struct {
 	// CheckpointEvery, when > 0, emits a Checkpoint through
 	// Engine.OnCheckpoint every that-many generations (and once more at
 	// the cancellation boundary, so a drained search can resume where it
-	// stopped). Requires an engine built with NewSeeded — checkpoints
-	// record RNG stream positions relative to the seed. 0 (the default)
-	// disables checkpointing entirely: the generation loop's only extra
-	// work is a pair of predictable branches, so the default hot path
-	// stays allocation-free and bit-identical to earlier trees.
+	// stopped). Checkpoints record RNG stream positions relative to the
+	// engine's seed. 0 (the default) disables checkpointing entirely: the
+	// generation loop's only extra work is a pair of predictable
+	// branches, so the default hot path stays allocation-free and
+	// bit-identical to earlier trees.
 	CheckpointEvery int
 
 	// BestEffort makes a cancelled or deadline-exceeded run return its
@@ -135,9 +121,6 @@ type Config struct {
 	// MigrateEvery is the ring-migration period in generations; 0 means
 	// DefaultMigrateEvery. Ignored for single-island runs.
 	MigrateEvery int
-	// MigrateCount is the number of elites each island exports per
-	// migration event; 0 means the island's own elite count.
-	MigrateCount int
 	// Profiles assigns per-island operator-rate profiles by name (see
 	// ProfileByName): island i runs Profiles[i mod len(Profiles)]; empty
 	// means every island runs the "default" profile (the base Config
@@ -257,7 +240,6 @@ type Progress struct {
 type Engine struct {
 	Problem *coopt.Problem
 	Config  Config
-	Rng     *rand.Rand
 
 	// OnEvaluation, when set, is invoked after every design-point
 	// evaluation with the 1-based sample index — convergence tracing and
@@ -271,18 +253,17 @@ type Engine struct {
 	// bit-identical whether or not it is installed.
 	OnGeneration func(Progress)
 
-	// OnCheckpoint, when set together with Config.CheckpointEvery > 0 on
-	// a NewSeeded engine, receives a resumable snapshot at every
-	// CheckpointEvery-th generation boundary and at the cancellation
-	// boundary. The callback owns persistence (and its failures); it runs
-	// on the search goroutine and never influences the search.
+	// OnCheckpoint, when set together with Config.CheckpointEvery > 0,
+	// receives a resumable snapshot at every CheckpointEvery-th generation
+	// boundary and at the cancellation boundary. The callback owns
+	// persistence (and its failures); it runs on the search goroutine and
+	// never influences the search.
 	OnCheckpoint func(*Checkpoint)
 
 	// Resume, when set, restores the run from a prior checkpoint instead
 	// of drawing an initial population: the resumed run is bit-identical
-	// to the uninterrupted one. Requires NewSeeded with the checkpoint's
-	// seed; the problem, config and budget must match the checkpoint's
-	// fingerprint.
+	// to the uninterrupted one. The engine's seed, problem, config and
+	// budget must match the checkpoint's.
 	Resume *Checkpoint
 
 	// Trace, when set, records per-generation phase spans (init, breed,
@@ -312,15 +293,19 @@ type Engine struct {
 	// migration; the callback must not mutate the states.
 	OnMigration func(gen int, exports [][]IndividualState)
 
-	// seed/master back the checkpointing machinery (NewSeeded); a plain
-	// New engine leaves them zero and cannot checkpoint or resume.
+	// rng is the master stream, drawn from seed through master, which
+	// counts its draws: a checkpoint records the stream's position, and a
+	// resume or a distributed worker replays it from the seed alone.
 	seed   int64
 	master *replaySource
+	rng    *rand.Rand
 }
 
-// New assembles an engine. A nil rng defaults to a fixed seed so runs are
-// reproducible.
-func New(p *coopt.Problem, cfg Config, rng *rand.Rand) (*Engine, error) {
+// NewSeeded assembles an engine whose every RNG stream derives from seed:
+// the search is a pure function of the seed and the config, and its
+// streams are replayable, which checkpoints, resume and distribution rely
+// on.
+func NewSeeded(p *coopt.Problem, cfg Config, seed int64) (*Engine, error) {
 	if p == nil {
 		return nil, errors.New("core: nil problem")
 	}
@@ -355,10 +340,8 @@ func New(p *coopt.Problem, cfg Config, rng *rand.Rand) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	return &Engine{Problem: p, Config: cfg, Rng: rng}, nil
+	src := newReplaySource(seed)
+	return &Engine{Problem: p, Config: cfg, seed: seed, master: src, rng: rand.New(src)}, nil
 }
 
 // individual pairs a genome with its evaluation.
@@ -431,12 +414,6 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCancelled, err)
-	}
-	if e.OnCheckpoint != nil && e.Config.CheckpointEvery > 0 && e.master == nil {
-		return nil, errors.New("core: checkpointing requires an engine built with NewSeeded")
-	}
-	if e.Resume != nil && e.master == nil {
-		return nil, errors.New("core: resume requires an engine built with NewSeeded")
 	}
 	if e.Placement != nil && e.Resume == nil {
 		// Offer the run to the placement before any RNG is drawn: a
@@ -536,7 +513,7 @@ func (e *Engine) RunContext(ctx context.Context, budget int) (*Result, error) {
 		e.emitProgress(res, budget, islands)
 		if err := ctx.Err(); err != nil {
 			// Mid-body boundary (a cancel fired from the OnGeneration hook
-			// lands here): best/stall/History have advanced past the
+			// lands here): best/History have advanced past the
 			// snapshot format's boundary, so no checkpoint — a resume
 			// falls back to the last periodic one.
 			return e.cancelled(res, budget, islands, err)
@@ -647,10 +624,10 @@ func (e *Engine) collectDelta(res *Result, islands []*island) {
 // buildIslands assembles the run's islands: the island count clamped to
 // the budget, per-island budget shares (even split, remainder to the
 // first islands), per-island profiles under the Config.Profiles rotation,
-// and per-island RNG streams. A single island runs on the engine's RNG
-// unchanged — the bit-identical classic engine; K > 1 islands draw one
-// seed each from the master stream before any search work, so island
-// streams are independent yet fixed by the master seed.
+// and per-island RNG streams. A single island runs on the engine's master
+// stream — the bit-identical classic engine; K > 1 islands draw one seed
+// each from the master stream before any search work, so island streams
+// are independent yet fixed by the master seed.
 func (e *Engine) buildIslands(budget int) ([]*island, error) {
 	k := e.PlannedIslands(budget)
 	profiles := make([]Profile, k)
@@ -672,26 +649,19 @@ func (e *Engine) buildIslands(budget int) ([]*island, error) {
 		profiles[0] = Profile{Name: "default"}
 	}
 
-	// On a NewSeeded engine every island stream runs through a
-	// draw-counting replaySource so checkpoints can record (and restore
-	// fast-forward) its position; the wrapper forwards draws 1:1, so the
-	// streams — and therefore the search — are bit-identical to the
-	// unseeded construction.
+	// Every island stream runs through a draw-counting replaySource so
+	// checkpoints can record (and restore fast-forward) its position; the
+	// wrapper forwards draws 1:1, so it changes no stream.
 	rngs := make([]*rand.Rand, k)
 	srcs := make([]*replaySource, k)
 	seeds := make([]int64, k)
 	if k == 1 {
-		rngs[0], srcs[0] = e.Rng, e.master
+		rngs[0], srcs[0] = e.rng, e.master
 	} else {
 		for i := range rngs {
-			seed := e.Rng.Int63()
-			seeds[i] = seed
-			if e.master != nil {
-				srcs[i] = newReplaySource(seed)
-				rngs[i] = rand.New(srcs[i])
-			} else {
-				rngs[i] = rand.New(rand.NewSource(seed))
-			}
+			seeds[i] = e.rng.Int63()
+			srcs[i] = newReplaySource(seeds[i])
+			rngs[i] = rand.New(srcs[i])
 		}
 	}
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"digamma/internal/arch"
@@ -31,7 +30,7 @@ func newProblem(t *testing.T) *coopt.Problem {
 
 func newEngine(t *testing.T, seed int64) *Engine {
 	t.Helper()
-	e, err := New(newProblem(t), DefaultConfig(), rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(newProblem(t), DefaultConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func newEngine(t *testing.T, seed int64) *Engine {
 // extracted operator pipeline exactly as a single-population run does.
 func opIsland(t *testing.T, e *Engine) *island {
 	t.Helper()
-	is, err := newIsland(e, 0, Profile{Name: "default"}, e.Rng, e.Config.PopSize, 1<<30)
+	is, err := newIsland(e, 0, Profile{Name: "default"}, e.rng, e.Config.PopSize, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +50,12 @@ func opIsland(t *testing.T, e *Engine) *island {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, DefaultConfig(), nil); err == nil {
+	if _, err := NewSeeded(nil, DefaultConfig(), 1); err == nil {
 		t.Error("nil problem accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.PopSize = 1
-	if _, err := New(newProblem(t), cfg, nil); err == nil {
+	if _, err := NewSeeded(newProblem(t), cfg, 1); err == nil {
 		t.Error("population 1 accepted")
 	}
 }
@@ -159,7 +158,7 @@ func TestGammaKeepsHWFixed(t *testing.T) {
 func TestGrowAndAgeKeepGenomesLegal(t *testing.T) {
 	e := newEngine(t, 13)
 	is := opIsland(t, e)
-	g := e.Problem.Space.Random(e.Rng, 2)
+	g := e.Problem.Space.Random(e.rng, 2)
 	is.grow(&g)
 	if g.Levels() != 3 {
 		t.Fatalf("grow produced %d levels", g.Levels())
@@ -188,7 +187,7 @@ func TestGrowAndAgeKeepGenomesLegal(t *testing.T) {
 func TestMutateHWStaysInBounds(t *testing.T) {
 	e := newEngine(t, 17)
 	is := opIsland(t, e)
-	g := e.Problem.Space.Random(e.Rng, 2)
+	g := e.Problem.Space.Random(e.rng, 2)
 	for i := 0; i < 500; i++ {
 		is.mutateHW(&g)
 		for l, f := range g.Fanouts {
@@ -202,7 +201,7 @@ func TestMutateHWStaysInBounds(t *testing.T) {
 func TestRepairHWBudgetBoundsComputeArea(t *testing.T) {
 	e := newEngine(t, 19)
 	is := opIsland(t, e)
-	g := e.Problem.Space.Random(e.Rng, 2)
+	g := e.Problem.Space.Random(e.rng, 2)
 	g.Fanouts[0] = e.Problem.Space.MaxFanout
 	g.Fanouts[1] = e.Problem.Space.MaxFanout
 	g = is.repairHWBudget(g, nil)
@@ -216,7 +215,7 @@ func TestRepairHWBudgetBoundsComputeArea(t *testing.T) {
 func TestReorderPreservesPermutation(t *testing.T) {
 	e := newEngine(t, 23)
 	is := opIsland(t, e)
-	g := e.Problem.Space.Random(e.Rng, 2)
+	g := e.Problem.Space.Random(e.rng, 2)
 	for i := 0; i < 200; i++ {
 		is.reorder(&g, new(space.Dirty))
 	}
@@ -230,7 +229,7 @@ func TestReorderPreservesPermutation(t *testing.T) {
 func TestMutateMapKeepsLegalAfterRepair(t *testing.T) {
 	e := newEngine(t, 29)
 	is := opIsland(t, e)
-	g := e.Problem.Space.Random(e.Rng, 2)
+	g := e.Problem.Space.Random(e.rng, 2)
 	for i := 0; i < 300; i++ {
 		is.mutateMap(&g, new(space.Dirty))
 		r := e.Problem.Space.Repair(g)
@@ -262,8 +261,8 @@ func TestPickSpatialPrefersWideDims(t *testing.T) {
 func TestCrossoverAlignsStructure(t *testing.T) {
 	e := newEngine(t, 37)
 	is := opIsland(t, e)
-	ga := e.Problem.Space.Random(e.Rng, 2)
-	gb := e.Problem.Space.Random(e.Rng, 2)
+	ga := e.Problem.Space.Random(e.rng, 2)
+	gb := e.Problem.Space.Random(e.rng, 2)
 	ea, err := e.Problem.Evaluate(ga)
 	if err != nil {
 		t.Fatal(err)
@@ -291,10 +290,10 @@ func TestCrossoverAlignsStructure(t *testing.T) {
 func TestCrossoverGreedyPicksFasterBlocks(t *testing.T) {
 	e := newEngine(t, 41)
 	is := opIsland(t, e)
-	ga := e.Problem.Space.Random(e.Rng, 2)
+	ga := e.Problem.Space.Random(e.rng, 2)
 	gb := ga.Clone() // same HW so per-layer cycles are comparable
 	for li := range gb.Maps {
-		gb.Maps[li] = e.Problem.Space.Random(e.Rng, 2).Maps[li]
+		gb.Maps[li] = e.Problem.Space.Random(e.rng, 2).Maps[li]
 	}
 	ea, err := e.Problem.Evaluate(ga)
 	if err != nil {
@@ -368,7 +367,7 @@ func TestTuneReturnsRunnableConfig(t *testing.T) {
 		t.Errorf("tuned fitness %g", f)
 	}
 	// The tuned config must run.
-	eng, err := New(p, cfg, rand.New(rand.NewSource(1)))
+	eng, err := NewSeeded(p, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,11 +408,11 @@ func TestParallelEvaluationDeterministic(t *testing.T) {
 	serial := DefaultConfig()
 	parallel := DefaultConfig()
 	parallel.Workers = 4
-	e1, err := New(p, serial, rand.New(rand.NewSource(55)))
+	e1, err := NewSeeded(p, serial, 55)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(p, parallel, rand.New(rand.NewSource(55)))
+	e2, err := NewSeeded(p, parallel, 55)
 	if err != nil {
 		t.Fatal(err)
 	}

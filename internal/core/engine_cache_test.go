@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -20,7 +19,7 @@ func runWith(t *testing.T, workers int, cached bool, seed int64, budget int) *Re
 	}
 	cfg := DefaultConfig()
 	cfg.Workers = workers
-	e, err := New(p, cfg, rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(p, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestCacheHitRateByGeneration5(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Workers = 1
 		cfg.NoDelta = true
-		e, err := New(p, cfg, rand.New(rand.NewSource(1)))
+		e, err := NewSeeded(p, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +128,7 @@ func TestCacheHitRateByGeneration5(t *testing.T) {
 func TestBredGenomesCanonical(t *testing.T) {
 	check := func(t *testing.T, p *coopt.Problem, cfg Config) {
 		t.Helper()
-		e, err := New(p, cfg, rand.New(rand.NewSource(9)))
+		e, err := NewSeeded(p, cfg, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,9 +21,9 @@ import (
 // RNG stream, the profile-applied operator rates, the scoring problem and
 // the pruning state. Engine.RunContext coordinates K of them in lockstep
 // (K = 1 reproduces the classic single-population engine bit-for-bit: the
-// sole island runs on the engine's own RNG with the base Config).
+// sole island runs on the engine's master stream with the base Config).
 //
-// Everything an island mutates is island-private — cur, rng, best, stall,
+// Everything an island mutates is island-private — cur, rng, best,
 // samples, the evaluation pool and the breeding arenas — so K islands
 // breed and evaluate concurrently with no synchronization between them,
 // and results are a pure function of (Seed, Islands, MigrateEvery,
@@ -33,18 +33,17 @@ type island struct {
 	cfg Config // base Config with this island's profile applied
 
 	// rng is the island's private stream. Island 0 of a single-island run
-	// uses the engine's RNG unchanged (bit-identical to the pre-island
-	// engine); multi-island runs derive one seed per island from the
-	// master stream before any search work.
+	// uses the engine's master stream unchanged (bit-identical to the
+	// pre-island engine); multi-island runs derive one seed per island
+	// from the master stream before any search work.
 	rng *rand.Rand
-	// src is rng's draw-counting source on a NewSeeded engine (nil
-	// otherwise): its position is what checkpoints record and restore
-	// fast-forwards.
+	// src is rng's draw-counting source: its position is what checkpoints
+	// record and restore fast-forwards.
 	src *replaySource
 	// seed is the island's stream seed as drawn from the master stream
 	// (multi-island runs only; 0 for the single island, which runs on the
-	// engine's RNG directly). A distributed worker re-derives the same
-	// seeds from the run seed and cross-checks them against the
+	// engine's master stream directly). A distributed worker re-derives
+	// the same seeds from the run seed and cross-checks them against the
 	// coordinator's assignment, catching divergent builds at handshake
 	// time instead of as silently different results.
 	seed int64
@@ -65,14 +64,11 @@ type island struct {
 	elites int          // carried over unchanged each generation
 
 	// best is the incumbent fitness the pruning screen compares bounds
-	// against, and stall counts consecutive generations it has stood
-	// still (arming the screen once it reaches cfg.PruneStall). Both live
-	// entirely on the island's step: newBatch snapshots them into the
-	// batch before any scoring starts, so batch workers never touch them — a
-	// mid-batch read from a worker would be a data race AND would break
-	// the per-batch pruning determinism.
-	best  float64
-	stall int
+	// against. It lives entirely on the island's step: newBatch snapshots
+	// it into the batch before any scoring starts, so batch workers never
+	// touch it — a mid-batch read from a worker would be a data race AND
+	// would break the per-batch pruning determinism.
+	best float64
 
 	budget  int // this island's share of the run's sampling budget
 	samples int // spent so far, including migration re-scores
@@ -261,37 +257,26 @@ func (is *island) install(keepN int, gs []space.Genome, evs []*coopt.Evaluation)
 	is.cur = next
 }
 
-// begin sorts the population and advances the pruning incumbent and its
-// stall counter — the head of every generation body. A body is the same
-// island methods under both drivers (see shard.go): begin, then at a
-// boundary exportElites and receiveMigrants, then breedEvaluate and
-// install.
+// begin sorts the population and advances the pruning incumbent — the
+// head of every generation body. A body is the same island methods under
+// both drivers (see shard.go): begin, then at a boundary exportElites and
+// receiveMigrants, then breedEvaluate and install.
 func (is *island) begin() {
 	is.sortPop()
-	if is.cur[0].eval.Fitness < is.best {
-		is.stall = 0
-	} else {
-		is.stall++
-	}
 	is.best = is.cur[0].eval.Fitness
 }
 
 // exportElites is the export half of a migration boundary: the island's
-// top MigrateCount individuals (default: its elite count) in the
-// AppendStates encoding. A scout's elites are first re-scored by the
-// run's full-fidelity model so they migrate at comparable fitness —
-// bound-tier fitnesses never leak into a full-fidelity population. The
-// re-scores spend the island's remaining budget share (elites it cannot
+// elites in the AppendStates encoding. A scout's elites are first
+// re-scored by the run's full-fidelity model so they migrate at
+// comparable fitness — bound-tier fitnesses never leak into a
+// full-fidelity population. The re-scores spend the island's remaining budget share (elites it cannot
 // afford are dropped, a cut that depends only on the sample counters),
 // onEval books each one at run level, and the per-layer analyses the
 // cache tiers recovered count into layersReused. gen labels the re-score
 // trace span.
 func (is *island) exportElites(gen int, onEval func(*coopt.Evaluation)) ([]byte, error) {
-	m := is.cfg.MigrateCount
-	if m <= 0 {
-		m = is.elites
-	}
-	sel := is.cur[:min(m, len(is.cur))]
+	sel := is.cur[:min(is.elites, len(is.cur))]
 	if !is.scout {
 		return appendIndividuals(nil, sel), nil
 	}
@@ -483,8 +468,8 @@ func (is *island) newBatch(gs []space.Genome, parents []*coopt.Evaluation, dirt 
 		dirt:      dirt,
 		out:       is.evals[:len(gs)],
 		reused:    is.reused[:len(gs)],
-		prune:     is.cfg.Prune && !math.IsInf(is.best, 1) && is.stall >= is.cfg.PruneStall,
-		threshold: is.best * math.Max(is.cfg.PruneMargin, 1),
+		prune:     is.cfg.Prune && !math.IsInf(is.best, 1),
+		threshold: is.best,
 		delta:     parents != nil && !is.cfg.NoDelta,
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -36,7 +35,7 @@ func runIslands(t *testing.T, p *coopt.Problem, seed int64, budget int, mutate f
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := New(p, cfg, rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(p, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +221,12 @@ func TestAllScoutFallsBack(t *testing.T) {
 func TestUnknownProfileRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Profiles = []string{"default", "bogus"}
-	if _, err := New(newProblem(t), cfg, nil); err == nil {
+	if _, err := NewSeeded(newProblem(t), cfg, 1); err == nil {
 		t.Error("unknown profile accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Islands = -1
-	if _, err := New(newProblem(t), cfg, nil); err == nil {
+	if _, err := NewSeeded(newProblem(t), cfg, 1); err == nil {
 		t.Error("negative island count accepted")
 	}
 }
@@ -273,7 +272,7 @@ func TestGammaIslandsKeepHWFixed(t *testing.T) {
 	cfg.Islands = 3
 	cfg.MigrateEvery = 2
 	cfg.Profiles = []string{"explorer", "exploiter", "scout"}
-	e, err := New(fp, cfg, rand.New(rand.NewSource(7)))
+	e, err := NewSeeded(fp, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

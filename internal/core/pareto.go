@@ -103,7 +103,7 @@ func (e *Engine) RunPareto(budget int, objectives []coopt.Objective) (*ParetoRes
 	// operator pipeline (seeding, breeding, HW repair); the NSGA-II
 	// machinery below owns selection, so the island's population is set
 	// per breeding call.
-	is, err := newIsland(e, 0, Profile{Name: "default"}, e.Rng, e.Config.PopSize, budget)
+	is, err := newIsland(e, 0, Profile{Name: "default"}, e.rng, e.Config.PopSize, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func (e *Engine) RunPareto(budget int, objectives []coopt.Objective) (*ParetoRes
 		if i < pop/4 {
 			g = is.seedGenome(i)
 		} else {
-			g = e.Problem.Space.Random(e.Rng, baseLevels)
+			g = e.Problem.Space.Random(e.rng, baseLevels)
 		}
 		if !cfg.FixedHW {
 			g = is.repairHWBudget(g, nil)
@@ -215,8 +215,8 @@ func (e *Engine) RunPareto(budget int, objectives []coopt.Objective) (*ParetoRes
 		next = append(next, sorted[:elites]...)
 
 		tour := func() *pind {
-			a := cur[e.Rng.Intn(len(cur))]
-			b := cur[e.Rng.Intn(len(cur))]
+			a := cur[e.rng.Intn(len(cur))]
+			b := cur[e.rng.Intn(len(cur))]
 			if better(b, a) {
 				return b
 			}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"digamma/internal/coopt"
@@ -9,7 +8,7 @@ import (
 
 func paretoEngine(t *testing.T, seed int64) *Engine {
 	t.Helper()
-	e, err := New(newProblem(t), DefaultConfig(), rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(newProblem(t), DefaultConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 
 	"digamma/internal/arch"
@@ -25,7 +24,7 @@ func runPrune(t *testing.T, prune bool, budget int, seed int64) *Result {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.Prune = prune
-	eng, err := New(p, cfg, rand.New(rand.NewSource(seed)))
+	eng, err := NewSeeded(p, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestPruneProgressCounters(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.Prune = true
-	eng, err := New(p, cfg, rand.New(rand.NewSource(1)))
+	eng, err := NewSeeded(p, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

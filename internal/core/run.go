@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"digamma/internal/arch"
 	"digamma/internal/coopt"
 )
@@ -11,7 +9,7 @@ import (
 // co-optimization: DiGamma with default hyper-parameters on the given
 // problem and sampling budget.
 func Optimize(p *coopt.Problem, budget int, seed int64) (*Result, error) {
-	eng, err := New(p, DefaultConfig(), rand.New(rand.NewSource(seed)))
+	eng, err := NewSeeded(p, DefaultConfig(), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +24,7 @@ func RunGamma(p *coopt.Problem, hw arch.HW, budget int, seed int64) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	eng, err := New(fp, GammaConfig(), rand.New(rand.NewSource(seed)))
+	eng, err := NewSeeded(fp, GammaConfig(), seed)
 	if err != nil {
 		return nil, err
 	}

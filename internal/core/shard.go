@@ -40,10 +40,9 @@ type Placement interface {
 	Run(ctx context.Context, e *Engine, budget int) (res *Result, handled bool, err error)
 }
 
-// Seed returns the engine's master seed and whether the engine was built
-// with NewSeeded (placements require it: island streams must be
-// re-derivable on a worker from the seed alone).
-func (e *Engine) Seed() (int64, bool) { return e.seed, e.master != nil }
+// Seed returns the engine's master seed, from which a worker re-derives
+// every island stream.
+func (e *Engine) Seed() int64 { return e.seed }
 
 // ConfigSum exposes the problem + config fingerprint used by checkpoints;
 // the distributed handshake cross-checks it so a coordinator and a worker
@@ -74,11 +73,10 @@ type IslandPlan struct {
 }
 
 // RunPlan is the coordinator's view of a run: per-island parameters plus
-// the resolved migration knobs.
+// the resolved migration period.
 type RunPlan struct {
 	Budget       int          `json:"budget"`
 	MigrateEvery int          `json:"migrate_every"` // resolved (never 0)
-	MigrateCount int          `json:"migrate_count"`
 	Islands      []IslandPlan `json:"islands"`
 }
 
@@ -120,7 +118,6 @@ func (e *Engine) PlanRun(budget int) (*RunPlan, error) {
 	plan := &RunPlan{
 		Budget:       budget,
 		MigrateEvery: me,
-		MigrateCount: e.Config.MigrateCount,
 		Islands:      make([]IslandPlan, len(islands)),
 	}
 	for i, is := range islands {

@@ -88,12 +88,7 @@ func (s *Schedule) Next() *Segment {
 				if !ip.Scout {
 					continue
 				}
-				m := s.plan.MigrateCount
-				if m <= 0 {
-					m = ip.Elites
-				}
-				m = min(m, s.plen[i])
-				if spend := min(m, ip.Budget-s.samp[i]); spend > 0 {
+				if spend := min(ip.Elites, s.plen[i], ip.Budget-s.samp[i]); spend > 0 {
 					s.samp[i] += spend
 					s.total += spend
 					s.full += spend // re-scores run the full model
@@ -199,13 +194,9 @@ type ShardRunner struct {
 }
 
 // NewShardRunner assembles a runner for the engine's run at this budget.
-// Requires a NewSeeded engine (island streams must be re-derivable) and a
-// multi-island plan. Samples are booked per island, so an OnEvaluation
-// hook on the engine sees each island's own sample indices.
+// Requires a multi-island plan. Samples are booked per island, so an
+// OnEvaluation hook on the engine sees each island's own sample indices.
 func NewShardRunner(e *Engine, budget int) (*ShardRunner, error) {
-	if e.master == nil {
-		return nil, errors.New("core: shard runner requires an engine built with NewSeeded")
-	}
 	if e.Resume != nil {
 		return nil, errors.New("core: shard runner does not support resumed runs")
 	}

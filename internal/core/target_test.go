@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -26,7 +25,7 @@ func runTarget(t *testing.T, seed int64, target float64, mutate func(*Config)) *
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := New(p, cfg, rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(p, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

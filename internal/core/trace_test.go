@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -27,7 +26,7 @@ func runTraced(t *testing.T, model string, seed int64, traced bool, mutate func(
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e, err := New(p, cfg, rand.New(rand.NewSource(seed)))
+	e, err := NewSeeded(p, cfg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func Tune(p *coopt.Problem, o TuneOptions) (Config, float64, error) {
 
 	obj := func(x []float64) float64 {
 		cfg := decodeConfig(x)
-		eng, err := New(p, cfg, rand.New(rand.NewSource(o.Seed)))
+		eng, err := NewSeeded(p, cfg, o.Seed)
 		if err != nil {
 			return 1e30
 		}

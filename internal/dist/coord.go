@@ -185,11 +185,7 @@ func (c *Coordinator) ineligible(e *core.Engine, budget int) string {
 	if k := e.PlannedIslands(budget); k < 2 {
 		return fmt.Sprintf("run builds %d island(s), distribution needs ≥ 2", k)
 	}
-	seed, seeded := e.Seed()
-	if !seeded {
-		return "engine not built with NewSeeded"
-	}
-	if seed != c.Spec.Seed {
+	if seed := e.Seed(); seed != c.Spec.Seed {
 		return fmt.Sprintf("spec seed %d != engine seed %d", c.Spec.Seed, seed)
 	}
 	if e.Resume != nil {

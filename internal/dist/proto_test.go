@@ -189,8 +189,9 @@ func TestBinaryBodyStrict(t *testing.T) {
 }
 
 // TestCorpusValidFrames: every valid-* seed of FuzzFrameDecode's
-// committed corpus decodes as the message type its frame names, so the
-// corpus follows the protocol instead of going stale with it.
+// committed corpus decodes as the message type its frame names, and the
+// hello is one a worker accepts, so the corpus follows the protocol and
+// the engine config instead of going stale with them.
 func TestCorpusValidFrames(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzFrameDecode/valid-*")
 	if err != nil || len(files) == 0 {
@@ -207,11 +208,18 @@ func TestCorpusValidFrames(t *testing.T) {
 			t.Fatalf("%s: not a one-value []byte corpus file", file)
 		}
 		typ, body, err := readerConn([]byte(data)).readMsg()
+		msg := messageFor(typ)
 		if err == nil {
-			err = decodeBody(typ, body, messageFor(typ))
+			err = decodeBody(typ, body, msg)
 		}
 		if err != nil {
 			t.Errorf("%s: %v", file, err)
+			continue
+		}
+		if hello, ok := msg.(*helloMsg); ok {
+			if _, ack := adoptHello(hello, WorkerOptions{Workers: 1}); ack.Err != "" {
+				t.Errorf("%s: a worker refuses the hello: %s", file, ack.Err)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 
 	"digamma/internal/arch"
 	"digamma/internal/coopt"
@@ -92,7 +91,7 @@ func Ablation(platform arch.Platform, o Options) (*tables.Table, error) {
 		if err != nil {
 			return err
 		}
-		eng, err := core.New(p, o.coreConfig(v.Config, engWorkers), rand.New(rand.NewSource(o.Seed)))
+		eng, err := core.NewSeeded(p, o.coreConfig(v.Config, engWorkers), o.Seed)
 		if err != nil {
 			return err
 		}

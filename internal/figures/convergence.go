@@ -84,7 +84,7 @@ func traceAlgorithm(alg string, p *coopt.Problem, seed int64, marks []int, worke
 	}
 
 	if alg == "DiGamma" {
-		eng, err := core.New(p, o.coreConfig(core.DefaultConfig(), workers), rand.New(rand.NewSource(seed)))
+		eng, err := core.NewSeeded(p, o.coreConfig(core.DefaultConfig(), workers), seed)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"math/rand"
 
 	"digamma/internal/arch"
 	"digamma/internal/coopt"
@@ -80,7 +79,7 @@ func (o Options) coreConfig(base core.Config, workers int) core.Config {
 // explicit evaluation-worker count (seed-deterministic like core.Optimize),
 // under the experiment's prune and island knobs.
 func runDiGamma(p *coopt.Problem, budget int, seed int64, workers int, o Options) (*core.Result, error) {
-	eng, err := core.New(p, o.coreConfig(core.DefaultConfig(), workers), rand.New(rand.NewSource(seed)))
+	eng, err := core.NewSeeded(p, o.coreConfig(core.DefaultConfig(), workers), seed)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +93,7 @@ func runGamma(p *coopt.Problem, hw arch.HW, budget int, seed int64, workers int,
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(fp, o.coreConfig(core.GammaConfig(), workers), rand.New(rand.NewSource(seed)))
+	eng, err := core.NewSeeded(fp, o.coreConfig(core.GammaConfig(), workers), seed)
 	if err != nil {
 		return nil, err
 	}

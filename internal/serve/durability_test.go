@@ -283,10 +283,11 @@ func TestCrashRecoveryResumeDeterminism(t *testing.T) {
 
 // TestRecoverStaleCheckpointRecomputes is the upgrade path across a
 // checkpoint format change: a job checkpoints, the server crashes, and
-// its checkpoint file is rewritten in the version-1 form (the population
-// as JSON states, not state-encoded bytes). The reopened store refuses
-// the stale checkpoint, and the job re-runs from its WAL record to a
-// result byte-identical to an uninterrupted run.
+// its checkpoint file is rewritten in an older form — version 1 (the
+// population as JSON states, not state-encoded bytes) or version 2 (each
+// island with its prune-stall counter). The reopened store refuses the
+// stale checkpoint, and the job re-runs from its WAL record to a result
+// byte-identical to an uninterrupted run.
 func TestRecoverStaleCheckpointRecomputes(t *testing.T) {
 	req := OptimizeRequest{Model: "ncf", Budget: 6000, Seed: 12}
 	_, baseURL, _ := durableServer(t, Config{Workers: 1})
@@ -297,68 +298,75 @@ func TestRecoverStaleCheckpointRecomputes(t *testing.T) {
 		t.Fatalf("baseline result: %v (nil=%v)", err, want.Result == nil)
 	}
 
-	dir := t.TempDir()
-	open := func() *DiskStore {
-		ds, err := OpenDiskStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ds
-	}
-	s1, url1, crash := durableServer(t, Config{Workers: 1, Store: open(), CheckpointEvery: 1})
-	st1, code := submit(t, url1, req)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s1.checkpointsWritten.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoints written before deadline")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	crash()
-	if s1.get(st1.ID).State().Terminal() {
-		t.Skip("search outran the crash; nothing to recover")
-	}
+	for _, form := range []struct {
+		name  string
+		stale func(t *testing.T, data []byte) []byte
+	}{{"v1", v1Checkpoint}, {"v2", v2Checkpoint}} {
+		t.Run(form.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func() *DiskStore {
+				ds, err := OpenDiskStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ds
+			}
+			s1, url1, crash := durableServer(t, Config{Workers: 1, Store: open(), CheckpointEvery: 1})
+			st1, code := submit(t, url1, req)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d", code)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for s1.checkpointsWritten.Load() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("no checkpoints written before deadline")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			crash()
+			if s1.get(st1.ID).State().Terminal() {
+				t.Skip("search outran the crash; nothing to recover")
+			}
 
-	path := filepath.Join(dir, "ckpt", st1.ID+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v1Checkpoint(t, data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	probe := open()
-	recs, err := probe.Recover()
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("recover: %d jobs, err %v", len(recs), err)
-	}
-	if recs[0].Terminal != nil || recs[0].Resume != nil {
-		t.Fatalf("stale checkpoint recovered as terminal=%v resume=%v, want a fresh run", recs[0].Terminal != nil, recs[0].Resume != nil)
-	}
-	if err := probe.Close(); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, "ckpt", st1.ID+".json")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, form.stale(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			probe := open()
+			recs, err := probe.Recover()
+			if err != nil || len(recs) != 1 {
+				t.Fatalf("recover: %d jobs, err %v", len(recs), err)
+			}
+			if recs[0].Terminal != nil || recs[0].Resume != nil {
+				t.Fatalf("stale checkpoint recovered as terminal=%v resume=%v, want a fresh run", recs[0].Terminal != nil, recs[0].Resume != nil)
+			}
+			if err := probe.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, url2, _ := durableServer(t, Config{Workers: 1, Store: open(), CheckpointEvery: 1})
-	if got := s2.jobsRecovered.Load(); got != 1 {
-		t.Fatalf("jobs recovered = %d, want 1", got)
-	}
-	got := waitState(t, url2, st1.ID, StateDone, time.Minute)
-	gotJSON, err := json.Marshal(got.Result)
-	if err != nil || got.Result == nil {
-		t.Fatalf("recomputed result: %v (nil=%v)", err, got.Result == nil)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("recomputed result differs from uninterrupted run:\n%s\nvs\n%s", gotJSON, wantJSON)
+			s2, url2, _ := durableServer(t, Config{Workers: 1, Store: open(), CheckpointEvery: 1})
+			if got := s2.jobsRecovered.Load(); got != 1 {
+				t.Fatalf("jobs recovered = %d, want 1", got)
+			}
+			got := waitState(t, url2, st1.ID, StateDone, time.Minute)
+			gotJSON, err := json.Marshal(got.Result)
+			if err != nil || got.Result == nil {
+				t.Fatalf("recomputed result: %v (nil=%v)", err, got.Result == nil)
+			}
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("recomputed result differs from uninterrupted run:\n%s\nvs\n%s", gotJSON, wantJSON)
+			}
+		})
 	}
 }
 
-// v1Checkpoint rewrites a checkpoint in the version-1 form: the same
-// envelope with each island's population as a JSON list of states.
-func v1Checkpoint(t *testing.T, data []byte) []byte {
+// decodeCheckpointJSON decodes a checkpoint file as generic JSON, keeping
+// numbers exact, for rewriting into an older form.
+func decodeCheckpointJSON(t *testing.T, data []byte) map[string]any {
 	t.Helper()
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
@@ -366,6 +374,30 @@ func v1Checkpoint(t *testing.T, data []byte) []byte {
 	if err := dec.Decode(&ck); err != nil {
 		t.Fatal(err)
 	}
+	return ck
+}
+
+// v2Checkpoint rewrites a checkpoint in the version-2 form: the same
+// envelope with each island carrying its prune-stall counter.
+func v2Checkpoint(t *testing.T, data []byte) []byte {
+	t.Helper()
+	ck := decodeCheckpointJSON(t, data)
+	ck["version"] = 2
+	for _, island := range ck["islands"].([]any) {
+		island.(map[string]any)["stall"] = 1
+	}
+	out, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// v1Checkpoint rewrites a checkpoint in the version-1 form: the same
+// envelope with each island's population as a JSON list of states.
+func v1Checkpoint(t *testing.T, data []byte) []byte {
+	t.Helper()
+	ck := decodeCheckpointJSON(t, data)
 	ck["version"] = 1
 	for _, island := range ck["islands"].([]any) {
 		is := island.(map[string]any)
